@@ -37,6 +37,7 @@ from .expansion import (
 from .moments import (
     CorrelationSet,
     HolderReport,
+    MomentBatch,
     MomentSet,
     conditional_moments,
     correlation_set,

@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
 )
 from .report import Report
-from .special import _lower_incomplete_gamma_vec, double_factorial, lower_incomplete_gamma
+from .special import _lower_incomplete_gamma_vec, double_factorial
 
 __all__ = [
     "Spectrum",
@@ -181,12 +181,6 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sin_t, cos_t, (0.25 * math.pi) * w * cos_t
 
 
-def _alpha_1d_value(k: int, rho: float, lam: float) -> float:
-    return 2.0 ** k / math.sqrt(math.pi) * lower_incomplete_gamma(
-        k + 0.5, rho / (2.0 * lam)
-    )
-
-
 def _alpha_1d_array(k: int, rho: np.ndarray, lam: float) -> np.ndarray:
     return 2.0 ** k / math.sqrt(math.pi) * _lower_incomplete_gamma_vec(
         k + 0.5, rho / (2.0 * lam)
@@ -207,44 +201,51 @@ def _slice_range(rho, lam: float):
     return np.minimum(np.sqrt(rho), math.sqrt(_SUPPORT_WIDTH_SQ * lam))
 
 
-def _alpha_broadcast(ks, lams, rho_arr, rule):
-    """Fully vectorized slice recursion; rho_arr may have any shape."""
-    if len(ks) == 1:
-        return _alpha_1d_array(ks[0], rho_arr, lams[0])
-    sin_t, cos_t, weights = rule
-    k, lam = ks[-1], lams[-1]
+def _slice(k: int, lam: float, rho_arr, rule, inner):
+    """Integrate out one dimension (multiplicity k, variance lam).
+
+    ``inner(rho_next)`` evaluates the remaining dimensions at the leftover
+    square radii, an array with one trailing node axis more than rho_arr.
+    """
+    sin_t, _cos_t, weights = rule
     half = _slice_range(rho_arr, lam)
     x = half[..., None] * sin_t
     rho_next = np.maximum(rho_arr[..., None] - x * x, 0.0)
-    inner = _alpha_broadcast(ks[:-1], lams[:-1], rho_next, rule)
-    integrand = _gauss_density(x, lam) * inner
+    # inner first: the density array is not held through the recursion
+    integrand = inner(rho_next) * _gauss_density(x, lam)
     if k:
         integrand = integrand * (x * x / lam) ** k
     return 2.0 * half * (integrand @ weights)
+
+
+def _alpha_broadcast(ks, lams, rho_arr, outer, inner):
+    """Fully vectorized slice recursion; rho_arr may have any shape.
+
+    The last dimension is sliced with the ``outer`` rule, every other with
+    the ``inner`` rule.
+    """
+    if len(ks) == 1:
+        return _alpha_1d_array(ks[0], rho_arr, lams[0])
+    return _slice(ks[-1], lams[-1], rho_arr, outer,
+                  lambda r: _alpha_broadcast(ks[:-1], lams[:-1], r, inner, inner))
 
 
 @functools.lru_cache(maxsize=400_000)
 def _alpha_quad(ks: tuple, lams: tuple, rho: float, n_outer: int, n_inner: int) -> float:
     """Nested quadrature for v >= 2; always slices the last dimension first."""
     v = len(ks)
-    sin_t, cos_t, w_out = _gl_nodes(n_outer)
-    k, lam = ks[-1], lams[-1]
-    half = float(_slice_range(rho, lam))
-    x = half * sin_t
-    rho_next = np.maximum(rho - x * x, 0.0)
-    if v == 2:
-        inner = _alpha_1d_array(ks[0], rho_next, lams[0])
-    elif n_inner ** (v - 2) * n_outer > _LEAF_BUDGET:
-        inner = np.array([
-            _alpha_quad(ks[:-1], lams[:-1], float(r), n_inner, n_inner)
-            for r in rho_next
-        ])
+    outer = _gl_nodes(n_outer)
+    if n_inner ** (v - 2) * n_outer > _LEAF_BUDGET:
+        def inner(rho_next):
+            return np.array([
+                _alpha_quad(ks[:-1], lams[:-1], float(r), n_inner, n_inner)
+                for r in rho_next
+            ])
+
+        value = _slice(ks[-1], lams[-1], np.asarray(rho), outer, inner)
     else:
-        inner = _alpha_broadcast(ks[:-1], lams[:-1], rho_next, _gl_nodes(n_inner))
-    integrand = _gauss_density(x, lam) * inner
-    if k:
-        integrand = integrand * (x * x / lam) ** k
-    return float(2.0 * half * (integrand @ w_out))
+        value = _alpha_broadcast(ks, lams, np.asarray(rho), outer, _gl_nodes(n_inner))
+    return float(value)
 
 
 def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
@@ -269,7 +270,8 @@ def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
     rho = _check_rho(rho)
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"variance must be positive, got {lam}")
-    value = _alpha_1d_value(k, rho, lam)
+    with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
+        value = float(_alpha_1d_array(k, np.array([rho]), lam)[0])
     return _validated(value, 1e-13 * abs(value), MultiIndex((k,)))
 
 

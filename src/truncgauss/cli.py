@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +30,6 @@ EXIT_NUMERIC = 3
 
 _FIGURES = ("delta-grid", "gamma-curves", "gamma-convergence", "cp-table")
 _SUITES = ("structural", "inequalities", "eta", "asymptotic", "xi", "all")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    rho: float | None = None
-    rho_range: tuple[float, float, int, str] | None = None
-    lambdas: tuple[float, ...] = ()
-    v: int | None = None
-    index: str = ""
-    order: int = 4
-    qmax: int = 6
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    figure: str | None = None
-    suite: str | None = None
-    quick: bool = False
-    use_mc: bool = False
-    samples: int = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -138,75 +117,75 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _spectrum(cfg: RunConfig) -> Spectrum:
-    spec = Spectrum(cfg.lambdas)
-    if cfg.v is not None and cfg.v != spec.v:
+def _spectrum(args: argparse.Namespace) -> Spectrum:
+    spec = Spectrum(args.lambdas)
+    if args.v is not None and args.v != spec.v:
         raise DomainError(
-            f"--v {cfg.v} does not match the {spec.v} variances given"
+            f"--v {args.v} does not match the {spec.v} variances given"
         )
     return spec
 
 
-def _rho_values(cfg: RunConfig) -> list[float] | None:
-    if cfg.rho_range is not None:
-        return [float(r) for r in _grid(*cfg.rho_range)]
-    if cfg.rho is not None:
+def _rho_values(args: argparse.Namespace) -> list[float] | None:
+    if args.rho_range is not None:
+        return [float(r) for r in _grid(*args.rho_range)]
+    if args.rho is not None:
         return None  # single-point mode
-    raise DomainError(f"{cfg.command} needs --rho or --rho-range")
+    raise DomainError(f"{args.command} needs --rho or --rho-range")
 
 
-def cmd_integral(cfg: RunConfig) -> int:
-    spec = _spectrum(cfg)
-    index = _parse_index(cfg.index, spec.v)
-    if cfg.use_mc:
-        if cfg.rho is None:
+def cmd_integral(args: argparse.Namespace) -> int:
+    spec = _spectrum(args)
+    index = _parse_index(args.index, spec.v)
+    if args.mc:
+        if args.rho is None:
             raise DomainError("integral --mc needs --rho")
-        est = ball_integral_mc(index, cfg.rho, spec, cfg.samples, cfg.seed)
-        if cfg.fmt == "json":
+        est = ball_integral_mc(index, args.rho, spec, args.samples, args.seed)
+        if args.fmt == "json":
             _emit([json.dumps({"mean": est.mean, "std_error": est.std_error,
                                "n_kept": est.n_kept, "n_total": est.n_total,
-                               "seed": est.seed})], cfg.out)
+                               "seed": est.seed})], args.out)
         else:
             _emit(["mean,std_error,n_kept,n_total",
                    f"{_fmt(est.mean)},{_fmt(est.std_error)},"
-                   f"{est.n_kept},{est.n_total}"], cfg.out)
+                   f"{est.n_kept},{est.n_total}"], args.out)
         return EXIT_OK
-    rhos = _rho_values(cfg)
+    rhos = _rho_values(args)
     if rhos is None:
-        result = ball_integral(index, cfg.rho, spec)
-        if cfg.fmt == "json":
+        result = ball_integral(index, args.rho, spec)
+        if args.fmt == "json":
             _emit([json.dumps({"value": result.value,
-                               "est_abs_error": result.est_abs_error})], cfg.out)
+                               "est_abs_error": result.est_abs_error})], args.out)
         else:
             _emit(["value,est_abs_error",
-                   f"{_fmt(result.value)},{_fmt(result.est_abs_error)}"], cfg.out)
+                   f"{_fmt(result.value)},{_fmt(result.est_abs_error)}"], args.out)
         return EXIT_OK
     rows = _map_grid(lambda r: ball_integral(index, r, spec), rhos)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit([json.dumps([
             {"rho": r, "value": x.value, "est_abs_error": x.est_abs_error}
-            for r, x in zip(rhos, rows)])], cfg.out)
+            for r, x in zip(rhos, rows)])], args.out)
     else:
         lines = ["rho,value,est_abs_error"]
         lines += [f"{_fmt(r)},{_fmt(x.value)},{_fmt(x.est_abs_error)}"
                   for r, x in zip(rhos, rows)]
-        _emit(lines, cfg.out)
+        _emit(lines, args.out)
     return EXIT_OK
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    spec = _spectrum(cfg)
-    rhos = _rho_values(cfg)
+def cmd_moments(args: argparse.Namespace) -> int:
+    spec = _spectrum(args)
+    rhos = _rho_values(args)
     single = rhos is None
     if single:
-        rhos = [cfg.rho]
+        rhos = [args.rho]
 
     def at(rho: float):
         return (moments_mod.conditional_moments(rho, spec),
                 moments_mod.correlation_set(rho, spec))
 
     rows = _map_grid(at, rhos)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = [
             {
                 "rho": rho,
@@ -217,7 +196,7 @@ def cmd_moments(cfg: RunConfig) -> int:
             }
             for rho, (mom, cors) in zip(rhos, rows)
         ]
-        _emit([json.dumps(payload[0] if single else payload)], cfg.out)
+        _emit([json.dumps(payload[0] if single else payload)], args.out)
         return EXIT_OK
     head = ["rho", "n", "lambda", "second_moment", "fourth_moment", "variance_gap"]
     head += [f"gamma_{m + 1}" for m in range(spec.v)]
@@ -229,29 +208,29 @@ def cmd_moments(cfg: RunConfig) -> int:
                    _fmt(cors.delta[n])]
             row += [_fmt(cors.gamma[n][m]) for m in range(spec.v)]
             lines.append(",".join(row))
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
-def cmd_eta(cfg: RunConfig) -> int:
-    spec = _spectrum(cfg)
-    rhos = _rho_values(cfg)
+def cmd_eta(args: argparse.Namespace) -> int:
+    spec = _spectrum(args)
+    rhos = _rho_values(args)
     single = rhos is None
     if single:
-        rhos = [cfg.rho]
-    ks = range(1, cfg.order + 1)
+        rhos = [args.rho]
+    ks = range(1, args.order + 1)
     rows = _map_grid(
         lambda rho: [(k, eta_mod.eta_combinatorial(k, rho, spec)) for k in ks],
         rhos)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = [{"rho": rho, "eta": {k: v for k, v in values}}
                    for rho, values in zip(rhos, rows)]
-        _emit([json.dumps(payload[0] if single else payload)], cfg.out)
+        _emit([json.dumps(payload[0] if single else payload)], args.out)
     else:
         lines = ["rho,k,eta"]
         for rho, values in zip(rhos, rows):
             lines += [f"{_fmt(rho)},{k},{_fmt(v)}" for k, v in values]
-        _emit(lines, cfg.out)
+        _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -331,45 +310,45 @@ def _figure_cp_table(quick: bool = False) -> list[str]:
     return lines
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    if cfg.figure not in _FIGURES:
+def cmd_figure(args: argparse.Namespace) -> int:
+    if args.figure not in _FIGURES:
         raise DomainError(
-            f"unknown figure {cfg.figure!r}; choose from {', '.join(_FIGURES)}"
+            f"unknown figure {args.figure!r}; choose from {', '.join(_FIGURES)}"
         )
     maker = {
         "delta-grid": _figure_delta_grid,
         "gamma-curves": _figure_gamma_curves,
         "gamma-convergence": _figure_gamma_convergence,
         "cp-table": _figure_cp_table,
-    }[cfg.figure]
-    _emit(maker(cfg.quick), cfg.out)
+    }[args.figure]
+    _emit(maker(args.quick), args.out)
     return EXIT_OK
 
 
-def _suite_structural(cfg: RunConfig) -> Report:
-    spec = _spectrum(cfg) if cfg.lambdas else Spectrum((1.0, 2.0))
-    rho = cfg.rho if cfg.rho is not None else 3.0
+def _suite_structural(args: argparse.Namespace) -> Report:
+    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0))
+    rho = args.rho if args.rho is not None else 3.0
     return verify_structural(rho, spec, order_cap=2)
 
 
-def _suite_inequalities(cfg: RunConfig) -> Report:
-    spec = _spectrum(cfg) if cfg.lambdas else Spectrum((1.0, 2.0, 3.0))
+def _suite_inequalities(args: argparse.Namespace) -> Report:
+    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0, 3.0))
     report = Report("inequalities")
-    rhos = ([1.0, 5.0] if cfg.quick else [0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
+    rhos = ([1.0, 5.0] if args.quick else [0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
     for rho in rhos:
         sub = moments_mod.inequality_battery(rho * spec.lambda_max, spec)
         report.extend(sub, prefix=f"rho={rho:g}max|")
     return report
 
 
-def _suite_eta(cfg: RunConfig) -> Report:
+def _suite_eta(args: argparse.Namespace) -> Report:
     report = Report("eta")
     battery = [
         (Spectrum((1.0,)), (2.0, 3.0, 4.0)),
         (Spectrum((1.0, 2.0)), (2.0, 3.0, 4.0, 5.0, 8.0)),
         (Spectrum((1.0, 2.0, 3.0)), (2.0, 8.0, 11.0, 16.0)),
     ]
-    if cfg.quick:
+    if args.quick:
         battery = [(spec, rhos[:2]) for spec, rhos in battery[:2]]
     for spec, rhos in battery:
         for rho in rhos:
@@ -385,26 +364,26 @@ def _suite_eta(cfg: RunConfig) -> Report:
     return report
 
 
-def _suite_asymptotic(cfg: RunConfig) -> Report:
-    spec = _spectrum(cfg) if cfg.lambdas else Spectrum((1.0, 2.0, 3.0))
+def _suite_asymptotic(args: argparse.Namespace) -> Report:
+    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0, 3.0))
     schedule = (20.0, 40.0, 80.0)
-    k_max = 2 if cfg.quick else 4
+    k_max = 2 if args.quick else 4
     return eta_mod.asymptotic_checks(spec.v, spec, k_max, schedule)
 
 
-def _suite_xi(cfg: RunConfig) -> Report:
+def _suite_xi(args: argparse.Namespace) -> Report:
     report = Report("xi")
-    qmax = min(cfg.qmax, 8)
+    qmax = min(args.qmax, 8)
     report.extend(xi_mod.omega_inequality_scan(qmax))
     report.extend(xi_mod.gap_convolution_check(min(qmax, 4)))
     report.extend(xi_mod.inverse_mass_identity_check(min(qmax, 4)))
     return report
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in _SUITES:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite not in _SUITES:
         raise DomainError(
-            f"unknown suite {cfg.suite!r}; choose from {', '.join(_SUITES)}"
+            f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}"
         )
     runners = {
         "structural": _suite_structural,
@@ -413,11 +392,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         "asymptotic": _suite_asymptotic,
         "xi": _suite_xi,
     }
-    report = Report(cfg.suite)
-    names = list(runners) if cfg.suite == "all" else [cfg.suite]
+    report = Report(args.suite)
+    names = list(runners) if args.suite == "all" else [args.suite]
     for name in names:
-        report.extend(runners[name](cfg))
-    _emit([json.dumps(report.to_dict(), indent=2)], cfg.out)
+        report.extend(runners[name](args))
+    _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
 
@@ -477,44 +456,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.v = getattr(args, "v", None)
-    raw_lams = getattr(args, "lambdas", "")
-    cfg.lambdas = _parse_lambdas(raw_lams) if raw_lams else ()
-    cfg.rho = getattr(args, "rho", None)
-    raw_range = getattr(args, "rho_range", None)
-    cfg.rho_range = _parse_rho_range(raw_range) if raw_range else None
-    cfg.index = getattr(args, "index", "")
-    cfg.order = getattr(args, "order", 4)
-    cfg.qmax = getattr(args, "qmax", 6)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.out = getattr(args, "out", None)
-    cfg.fmt = getattr(args, "fmt", "csv")
-    cfg.figure = getattr(args, "figure", None)
-    cfg.suite = getattr(args, "suite", None)
-    cfg.quick = getattr(args, "quick", False)
-    cfg.use_mc = getattr(args, "mc", False)
-    cfg.samples = getattr(args, "samples", 1_000_000)
-    if args.command == "cp-table":
-        cfg.command = "figure"
-        cfg.figure = "cp-table"
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        args.lambdas = _parse_lambdas(args.lambdas) if args.lambdas else ()
+        if getattr(args, "rho_range", None):
+            args.rho_range = _parse_rho_range(args.rho_range)
+        if args.command == "cp-table":
+            args.command, args.figure = "figure", "cp-table"
         handler = {
             "integral": cmd_integral,
             "moments": cmd_moments,
             "eta": cmd_eta,
             "figure": cmd_figure,
             "verify": cmd_verify,
-        }[cfg.command]
-        return handler(cfg)
+        }[args.command]
+        return handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,7 @@ import numpy as np
 from .ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
 from .errors import DomainError, NumericError
 from .eta import eta_combinatorial
+from .moments import MomentBatch
 from .report import Report
 from .special import raising_factorial
 
@@ -217,15 +218,7 @@ def gamma_nm_cancellation_check(n: int, m: int, rho: float,
     report.add("order-1-cancellation", diff1 <= 1e-12 * scale1, scale1 - diff1,
                detail=f"difference {diff1:.3e} vs term size {scale1:.3e}")
 
-    zero = MultiIndex.zero(v)
-    pair_idx = MultiIndex.single(v, n).bump(m)
-    base = ball_integral(zero, rho, spectrum)
-    an = ball_integral(MultiIndex.single(v, n), rho, spectrum)
-    am = ball_integral(MultiIndex.single(v, m), rho, spectrum)
-    anm = ball_integral(pair_idx, rho, spectrum)
-    gamma_nm = (lam_n * lam_m / rho ** 2) * (
-        anm.value / base.value - (an.value / base.value) * (am.value / base.value)
-    )
+    gamma_nm = MomentBatch(rho, spectrum).cov(n, m)[0] / rho ** 2
     envelope = (lam_n * lam_m / rho ** 2) * (spectrum.lambda_max / rho)
     report.add("covariance-below-first-order", abs(gamma_nm) < envelope,
                envelope - abs(gamma_nm),

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import IntegralValue, MultiIndex, Spectrum, ball_integral
+from .ball import IntegralValue, MultiIndex, Spectrum, ball_integral, ball_integral_mc
 from .errors import DomainError, NumericError
 from .report import Report
 
 __all__ = [
+    "MomentBatch",
     "MomentSet",
     "CorrelationSet",
     "HolderReport",
@@ -52,14 +53,6 @@ class MomentSet:
     def v(self) -> int:
         return len(self.second)
 
-    def variance(self, n: int) -> float:
-        return self.fourth[n] - self.second[n] ** 2
-
-    def covariance(self, n: int, m: int) -> float:
-        if n == m:
-            return self.variance(n)
-        return self.cross[n][m] - self.second[n] * self.second[m]
-
 
 @dataclass(frozen=True)
 class CorrelationSet:
@@ -92,20 +85,77 @@ class HolderReport:
         return "edge" if self.h1 >= self.h2 else "center"
 
 
-def _alphas(rho: float, spectrum: Spectrum):
-    """Base, single, and pair integrals used by every moment formula."""
-    v = spectrum.v
-    base = ball_integral(MultiIndex.zero(v), rho, spectrum)
-    single = [ball_integral(MultiIndex.single(v, n), rho, spectrum)
-              for n in range(v)]
-    pair = [[None] * v for _ in range(v)]
-    for n in range(v):
-        for m in range(n, v):
-            idx = MultiIndex.single(v, n, 2) if n == m else \
-                MultiIndex.single(v, n).bump(m)
-            val = ball_integral(idx, rho, spectrum)
-            pair[n][m] = pair[m][n] = val
-    return base, single, pair
+class MomentBatch:
+    """Every conditional moment at one ``(rho, spectrum)``, with its error.
+
+    Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals.  A
+    multi-index is integrated at most once per batch, on first use, and its
+    ratio is kept with the ratio's relative error (the sum of the two
+    integrals' relative errors).  Every accessor returns ``(value, err)``,
+    with ``err`` propagated to first order from those relative errors.
+
+    ``integral(index, rho, spectrum)`` must return an :class:`IntegralValue`;
+    the default is :func:`ball_integral`.
+    """
+
+    def __init__(self, rho: float, spectrum: Spectrum, integral=None):
+        self.rho = rho
+        self.spectrum = spectrum
+        self._integral = integral
+        self._base: IntegralValue | None = None
+        self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
+
+    def _ratio(self, *dims: int) -> tuple[float, float]:
+        """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims."""
+        key = tuple(sorted(dims))
+        hit = self._ratios.get(key)
+        if hit is None:
+            v = self.spectrum.v
+            ks = [0] * v
+            for d in dims:
+                if not 0 <= d < v:
+                    raise DomainError(f"dimension {d} out of range for v={v}")
+                ks[d] += 1
+            # looked up per call, so a replaced module-level ball_integral is used
+            integral = self._integral or ball_integral
+            if self._base is None:
+                self._base = integral(MultiIndex.zero(v), self.rho, self.spectrum)
+            num = integral(MultiIndex(tuple(ks)), self.rho, self.spectrum)
+            hit = (num.value / self._base.value,
+                   num.rel_error + self._base.rel_error)
+            self._ratios[key] = hit
+        return hit
+
+    def second(self, n: int) -> tuple[float, float]:
+        """E[X_n^2 | ball]."""
+        ratio, rel = self._ratio(n)
+        value = self.spectrum.lambdas[n] * ratio
+        return value, value * rel
+
+    def product(self, n: int, m: int) -> tuple[float, float]:
+        """E[X_n^2 X_m^2 | ball]; the fourth moment E[X_n^4 | ball] when n == m."""
+        ratio, rel = self._ratio(n, m)
+        lams = self.spectrum.lambdas
+        value = lams[n] * lams[m] * ratio
+        return value, value * rel
+
+    def cov(self, n: int, m: int) -> tuple[float, float]:
+        """cov(X_n^2, X_m^2 | ball); var(X_n^2 | ball) when n == m."""
+        rnm, enm = self._ratio(n, m)
+        rn, en = self._ratio(n)
+        rm, em = self._ratio(m)
+        scale = self.spectrum.lambdas[n] * self.spectrum.lambdas[m]
+        return (scale * (rnm - rn * rm),
+                scale * (rnm * enm + rn * rm * (en + em)))
+
+    def gap(self, n: int) -> tuple[float, float]:
+        """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2."""
+        var, var_err = self.cov(n, n)
+        second, sec_err = self.second(n)
+        lam = self.spectrum.lambdas[n]
+        rho2 = self.rho * self.rho
+        return ((var - 2.0 * lam * second) / rho2,
+                (var_err + 2.0 * lam * sec_err) / rho2)
 
 
 def conditional_moments(rho: float, spectrum: Spectrum, *,
@@ -122,35 +172,22 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
     v = spectrum.v
     lams = spectrum.lambdas
     if method == "quadrature":
-        base, single, pair = _alphas(rho, spectrum)
-        base_v = base.value
-        single_v = [s.value for s in single]
-        pair_v = [[pair[n][m].value for m in range(v)] for n in range(v)]
+        batch = MomentBatch(rho, spectrum)
         slack = 1e-9
     elif method == "mc":
-        from .ball import ball_integral_mc
+        def sampled(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
+            est = ball_integral_mc(index, rho, spectrum, n_total, seed)
+            return IntegralValue(est.mean, est.std_error)
 
-        def estimate(idx: MultiIndex) -> float:
-            return ball_integral_mc(idx, rho, spectrum, n_total, seed).mean
-
-        base_v = estimate(MultiIndex.zero(v))
-        single_v = [estimate(MultiIndex.single(v, n)) for n in range(v)]
-        pair_v = [[0.0] * v for _ in range(v)]
-        for n in range(v):
-            for m in range(n, v):
-                idx = MultiIndex.single(v, n, 2) if n == m else \
-                    MultiIndex.single(v, n).bump(m)
-                pair_v[n][m] = pair_v[m][n] = estimate(idx)
+        batch = MomentBatch(rho, spectrum, sampled)
         slack = 20.0 / math.sqrt(n_total)
     else:
         raise DomainError(f"unknown moments method {method!r}")
 
-    second = tuple(lams[n] * single_v[n] / base_v for n in range(v))
-    fourth = tuple(lams[n] ** 2 * pair_v[n][n] / base_v for n in range(v))
-    cross = tuple(
-        tuple(lams[n] * lams[m] * pair_v[n][m] / base_v for m in range(v))
-        for n in range(v)
-    )
+    second = tuple(batch.second(n)[0] for n in range(v))
+    cross = tuple(tuple(batch.product(n, m)[0] for m in range(v))
+                  for n in range(v))
+    fourth = tuple(cross[n][n] for n in range(v))
     for n in range(v):
         lam = lams[n]
         if not (0.0 < second[n] <= lam * (1.0 + slack) and second[n] < rho):
@@ -166,29 +203,10 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
     return MomentSet(second, fourth, cross)
 
 
-def _ratio_rel_error(num: IntegralValue, den: IntegralValue) -> float:
-    return num.rel_error + den.rel_error
-
-
 def variance_gap_with_error(n: int, rho: float, spectrum: Spectrum) -> tuple[float, float]:
     """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2 and its
     propagated quadrature error."""
-    v = spectrum.v
-    if not 0 <= n < v:
-        raise DomainError(f"dimension {n} out of range for v={v}")
-    base = ball_integral(MultiIndex.zero(v), rho, spectrum)
-    a1 = ball_integral(MultiIndex.single(v, n), rho, spectrum)
-    a2 = ball_integral(MultiIndex.single(v, n, 2), rho, spectrum)
-    lam = spectrum.lambdas[n]
-    r2 = a2.value / base.value
-    r1 = a1.value / base.value
-    pref = lam * lam / (rho * rho)
-    value = pref * (r2 - r1 * r1 - 2.0 * r1)
-    err = pref * (
-        r2 * _ratio_rel_error(a2, base)
-        + (r1 * r1 + 2.0 * r1) * 2.0 * _ratio_rel_error(a1, base)
-    )
-    return value, err
+    return MomentBatch(rho, spectrum).gap(n)
 
 
 def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
@@ -196,21 +214,15 @@ def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
 
 
 def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
-    base, single, pair = _alphas(rho, spectrum)
-    lams = spectrum.lambdas
+    batch = MomentBatch(rho, spectrum)
     v = spectrum.v
-    inv_rho2 = 1.0 / (rho * rho)
+    rho2 = rho * rho
     gamma = [[0.0] * v for _ in range(v)]
-    delta = [0.0] * v
     for n in range(v):
-        rn = single[n].value / base.value
         for m in range(n, v):
-            rm = single[m].value / base.value
-            rnm = pair[n][m].value / base.value
-            val = lams[n] * lams[m] * inv_rho2 * (rnm - rn * rm)
-            gamma[n][m] = gamma[m][n] = val
-        delta[n] = gamma[n][n] - 2.0 * lams[n] * inv_rho2 * (lams[n] * rn)
-    return CorrelationSet(tuple(tuple(row) for row in gamma), tuple(delta))
+            gamma[n][m] = gamma[m][n] = batch.cov(n, m)[0] / rho2
+    delta = tuple(batch.gap(n)[0] for n in range(v))
+    return CorrelationSet(tuple(tuple(row) for row in gamma), delta)
 
 
 def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
@@ -237,8 +249,8 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
 
 def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
     """Essential-supremum bound on var(X_n^2), with the truncation regime."""
-    moments = conditional_moments(rho, spectrum)
-    e2 = moments.second[n]
+    batch = MomentBatch(rho, spectrum)
+    e2 = batch.second(n)[0]
     lam = spectrum.lambdas[n]
     h1 = rho - e2
     h2 = e2
@@ -249,7 +261,7 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
         region = REGION_WEAK
     else:
         region = REGION_CROSSOVER
-    bound_holds = moments.variance(n) <= 2.0 * h * e2 * (1.0 + 1e-12)
+    bound_holds = batch.cov(n, n)[0] <= 2.0 * h * e2 * (1.0 + 1e-12)
     return HolderReport(h, h1, h2, region, bound_holds)
 
 
@@ -261,10 +273,7 @@ def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
 
 
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:
-    v = spectrum.v
-    base = ball_integral(MultiIndex.zero(v), rho, spectrum)
-    a1 = ball_integral(MultiIndex.single(v, n), rho, spectrum)
-    return spectrum.lambdas[n] * a1.value / base.value
+    return MomentBatch(rho, spectrum).second(n)[0]
 
 
 def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
@@ -297,36 +306,16 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
     the covariances, and diagonal dominance are claim-class findings.
     """
     report = Report("inequalities")
-    base, single, pair = _alphas(rho, spectrum)
+    batch = MomentBatch(rho, spectrum)
     lams = spectrum.lambdas
     v = spectrum.v
 
-    second, fourth = [], []
-    sec_err, frt_err = [], []
-    for n in range(v):
-        r1 = single[n].value / base.value
-        r2 = pair[n][n].value / base.value
-        second.append(lams[n] * r1)
-        fourth.append(lams[n] ** 2 * r2)
-        sec_err.append(lams[n] * r1 * _ratio_rel_error(single[n], base))
-        frt_err.append(lams[n] ** 2 * r2 * _ratio_rel_error(pair[n][n], base))
-
-    cov = [[0.0] * v for _ in range(v)]
-    cov_err = [[0.0] * v for _ in range(v)]
-    for n in range(v):
-        for m in range(v):
-            rnm = pair[n][m].value / base.value
-            rn = single[n].value / base.value
-            rm = single[m].value / base.value
-            cov[n][m] = lams[n] * lams[m] * (rnm - rn * rm)
-            cov_err[n][m] = lams[n] * lams[m] * (
-                rnm * _ratio_rel_error(pair[n][m], base)
-                + rn * rm * (_ratio_rel_error(single[n], base)
-                             + _ratio_rel_error(single[m], base))
-            )
-
-    var = [fourth[n] - second[n] ** 2 for n in range(v)]
-    var_err = [frt_err[n] + 2.0 * second[n] * sec_err[n] for n in range(v)]
+    second, sec_err = zip(*(batch.second(n) for n in range(v)))
+    fourth, frt_err = zip(*(batch.product(n, n) for n in range(v)))
+    cov = [[batch.cov(n, m)[0] for m in range(v)] for n in range(v)]
+    cov_err = [[batch.cov(n, m)[1] for m in range(v)] for n in range(v)]
+    var = [cov[n][n] for n in range(v)]
+    var_err = [cov_err[n][n] for n in range(v)]
 
     # Log-concavity consequence: scaled variances minus 2v plus scaled
     # cross-covariances stays nonpositive.
@@ -364,8 +353,7 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
         report.add(f"fourth-vs-free[{n}]", fourth[n] <= b3 + noise,
                    b3 - fourth[n])
 
-        gap = (var[n] - 2.0 * lam * second[n]) / (rho * rho)
-        gap_err = (var_err[n] + 2.0 * lam * sec_err[n]) / (rho * rho)
+        gap, gap_err = batch.gap(n)
         report.add(f"variance-gap[{n}]", gap <= NOISE_FACTOR * gap_err, -gap,
                    claim=True, detail=f"gap {gap:.6e}, noise {gap_err:.1e}")
 

@@ -9,6 +9,7 @@ escape: iteration caps and overflow raise :class:`NumericError` instead.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -23,10 +24,13 @@ __all__ = [
     "kummer_M",
 ]
 
-# Tables grow on demand and are only appended to, never mutated in place,
-# so concurrent readers always see consistent rows.
+# Tables grow on demand.  Growth is check-then-append, so it runs under a
+# lock: two unlocked threads could both append row n, shifting every later
+# row.  A row is complete before it is appended and never changes after, so
+# readers of rows already present need no lock.
 _S2_ROWS: list[list[int]] = [[1]]  # {n brace m}, row n holds m = 0..n
 _C1_ROWS: list[list[int]] = [[1]]  # [n brack m], unsigned first kind
+_TABLE_LOCK = threading.Lock()
 
 _SERIES_CAP = 500
 _CF_CAP = 300
@@ -48,20 +52,28 @@ def double_factorial(n: int) -> int:
     return out
 
 
+def _table_row(rows: list[list[int]], k: int, factor) -> list[int]:
+    """Row k of a triangular table with row[n][m] = factor(n, m) *
+    row[n-1][m] + row[n-1][m-1], grown on demand."""
+    if len(rows) <= k:
+        with _TABLE_LOCK:
+            while len(rows) <= k:
+                n = len(rows)
+                prev = rows[n - 1]
+                row = [0] * (n + 1)
+                for m in range(1, n + 1):
+                    row[m] = factor(n, m) * (prev[m] if m < n else 0) + prev[m - 1]
+                rows.append(row)
+    return rows[k]
+
+
 def stirling_second(k: int, t: int) -> int:
     """Stirling number of the second kind {k brace t}; 0 when t > k."""
     if k < 0 or t < 0:
         return 0
     if t > k:
         return 0
-    while len(_S2_ROWS) <= k:
-        n = len(_S2_ROWS)
-        prev = _S2_ROWS[n - 1]
-        row = [0] * (n + 1)
-        for m in range(1, n + 1):
-            row[m] = m * (prev[m] if m < n else 0) + prev[m - 1]
-        _S2_ROWS.append(row)
-    return _S2_ROWS[k][t]
+    return _table_row(_S2_ROWS, k, lambda n, m: m)[t]
 
 
 def stirling_first_unsigned(k: int, j: int) -> int:
@@ -70,14 +82,7 @@ def stirling_first_unsigned(k: int, j: int) -> int:
         return 0
     if j > k:
         return 0
-    while len(_C1_ROWS) <= k:
-        n = len(_C1_ROWS)
-        prev = _C1_ROWS[n - 1]
-        row = [0] * (n + 1)
-        for m in range(1, n + 1):
-            row[m] = (n - 1) * (prev[m] if m < n else 0) + prev[m - 1]
-        _C1_ROWS.append(row)
-    return _C1_ROWS[k][j]
+    return _table_row(_C1_ROWS, k, lambda n, m: n - 1)[j]
 
 
 def raising_factorial(x, n: int):
@@ -126,77 +131,40 @@ def kummer_M(a: float, b: float, x: float) -> float:
     return out
 
 
-def _upper_gamma_cf(s: float, x: float) -> float:
-    """Upper incomplete gamma via a modified-Lentz continued fraction.
-
-    Valid and fast for x > s; returns Gamma(s, x).
-    """
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_CAP + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_TOL:
-            return math.exp(s * math.log(x) - x) * h
-    raise NumericError(
-        f"incomplete-gamma continued fraction did not converge in "
-        f"{_CF_CAP} iterations (s={s}, x={x})"
-    )
-
-
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 
-    Series route (through the Kummer representation) below x = s + 12,
-    complement of a continued fraction above; both capped, never silently
-    truncated.
+    Scalar entry to :func:`_lower_incomplete_gamma_vec`: series below
+    x = s + 12, complement of a continued fraction above; both capped,
+    never silently truncated.
     """
     if s <= 0.0:
         raise DomainError(f"lower_incomplete_gamma requires s > 0, got s = {s}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x = {x}")
     if x == 0.0:
         return 0.0
-    try:
-        whole = math.gamma(s)
-    except OverflowError as exc:
-        raise NumericError(f"Gamma({s}) overflows float64") from exc
-    if math.isinf(x):
-        return whole
-    if x < s + _SERIES_CUTOFF_OFFSET:
-        out = math.exp(s * math.log(x) - x) / s * _kummer_sum(1.0, 1.0 + s, x)
-    else:
-        out = whole - _upper_gamma_cf(s, x)
-    if not math.isfinite(out):
-        raise NumericError(f"lower_incomplete_gamma overflow at (s={s}, x={x})")
-    return out
+    return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 
 
 def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized lower incomplete gamma at fixed s (internal fast path).
+    """Lower incomplete gamma at fixed s over an array of x >= 0.
 
-    Same algorithm and tolerances as the scalar routine; used by the
-    nested quadrature where x arrives as an array.
+    Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
+    take Gamma(s) minus a modified-Lentz continued fraction for the upper
+    tail, and x = inf gives Gamma(s).  Iteration caps and overflow raise
+    :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     if s <= 0.0:
         raise DomainError(f"lower_incomplete_gamma requires s > 0, got s = {s}")
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise DomainError("lower_incomplete_gamma requires x >= 0")
     out = np.zeros_like(x)
-    whole = math.gamma(s)
+    try:
+        whole = math.gamma(s)
+    except OverflowError as exc:
+        raise NumericError(f"Gamma({s}) overflows float64") from exc
 
     ser = (x > 0.0) & (x < s + _SERIES_CUTOFF_OFFSET)
     if np.any(ser):
@@ -209,7 +177,7 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
             term[active] *= xs[active] / (1.0 + s + n)
             total[active] += term[active]
             done = active & (np.abs(term) <= _SERIES_TOL * np.abs(total))
-            # require two consecutive small terms, as in the scalar path
+            # require two consecutive small terms
             newly = done & (converged_at == n - 1)
             converged_at[done] = n
             active &= ~newly
@@ -221,7 +189,8 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
             )
         out[ser] = np.exp(s * np.log(xs) - xs) / s * total
 
-    cf = x >= s + _SERIES_CUTOFF_OFFSET
+    out[np.isinf(x)] = whole
+    cf = (x >= s + _SERIES_CUTOFF_OFFSET) & np.isfinite(x)
     if np.any(cf):
         xc = x[cf]
         tiny = 1e-300

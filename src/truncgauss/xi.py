@@ -268,6 +268,16 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     return total
 
 
+def _semifactorial_weight(tail: tuple[int, ...]) -> Fraction:
+    """prod_k ((2k - 1)!! / k!)^(e_k) over the tail (e_1, e_2, ...)."""
+    weight = Fraction(1)
+    for k, e_k in enumerate(tail, start=1):
+        if e_k:
+            weight *= Fraction(double_factorial(2 * k - 1),
+                               math.factorial(k)) ** e_k
+    return weight
+
+
 def gap_limit_coefficient(q: int, tail: tuple[int, ...]) -> Fraction:
     """Radius limit of the variance-gap coefficient at order q, summed over
     the zeroth exponent; exact rational."""
@@ -276,13 +286,9 @@ def gap_limit_coefficient(q: int, tail: tuple[int, ...]) -> Fraction:
         raise DomainError(
             f"tail {tail} has power count {power_count(tail)}, expected {q}"
         )
-    weight = Fraction(1)
-    for k, e_k in enumerate(tail, start=1):
-        if e_k:
-            weight *= Fraction(double_factorial(2 * k - 1),
-                               math.factorial(k)) ** e_k
     sign = (-1) ** sum(tail)
-    return 4 * sign * weight * (omega(0, q, tail) - omega(1, q, tail))
+    return 4 * sign * _semifactorial_weight(tail) \
+        * (omega(0, q, tail) - omega(1, q, tail))
 
 
 def omega_inequality_scan(q_max: int) -> Report:
@@ -340,11 +346,7 @@ def omega_inequality_scan(q_max: int) -> Report:
                 bad_sign.append(t)
             om0 = omega(0, q, t)
             if om0 == 0:
-                weight = Fraction(1)
-                for k, e_k in enumerate(t, start=1):
-                    weight *= Fraction(double_factorial(2 * k - 1),
-                                       math.factorial(k)) ** e_k
-                if abs(value) != 4 * weight * omega(1, q, t):
+                if abs(value) != 4 * _semifactorial_weight(t) * omega(1, q, t):
                     bad_sign.append(t)
         report.add(f"sign-law[q={q}]", not bad_sign, float(len(tails)),
                    detail=f"{len(tails)} tails checked")
@@ -375,12 +377,7 @@ def _dd_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
     tail = e_full[1:]
     if power_count(tail) != order:
         return Fraction(0)
-    weight = Fraction(1)
-    for j, e_j in enumerate(tail, start=1):
-        if e_j:
-            weight *= Fraction(double_factorial(2 * j - 1),
-                               math.factorial(j)) ** e_j
-    return (-1) ** sum(tail) * weight * psi(order, tail)
+    return (-1) ** sum(tail) * _semifactorial_weight(tail) * psi(order, tail)
 
 
 def dn_limit_coefficient(q: int, e: tuple[int, ...]) -> XiCoefficient:
@@ -460,12 +457,8 @@ def inverse_mass_identity_check(q_max: int = 4) -> Report:
                     alpha_map[(ell, full0)] = val
                 # Inverse-mass limit: signed multinomial times semifactorial
                 # weights, no zeroth-exponent support.
-                weight = Fraction(1)
-                for j, e_j in enumerate(tail, start=1):
-                    if e_j:
-                        weight *= Fraction(double_factorial(2 * j - 1),
-                                           math.factorial(j)) ** e_j
-                val = (-1) ** sum(tail) * _tail_multinomial(tail) * weight
+                val = (-1) ** sum(tail) * _tail_multinomial(tail) \
+                    * _semifactorial_weight(tail)
                 if power_count(tail) == ell:
                     inv_map[(ell, full0)] = val
 

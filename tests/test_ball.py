@@ -17,6 +17,7 @@ from truncgauss.errors import (
     CapabilityError,
     DegenerateAcceptanceError,
     DomainError,
+    NumericError,
 )
 
 
@@ -71,6 +72,8 @@ class TestOneDimensional:
     def test_semifactorial_limit(self):
         assert ball_integral_1d(2, 1e9, 1.0).value == pytest.approx(3.0, rel=1e-12)
         assert ball_integral_1d(3, 1e9, 2.0).value == pytest.approx(15.0, rel=1e-12)
+        # rho / (2 lambda) overflows to inf: the whole-line limit
+        assert ball_integral_1d(2, 1e308, 1e-10).value == pytest.approx(3.0, rel=1e-12)
 
 
 class TestQuadrature:
@@ -86,6 +89,13 @@ class TestQuadrature:
             spec = Spectrum(lams)
             got = ball_integral(MultiIndex.zero(spec.v), 5e5 * max(lams), spec)
             assert got.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_gamma_overflow_is_numeric_error(self):
+        # Gamma(200.5) overflows float64 on every route
+        with pytest.raises(NumericError):
+            ball_integral(MultiIndex((200, 0)), 1e4, Spectrum((1.0, 1.0)))
+        with pytest.raises(NumericError):
+            ball_integral(MultiIndex((200,)), 1e4, Spectrum((1.0,)))
 
     def test_capability_error_above_six(self):
         spec = Spectrum(tuple([1.0] * 7))

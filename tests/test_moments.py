@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from truncgauss import moments
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_mc
 from truncgauss.errors import DomainError
 from truncgauss.moments import (
@@ -124,6 +125,22 @@ class TestVarianceGap:
     def test_out_of_range_dimension(self):
         with pytest.raises(DomainError):
             variance_gap(3, 1.0, SPEC3)
+        with pytest.raises(DomainError):
+            variance_gap(-1, 1.0, SPEC3)
+
+    def test_error_is_first_order_propagation(self):
+        # err = lam^2/rho^2 (r2 d2 + (2 r1^2 + 2 r1) d1), with d_k the ratio's
+        # relative error: the sum of the two integrals' relative errors
+        n, rho = 1, 4.0
+        base = ball_integral(MultiIndex.zero(3), rho, SPEC3)
+        a1 = ball_integral(MultiIndex.single(3, n), rho, SPEC3)
+        a2 = ball_integral(MultiIndex.single(3, n, 2), rho, SPEC3)
+        r1, r2 = a1.value / base.value, a2.value / base.value
+        d1, d2 = a1.rel_error + base.rel_error, a2.rel_error + base.rel_error
+        pref = SPEC3.lambdas[n] ** 2 / rho ** 2
+        want = pref * (r2 * d2 + (2.0 * r1 * r1 + 2.0 * r1) * d1)
+        got = variance_gap_with_error(n, rho, SPEC3)[1]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestCorrelationSet:
@@ -176,8 +193,40 @@ class TestCorrelationSet:
     def test_delta_matches_direct_route(self):
         cors = correlation_set(5.0, SPEC3)
         for n in range(3):
-            assert cors.delta[n] == pytest.approx(
-                variance_gap(n, 5.0, SPEC3), rel=1e-12)
+            assert cors.delta[n] == variance_gap(n, 5.0, SPEC3)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the multi-index of every call to moments.<name>."""
+    calls = []
+    real = getattr(moments, name)
+
+    def counted(index, *args):
+        calls.append(index.multiplicities)
+        return real(index, *args)
+
+    monkeypatch.setattr(moments, name, counted)
+    return calls
+
+
+class TestIntegralCounts:
+    def test_gap_integrates_three_indices(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "ball_integral")
+        variance_gap_with_error(1, 2.0, SPEC3)
+        assert sorted(calls) == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
+
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0),
+                                      (0.5, 1.0, 1.5, 2.0)])
+    def test_moments_integrate_each_index_once(self, monkeypatch, lams):
+        calls = _count_calls(monkeypatch, "ball_integral")
+        v = len(lams)
+        conditional_moments(2.0, Spectrum(lams))
+        assert len(calls) == len(set(calls)) == 1 + v + v * (v + 1) // 2
+
+    def test_mc_estimates_each_index_once(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "ball_integral_mc")
+        conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3)
+        assert len(calls) == len(set(calls)) == 1 + 3 + 6
 
 
 class TestMarginalDensity:

@@ -1,6 +1,8 @@
 """Exact combinatorics and scalar special functions."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc, hyp1f1
 
+from truncgauss import special
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
@@ -78,6 +81,41 @@ class TestStirling:
                 )
                 assert total == (1 if j == k else 0)
 
+    def test_concurrent_growth_keeps_tables_consistent(self):
+        # Four threads grow both tables from scratch at once; a lost race
+        # appends a row twice and shifts every later row.
+        k = 150
+        want = ([stirling_second(k, t) for t in range(k + 1)],
+                [stirling_first_unsigned(k, t) for t in range(k + 1)])
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                del special._S2_ROWS[1:]
+                del special._C1_ROWS[1:]
+                got, errors = [], []
+
+                def grow():
+                    try:
+                        got.append(([stirling_second(k, t) for t in range(k + 1)],
+                                    [stirling_first_unsigned(k, t)
+                                     for t in range(k + 1)]))
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=grow) for _ in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                assert not any(th.is_alive() for th in threads)
+                assert not errors and got == [want] * 4
+                assert len(special._S2_ROWS) == len(special._C1_ROWS) == k + 1
+        finally:
+            sys.setswitchinterval(old)
+            del special._S2_ROWS[1:]
+            del special._C1_ROWS[1:]
+
 
 class TestRaisingFactorial:
     def test_values(self):
@@ -142,6 +180,19 @@ class TestLowerIncompleteGamma:
     def test_overflowing_arguments_raise(self):
         with pytest.raises(NumericError):
             lower_incomplete_gamma(200.0, 180.0)
+
+    def test_vectorized_limits(self):
+        got = _lower_incomplete_gamma_vec(0.5, np.array([0.0, math.inf]))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        with pytest.raises(NumericError):
+            _lower_incomplete_gamma_vec(200.5, np.array([1.0]))
+
+    def test_nan_is_domain_error(self):
+        with pytest.raises(DomainError):
+            lower_incomplete_gamma(1.5, math.nan)
+        with pytest.raises(DomainError):
+            _lower_incomplete_gamma_vec(1.5, np.array([1.0, math.nan]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)

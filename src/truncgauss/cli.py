@@ -28,9 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_FIGURES = ("delta-grid", "gamma-curves", "gamma-convergence", "cp-table")
-_SUITES = ("structural", "inequalities", "eta", "asymptotic", "xi", "all")
-
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
@@ -45,9 +42,12 @@ def _threads() -> int:
 
 
 def _map_grid(fn, items):
-    """Apply fn over grid cells, ordered by cell index regardless of workers."""
-    workers = _threads()
-    if workers == 1:
+    """Apply fn over grid cells, ordered by cell index regardless of workers.
+
+    TG_THREADS is clamped to the number of cells and of CPUs.
+    """
+    workers = min(_threads(), len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -126,12 +126,31 @@ def _spectrum(args: argparse.Namespace) -> Spectrum:
     return spec
 
 
-def _rho_values(args: argparse.Namespace) -> list[float] | None:
+def _write(args: argparse.Namespace, head: list[str], records: list,
+           rows, single: bool) -> int:
+    """Write records as JSON (a bare object when single) or as CSV.
+
+    rows(record) gives the CSV rows of one record, each a list of fields.
+    """
+    if args.fmt == "json":
+        lines = [json.dumps(records[0] if single else records)]
+    else:
+        lines = [",".join(head)]
+        lines += [",".join(row) for rec in records for row in rows(rec)]
+    _emit(lines, args.out)
+    return EXIT_OK
+
+
+def _query(args: argparse.Namespace, head: list[str], record, rows) -> int:
+    """Evaluate record(rho) at --rho, or over --rho-range in cell order."""
     if args.rho_range is not None:
-        return [float(r) for r in _grid(*args.rho_range)]
-    if args.rho is not None:
-        return None  # single-point mode
-    raise DomainError(f"{args.command} needs --rho or --rho-range")
+        rhos = [float(r) for r in _grid(*args.rho_range)]
+    elif args.rho is not None:
+        rhos = [args.rho]
+    else:
+        raise DomainError(f"{args.command} needs --rho or --rho-range")
+    return _write(args, head, _map_grid(record, rhos), rows,
+                  single=args.rho_range is None)
 
 
 def cmd_integral(args: argparse.Namespace) -> int:
@@ -141,97 +160,58 @@ def cmd_integral(args: argparse.Namespace) -> int:
         if args.rho is None:
             raise DomainError("integral --mc needs --rho")
         est = ball_integral_mc(index, args.rho, spec, args.samples, args.seed)
-        if args.fmt == "json":
-            _emit([json.dumps({"mean": est.mean, "std_error": est.std_error,
-                               "n_kept": est.n_kept, "n_total": est.n_total,
-                               "seed": est.seed})], args.out)
-        else:
-            _emit(["mean,std_error,n_kept,n_total",
-                   f"{_fmt(est.mean)},{_fmt(est.std_error)},"
-                   f"{est.n_kept},{est.n_total}"], args.out)
-        return EXIT_OK
-    rhos = _rho_values(args)
-    if rhos is None:
-        result = ball_integral(index, args.rho, spec)
-        if args.fmt == "json":
-            _emit([json.dumps({"value": result.value,
-                               "est_abs_error": result.est_abs_error})], args.out)
-        else:
-            _emit(["value,est_abs_error",
-                   f"{_fmt(result.value)},{_fmt(result.est_abs_error)}"], args.out)
-        return EXIT_OK
-    rows = _map_grid(lambda r: ball_integral(index, r, spec), rhos)
-    if args.fmt == "json":
-        _emit([json.dumps([
-            {"rho": r, "value": x.value, "est_abs_error": x.est_abs_error}
-            for r, x in zip(rhos, rows)])], args.out)
-    else:
-        lines = ["rho,value,est_abs_error"]
-        lines += [f"{_fmt(r)},{_fmt(x.value)},{_fmt(x.est_abs_error)}"
-                  for r, x in zip(rhos, rows)]
-        _emit(lines, args.out)
-    return EXIT_OK
+        record = {"mean": est.mean, "std_error": est.std_error,
+                  "n_kept": est.n_kept, "n_total": est.n_total,
+                  "seed": est.seed}
+        row = [_fmt(est.mean), _fmt(est.std_error), str(est.n_kept),
+               str(est.n_total)]
+        return _write(args, ["mean", "std_error", "n_kept", "n_total"],
+                      [record], lambda rec: [row], single=True)
+    # a single point carries no rho field
+    head = ["value", "est_abs_error"]
+    if args.rho_range is not None:
+        head.insert(0, "rho")
+
+    def record(rho: float) -> dict:
+        x = ball_integral(index, rho, spec)
+        full = {"rho": rho, "value": x.value, "est_abs_error": x.est_abs_error}
+        return {key: full[key] for key in head}
+
+    return _query(args, head, record,
+                  lambda rec: [[_fmt(x) for x in rec.values()]])
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
     spec = _spectrum(args)
-    rhos = _rho_values(args)
-    single = rhos is None
-    if single:
-        rhos = [args.rho]
 
-    def at(rho: float):
-        return (moments_mod.conditional_moments(rho, spec),
-                moments_mod.correlation_set(rho, spec))
-
-    rows = _map_grid(at, rhos)
-    if args.fmt == "json":
-        payload = [
-            {
-                "rho": rho,
-                "second": list(mom.second),
+    def record(rho: float) -> dict:
+        mom = moments_mod.conditional_moments(rho, spec)
+        cors = moments_mod.correlation_set(rho, spec)
+        return {"rho": rho, "second": list(mom.second),
                 "fourth": list(mom.fourth),
                 "gamma": [list(r) for r in cors.gamma],
-                "delta": list(cors.delta),
-            }
-            for rho, (mom, cors) in zip(rhos, rows)
-        ]
-        _emit([json.dumps(payload[0] if single else payload)], args.out)
-        return EXIT_OK
-    head = ["rho", "n", "lambda", "second_moment", "fourth_moment", "variance_gap"]
-    head += [f"gamma_{m + 1}" for m in range(spec.v)]
-    lines = [",".join(head)]
-    for rho, (mom, cors) in zip(rhos, rows):
-        for n in range(spec.v):
-            row = [_fmt(rho), str(n + 1), _fmt(spec.lambdas[n]),
-                   _fmt(mom.second[n]), _fmt(mom.fourth[n]),
-                   _fmt(cors.delta[n])]
-            row += [_fmt(cors.gamma[n][m]) for m in range(spec.v)]
-            lines.append(",".join(row))
-    _emit(lines, args.out)
-    return EXIT_OK
+                "delta": list(cors.delta)}
+
+    def rows(rec: dict) -> list[list[str]]:
+        return [[_fmt(rec["rho"]), str(n + 1), _fmt(spec.lambdas[n]),
+                 _fmt(rec["second"][n]), _fmt(rec["fourth"][n]),
+                 _fmt(rec["delta"][n])] + [_fmt(g) for g in rec["gamma"][n]]
+                for n in range(spec.v)]
+
+    head = ["rho", "n", "lambda", "second_moment", "fourth_moment",
+            "variance_gap"] + [f"gamma_{m + 1}" for m in range(spec.v)]
+    return _query(args, head, record, rows)
 
 
 def cmd_eta(args: argparse.Namespace) -> int:
     spec = _spectrum(args)
-    rhos = _rho_values(args)
-    single = rhos is None
-    if single:
-        rhos = [args.rho]
-    ks = range(1, args.order + 1)
-    rows = _map_grid(
-        lambda rho: [(k, eta_mod.eta_combinatorial(k, rho, spec)) for k in ks],
-        rhos)
-    if args.fmt == "json":
-        payload = [{"rho": rho, "eta": {k: v for k, v in values}}
-                   for rho, values in zip(rhos, rows)]
-        _emit([json.dumps(payload[0] if single else payload)], args.out)
-    else:
-        lines = ["rho,k,eta"]
-        for rho, values in zip(rhos, rows):
-            lines += [f"{_fmt(rho)},{k},{_fmt(v)}" for k, v in values]
-        _emit(lines, args.out)
-    return EXIT_OK
+
+    def record(rho: float) -> dict:
+        return {"rho": rho, "eta": {k: eta_mod.eta_combinatorial(k, rho, spec)
+                                    for k in range(1, args.order + 1)}}
+
+    return _query(args, ["rho", "k", "eta"], record, lambda rec: [
+        [_fmt(rec["rho"]), str(k), _fmt(v)] for k, v in rec["eta"].items()])
 
 
 def _figure_delta_grid(quick: bool = False) -> list[str]:
@@ -310,18 +290,16 @@ def _figure_cp_table(quick: bool = False) -> list[str]:
     return lines
 
 
+_FIGURES = {
+    "delta-grid": _figure_delta_grid,
+    "gamma-curves": _figure_gamma_curves,
+    "gamma-convergence": _figure_gamma_convergence,
+    "cp-table": _figure_cp_table,
+}
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.figure not in _FIGURES:
-        raise DomainError(
-            f"unknown figure {args.figure!r}; choose from {', '.join(_FIGURES)}"
-        )
-    maker = {
-        "delta-grid": _figure_delta_grid,
-        "gamma-curves": _figure_gamma_curves,
-        "gamma-convergence": _figure_gamma_convergence,
-        "cp-table": _figure_cp_table,
-    }[args.figure]
-    _emit(maker(args.quick), args.out)
+    _emit(_FIGURES[args.figure](args.quick), args.out)
     return EXIT_OK
 
 
@@ -380,22 +358,20 @@ def _suite_xi(args: argparse.Namespace) -> Report:
     return report
 
 
+_SUITES = {
+    "structural": _suite_structural,
+    "inequalities": _suite_inequalities,
+    "eta": _suite_eta,
+    "asymptotic": _suite_asymptotic,
+    "xi": _suite_xi,
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in _SUITES:
-        raise DomainError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}"
-        )
-    runners = {
-        "structural": _suite_structural,
-        "inequalities": _suite_inequalities,
-        "eta": _suite_eta,
-        "asymptotic": _suite_asymptotic,
-        "xi": _suite_xi,
-    }
     report = Report(args.suite)
-    names = list(runners) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        report.extend(runners[name](args))
+        report.extend(_SUITES[name](args))
     _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
@@ -408,50 +384,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rho=True):
-        p.add_argument("--v", type=int, default=None,
-                       help="dimension (checked against --lambda)")
-        p.add_argument("--lambda", dest="lambdas", default="",
-                       help="comma-separated variances")
-        if rho:
+    def command(name, handler, text, spectrum=False):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if spectrum:
+            p.add_argument("--v", type=int, default=None,
+                           help="dimension (checked against --lambda)")
+            p.add_argument("--lambda", dest="lambdas", default="",
+                           help="comma-separated variances")
             p.add_argument("--rho", type=float, default=None,
                            help="square radius of the ball")
-            p.add_argument("--rho-range", default=None,
-                           help="min:max:points:scale grid over rho")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        return p
+
+    def query(name, handler, text):
+        p = command(name, handler, text, spectrum=True)
+        p.add_argument("--rho-range", default=None,
+                       help="min:max:points:scale grid over rho")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
+        return p
 
-    p = sub.add_parser("integral", help="one ball integral")
-    common(p)
+    p = query("integral", cmd_integral, "one ball integral")
     p.add_argument("--index", default="",
                    help="multi-index as dim:mult[,dim:mult...], 1-based dims")
     p.add_argument("--mc", action="store_true",
                    help="use the seeded sampling oracle instead of quadrature")
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="sample budget for --mc")
+    p.add_argument("--seed", type=int, default=0, help="seed for --mc")
 
-    p = sub.add_parser("moments", help="conditional moments and correlations")
-    common(p)
+    query("moments", cmd_moments, "conditional moments and correlations")
 
-    p = sub.add_parser("eta", help="coefficient functions at one radius")
-    common(p)
+    p = query("eta", cmd_eta, "coefficient functions at one radius")
     p.add_argument("--order", type=int, default=4, help="highest order")
 
-    for name in ("figure", "cp-table"):
-        p = sub.add_parser(name, help="figure-reproduction data")
-        if name == "figure":
-            p.add_argument("figure", choices=_FIGURES)
-        common(p, rho=False)
-        p.add_argument("--quick", action="store_true",
-                       help="reduced grids for smoke runs")
+    p = command("figure", cmd_figure, "figure-reproduction data")
+    p.add_argument("figure", choices=_FIGURES)
+    p.add_argument("--quick", action="store_true",
+                   help="reduced grids for smoke runs")
+    p = command("cp-table", cmd_figure, "alias of figure cp-table")
+    p.set_defaults(figure="cp-table", quick=False)
 
-    p = sub.add_parser("verify", help="verification suites (JSON report)")
-    p.add_argument("suite", choices=_SUITES)
-    common(p)
+    p = command("verify", cmd_verify, "verification suites (JSON report)",
+                spectrum=True)
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--qmax", type=int, default=6)
-    p.add_argument("--order", type=int, default=4)
     p.add_argument("--quick", action="store_true")
     return parser
 
@@ -459,19 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.lambdas = _parse_lambdas(args.lambdas) if args.lambdas else ()
+        if hasattr(args, "lambdas"):
+            args.lambdas = _parse_lambdas(args.lambdas) if args.lambdas else ()
         if getattr(args, "rho_range", None):
             args.rho_range = _parse_rho_range(args.rho_range)
-        if args.command == "cp-table":
-            args.command, args.figure = "figure", "cp-table"
-        handler = {
-            "integral": cmd_integral,
-            "moments": cmd_moments,
-            "eta": cmd_eta,
-            "figure": cmd_figure,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

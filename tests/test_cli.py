@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from truncgauss.cli import main
+from truncgauss import cli
+from truncgauss.cli import _build_parser, main
 
 
 def run(argv, capsys):
@@ -71,6 +75,28 @@ class TestIntegral:
         code2, out2, _ = run(args, capsys)
         assert out2 == out  # reproducible per seed
 
+    def test_mc_json_carries_seed(self, capsys):
+        code, out, _ = run(
+            ["integral", "--lambda", "1,2", "--rho", "4", "--index", "1:1",
+             "--mc", "--samples", "20000", "--seed", "7", "--format", "json"],
+            capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"mean", "std_error", "n_kept", "n_total",
+                                "seed"}
+        assert payload["seed"] == 7 and payload["n_total"] == 20000
+
+    def test_rho_range_json(self, capsys):
+        code, out, _ = run(
+            ["integral", "--lambda", "1", "--rho-range", "0.5:8:4:log",
+             "--index", "1:2", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert isinstance(payload, list) and len(payload) == 4
+        assert all(list(rec) == ["rho", "value", "est_abs_error"]
+                   for rec in payload)
+        assert payload[0]["rho"] == 0.5 and payload[-1]["rho"] == 8.0
+
 
 class TestMomentsAndEta:
     def test_moments_csv_shape(self, capsys):
@@ -114,6 +140,30 @@ class TestMomentsAndEta:
         assert code == 0
         assert all(d <= 0.0 for d in payload["delta"])
 
+    def test_moments_rho_range_json(self, capsys):
+        code, out, _ = run(
+            ["moments", "--lambda", "1,2", "--rho-range", "1:10:3:lin",
+             "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert [rec["rho"] for rec in payload] == [1.0, 5.5, 10.0]
+        for rec in payload:
+            assert list(rec) == ["rho", "second", "fourth", "gamma", "delta"]
+            assert len(rec["second"]) == len(rec["fourth"]) == 2
+            assert len(rec["delta"]) == 2
+            assert [len(row) for row in rec["gamma"]] == [2, 2]
+
+    def test_eta_json_keys_are_orders(self, capsys):
+        code, out, _ = run(
+            ["eta", "--lambda", "1,2", "--rho", "5", "--order", "3",
+             "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rho"] == 5.0
+        assert list(payload["eta"]) == ["1", "2", "3"]
+        assert payload["eta"]["1"] == pytest.approx(0.36655929027728096,
+                                                    rel=1e-10)
+
     def test_eta_values(self, capsys):
         code, out, _ = run(
             ["eta", "--lambda", "1,2", "--rho", "5", "--order", "3"], capsys)
@@ -147,6 +197,14 @@ class TestFigures:
         fit_eps = float(rows_v2[0].split(",")[4])
         assert abs(fit_a - 0.522) / 0.522 < 0.05
         assert abs(fit_eps - 0.734) < 0.02
+
+    def test_figure_cp_table_ignores_quick(self, capsys):
+        code, out, _ = run(["figure", "cp-table"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "v,p,C,fit_A,fit_eps,fit_chi2"
+        code, quick, _ = run(["figure", "cp-table", "--quick"], capsys)
+        assert code == 0
+        assert quick == out
 
     def test_delta_grid_quick_all_nonpositive(self, capsys):
         code, out, _ = run(["figure", "delta-grid", "--quick"], capsys)
@@ -224,3 +282,73 @@ class TestVerify:
         monkeypatch.setenv("TG_THREADS", "4")
         assert main(["figure", "gamma-curves", "--quick", "--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# a valid invocation of each subcommand, and the options none of them reads
+_BASES = {
+    "moments": ["moments", "--lambda", "1", "--rho", "2"],
+    "eta": ["eta", "--lambda", "1", "--rho", "2", "--order", "1"],
+    "figure": ["figure", "gamma-curves", "--quick"],
+    "cp-table": ["cp-table"],
+    "verify": ["verify", "xi", "--qmax", "2"],
+}
+_UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
+           ("figure", "--v 2"), ("figure", "--lambda 1"),
+           ("figure", "--seed 1"), ("figure", "--format json"),
+           ("cp-table", "--v 2"), ("cp-table", "--lambda 1"),
+           ("cp-table", "--seed 1"), ("cp-table", "--format json"),
+           ("cp-table", "--quick"),
+           ("verify", "--rho-range 1:2:2:lin"), ("verify", "--seed 1"),
+           ("verify", "--format csv"), ("verify", "--order 2")]
+
+
+class TestSurface:
+    @pytest.mark.parametrize(
+        "command,option", _UNREAD,
+        ids=[f"{c} {o.split()[0]}" for c, o in _UNREAD])
+    def test_unread_option_rejected(self, command, option, capsys):
+        # an option no handler reads would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(_BASES[command] + option.split())
+        assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1]
+        block = block.split("```", 2)[1]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.splitlines()
+                    if line.startswith("truncgauss ")]
+        assert len(commands) >= 10
+        parser = _build_parser()
+        for tokens in commands:
+            parser.parse_args(tokens[1:])
+
+    @pytest.mark.parametrize("threads,cpus,expected", [
+        ("1000000", 64, [3]),
+        ("1000000", 2, [2]),
+        ("1000000", None, []),
+        ("2", 64, [2]),
+    ])
+    def test_map_grid_clamps_workers(self, monkeypatch, threads, cpus,
+                                     expected):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("TG_THREADS", threads)
+        assert cli._map_grid(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
+        assert seen == expected

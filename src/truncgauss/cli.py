@@ -351,10 +351,9 @@ def _suite_asymptotic(args: argparse.Namespace) -> Report:
 
 def _suite_xi(args: argparse.Namespace) -> Report:
     report = Report("xi")
-    qmax = min(args.qmax, 8)
-    report.extend(xi_mod.omega_inequality_scan(qmax))
-    report.extend(xi_mod.gap_convolution_check(min(qmax, 4)))
-    report.extend(xi_mod.inverse_mass_identity_check(min(qmax, 4)))
+    report.extend(xi_mod.omega_inequality_scan(args.qmax))
+    report.extend(xi_mod.gap_convolution_check(min(args.qmax, 4)))
+    report.extend(xi_mod.inverse_mass_identity_check(min(args.qmax, 4)))
     return report
 
 
@@ -429,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "verification suites (JSON report)",
                 spectrum=True)
     p.add_argument("suite", choices=(*_SUITES, "all"))
-    p.add_argument("--qmax", type=int, default=6)
+    p.add_argument("--qmax", type=int, default=6, choices=range(1, 9),
+                   metavar="{1..8}", help="highest order of the xi suite")
     p.add_argument("--quick", action="store_true")
     return parser
 

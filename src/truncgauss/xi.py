@@ -16,17 +16,14 @@ sign determination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import DomainError
 from .report import Report
 from .special import double_factorial
 
 __all__ = [
-    "ExponentVector",
-    "XiCoefficient",
     "power_count",
     "enumerate_exponents",
     "xi_product",
@@ -40,41 +37,6 @@ __all__ = [
 ]
 
 _Q_MAX = 12
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Full exponent vector (e_0, ..., e_q) of a coefficient-function monomial."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if not entries or any(e < 0 for e in entries):
-            raise DomainError(f"exponents must be nonnegative, got {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def q(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        return self.entries[1:]
-
-    @property
-    def power_count(self) -> int:
-        return power_count(self.tail)
-
-
-@dataclass(frozen=True)
-class XiCoefficient:
-    """One coefficient of an observable's expansion, at the radius limit."""
-
-    observable: str
-    q: int
-    e: tuple[int, ...]
-    value_at_limit: Fraction
 
 
 def power_count(tail: tuple[int, ...]) -> int:
@@ -155,23 +117,17 @@ def xi_alpha_limit(q: int, e, k: int) -> Fraction:
     survives; its value is (2(k+q)-1)!! / q!.  The leading bookkeeping
     factor (the reduced-dimension mass) is normalized to one, as it cancels
     in every ratio this module ultimately cares about.  The result is
-    summed over the zeroth exponent, hence depends only on the tail.
+    summed over the zeroth exponent, hence depends only on the tail of the
+    full vector e = (e_0, ..., e_q).
     """
     if q < 0 or k < 0:
         raise DomainError(f"need q >= 0 and k >= 0, got q={q}, k={k}")
     entries = tuple(int(x) for x in e)
-    if len(entries) == q + 1:
-        tail = entries[1:]
-    elif len(entries) == q:
-        tail = entries
-    else:
+    if len(entries) != q + 1:
         raise DomainError(
-            f"exponent vector must have length q={q} (tail) or q+1, got {entries}"
-        )
-    expected = _pad((), q)
-    if q >= 1:
-        expected = expected[: q - 1] + (1,)
-    if tail != expected:
+            f"exponent vector must have length q+1={q + 1}, got {entries}")
+    expected = (0,) * (q - 1) + (1,) if q else ()
+    if entries[1:] != expected:
         return Fraction(0)
     return Fraction(double_factorial(2 * (k + q) - 1), math.factorial(q))
 
@@ -179,28 +135,21 @@ def xi_alpha_limit(q: int, e, k: int) -> Fraction:
 def psi(p: int, tail: tuple[int, ...]) -> int:
     """Split-convolution weight: ordered two-way splits of the tail.
 
-    Enumerates pairs of tails with power counts summing to p whose
-    componentwise sum reproduces the input, each weighted by both parts'
-    multinomial ordering counts.  Zero unless the tail's own power count
-    equals p.
+    Sums the product of both parts' multinomial ordering counts over every
+    componentwise split tail = c + d; zero unless the tail's power count is
+    p.  With n = sum e and j = sum c, Vandermonde gives sum prod_k
+    C(e_k, c_k) = C(n, j) over the c of size j, so the sum is
+    sum_j C(n, j) j! (n - j)! / prod e_k! = (n + 1) n! / prod e_k!.
+    ``psi_grouped`` enumerates the splits instead.
     """
     tail = tuple(int(x) for x in tail)
     if p < 0:
         raise DomainError(f"need p >= 0, got {p}")
-    q = len(tail)
+    if any(e < 0 for e in tail):
+        raise DomainError(f"tail entries must be nonnegative, got {tail}")
     if power_count(tail) != p:
         return 0
-    total = 0
-    for ell in range(p + 1):
-        m = p - ell
-        for c in enumerate_exponents(q, ell):
-            if any(ci > ei for ci, ei in zip(c, tail)):
-                continue
-            d = tuple(ei - ci for ei, ci in zip(tail, c))
-            if power_count(d) != m:
-                continue
-            total += _tail_multinomial(c) * _tail_multinomial(d)
-    return total
+    return (sum(tail) + 1) * _tail_multinomial(tail)
 
 
 def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
@@ -244,11 +193,9 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     if which not in (0, 1):
         raise DomainError(f"which must be 0 or 1, got {which}")
     tail = tuple(int(x) for x in tail)
-    q_eff = len(tail)
-    if q != q_eff:
-        tail = _pad(tail, q) if q_eff < q else tail
-        if len(tail) != q:
-            raise DomainError(f"tail {tail} longer than q={q}")
+    if len(tail) > q:
+        raise DomainError(f"tail {tail} longer than q={q}")
+    tail = _pad(tail, q)
     if power_count(tail) != q:
         raise DomainError(
             f"tail {tail} has power count {power_count(tail)}, expected q={q}"
@@ -380,14 +327,27 @@ def _dd_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
     return (-1) ** sum(tail) * _semifactorial_weight(tail) * psi(order, tail)
 
 
-def dn_limit_coefficient(q: int, e: tuple[int, ...]) -> XiCoefficient:
-    e = tuple(int(x) for x in e)
-    return XiCoefficient("gap-numerator", q, e, _dn_limit(q, e))
+def _inverse_mass_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
+    """Limit coefficient of the inverse mass at (order, e): signed
+    multinomial times semifactorial weights, no zeroth-exponent support."""
+    tail = e_full[1:]
+    if e_full[0] != 0 or power_count(tail) != order:
+        return Fraction(0)
+    return (-1) ** sum(tail) * _tail_multinomial(tail) \
+        * _semifactorial_weight(tail)
 
 
-def dd_limit_coefficient(q: int, e: tuple[int, ...]) -> XiCoefficient:
-    e = tuple(int(x) for x in e)
-    return XiCoefficient("inverse-mass-squared", q, e, _dd_limit(q, e))
+def _coefficient_map(q: int, limit, zeroth=(0,)) -> dict:
+    """{(order, full e): limit(order, full e)} through order q, over the
+    given zeroth exponents, keeping the nonzero values."""
+    out = {}
+    for ell in range(q + 1):
+        for e0 in zeroth:
+            for tail in enumerate_exponents(ell, ell):
+                val = limit(ell, (e0,) + tail)
+                if val:
+                    out[(ell, (e0,) + tail)] = val
+    return out
 
 
 def gap_convolution_check(q_max: int) -> Report:
@@ -404,25 +364,14 @@ def gap_convolution_check(q_max: int) -> Report:
 
     for q in range(1, q_max + 1):
         # Coefficient maps through order q, on full exponent vectors.
-        dn_map = {}
-        dd_map = {}
-        for ell in range(q + 1):
-            for e0 in range(3):
-                for tail in enumerate_exponents(ell, ell):
-                    full = (e0,) + _pad(tail, ell)
-                    val = _dn_limit(ell, full)
-                    if val:
-                        dn_map[(ell, full)] = val
-                    val = _dd_limit(ell, full)
-                    if val:
-                        dd_map[(ell, full)] = val
+        dn_map = _coefficient_map(q, _dn_limit, range(3))
+        dd_map = _coefficient_map(q, _dd_limit, range(3))
 
         for tail in enumerate_exponents(q, q):
             closed = gap_limit_coefficient(q, tail)
             convolved = Fraction(0)
             for e0 in range(3):
-                e_full = (e0,) + _pad(tail, q)
-                convolved += xi_product(dn_map, dd_map, q, e_full)
+                convolved += xi_product(dn_map, dd_map, q, (e0,) + tail)
             report.add(
                 f"route-equivalence[q={q},e={tail}]", closed == convolved,
                 float(abs(closed)),
@@ -447,24 +396,11 @@ def inverse_mass_identity_check(q_max: int = 4) -> Report:
     """
     report = Report("inverse-mass-identity")
     for q in range(0, q_max + 1):
-        alpha_map = {}
-        inv_map = {}
-        for ell in range(q + 1):
-            for tail in enumerate_exponents(ell, ell):
-                full0 = (0,) + _pad(tail, ell)
-                val = xi_alpha_limit(ell, full0, 0)
-                if val:
-                    alpha_map[(ell, full0)] = val
-                # Inverse-mass limit: signed multinomial times semifactorial
-                # weights, no zeroth-exponent support.
-                val = (-1) ** sum(tail) * _tail_multinomial(tail) \
-                    * _semifactorial_weight(tail)
-                if power_count(tail) == ell:
-                    inv_map[(ell, full0)] = val
+        alpha_map = _coefficient_map(q, partial(xi_alpha_limit, k=0))
+        inv_map = _coefficient_map(q, _inverse_mass_limit)
 
         for tail in enumerate_exponents(q, q):
-            e_full = (0,) + _pad(tail, q)
-            product = xi_product(alpha_map, inv_map, q, e_full)
+            product = xi_product(alpha_map, inv_map, q, (0,) + tail)
             expected = Fraction(1) if q == 0 else Fraction(0)
             report.add(f"identity[q={q},e={tail}]", product == expected,
                        0.0, detail=f"got {product}")

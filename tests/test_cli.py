@@ -258,6 +258,17 @@ class TestVerify:
         code, out, _ = run(["verify", "eta", "--quick"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "xi", "--qmax", "9"],
+        ["verify", "all", "--quick", "--qmax", "12"],
+        ["verify", "xi", "--qmax", "0"],
+    ], ids=["xi-9", "all-12", "xi-0"])
+    def test_qmax_outside_scan_range_exit_two(self, argv, capsys):
+        # the omega scan covers q <= 8; a larger request must not be capped
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_suite_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])

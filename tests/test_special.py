@@ -199,7 +199,7 @@ class TestLowerIncompleteGamma:
         for s in (0.5, 1.5, 4.5, 9.5):
             x = rng.uniform(0.0, 90.0, size=500)
             vec = _lower_incomplete_gamma_vec(s, x)
-            ref = np.array([lower_incomplete_gamma(s, float(xi)) for xi in x])
+            ref = gammainc(s, x) * math.gamma(s)
             np.testing.assert_allclose(vec, ref, rtol=1e-13, atol=1e-300)
 
 

@@ -8,9 +8,8 @@ import pytest
 from truncgauss.errors import DomainError
 from truncgauss.special import double_factorial
 from truncgauss.xi import (
-    ExponentVector,
-    dd_limit_coefficient,
-    dn_limit_coefficient,
+    _dd_limit,
+    _dn_limit,
     enumerate_exponents,
     gap_convolution_check,
     gap_limit_coefficient,
@@ -47,8 +46,8 @@ class TestEnumeration:
 
     def test_power_count(self):
         assert power_count((2, 0, 1)) == 2 + 3
-        vec = ExponentVector((5, 1, 2))
-        assert vec.q == 2 and vec.power_count == 5 and vec.tail == (1, 2)
+        # the zeroth exponent of a full vector carries no power
+        assert power_count((5, 1, 2)[1:]) == 5
 
     def test_bounds(self):
         with pytest.raises(DomainError):
@@ -123,6 +122,39 @@ class TestXiProduct:
         assert left == right
 
 
+def _decrement(tail, *positions):
+    out = list(tail)
+    for pos in positions:
+        out[pos - 1] -= 1
+    return tuple(out)
+
+
+class TestPinnedRoutes:
+    def test_weights_and_gap_from_psi_grouped_through_twelve(self):
+        # omega0, omega1 and the gap coefficient written out from the
+        # enumerating split weight; psi must equal it on every split used
+        for q in range(1, 13):
+            def split(p, sub):
+                grouped = psi_grouped(p, sub)
+                assert psi(p, sub) == grouped, (p, sub)
+                return grouped
+
+            for tail in enumerate_exponents(q, q):
+                om1 = sum(ell * ell * split(q - ell, _decrement(tail, ell))
+                          for ell in range(1, q + 1) if tail[ell - 1] >= 1)
+                om0 = sum((r - s) ** 2 * split(q - r - s, _decrement(tail, r, s))
+                          for r in range(1, q + 1) for s in range(1, r)
+                          if r + s <= q and tail[r - 1] >= 1
+                          and tail[s - 1] >= 1)
+                weight = math.prod(
+                    Fraction(double_factorial(2 * k - 1), math.factorial(k)) ** e
+                    for k, e in enumerate(tail, start=1))
+                gap = 4 * (-1) ** sum(tail) * weight * (om0 - om1)
+                assert omega(0, q, tail) == om0, tail
+                assert omega(1, q, tail) == om1, tail
+                assert gap_limit_coefficient(q, tail) == gap, tail
+
+
 class TestSingleIntegralLimit:
     def test_order_zero(self):
         assert xi_alpha_limit(0, (0,), 0) == 1
@@ -138,6 +170,13 @@ class TestSingleIntegralLimit:
         assert xi_alpha_limit(3, (0, 0, 0, 1), 2) == Fraction(
             double_factorial(2 * 5 - 1), 6)
 
+    def test_tail_form_rejected(self):
+        # only the full vector (e_0, ..., e_q) is accepted
+        with pytest.raises(DomainError):
+            xi_alpha_limit(1, (1,), 0)
+        with pytest.raises(DomainError):
+            xi_alpha_limit(2, (0, 1), 1)
+
 
 class TestPsi:
     def test_base_cases(self):
@@ -148,6 +187,14 @@ class TestPsi:
     def test_wrong_power_count_vanishes(self):
         assert psi(2, (1,)) == 0
         assert psi(1, (0, 1)) == 0
+
+    def test_negative_entry_raises(self):
+        with pytest.raises(DomainError):
+            psi(1, (-1, 1))
+        with pytest.raises(DomainError):
+            psi(2, (3, -1))
+        with pytest.raises(DomainError):
+            psi(0, (-1,))
 
     def test_hand_value(self):
         # (2, 0): splits (0|2), (1|1), (2|0) each with unit weights -> 3
@@ -238,10 +285,10 @@ class TestScans:
     def test_numerator_denominator_supports(self):
         # the gap numerator allows a unit zeroth exponent, the inverse mass
         # does not
-        assert dn_limit_coefficient(1, (1, 1)).value_at_limit == 4
-        assert dn_limit_coefficient(1, (0, 1)).value_at_limit == 0
-        assert dd_limit_coefficient(1, (1, 1)).value_at_limit == 0
-        assert dd_limit_coefficient(1, (0, 1)).value_at_limit == -2
+        assert _dn_limit(1, (1, 1)) == 4
+        assert _dn_limit(1, (0, 1)) == 0
+        assert _dd_limit(1, (1, 1)) == 0
+        assert _dd_limit(1, (0, 1)) == -2
 
     def test_inverse_mass_identity(self):
         report = inverse_mass_identity_check(4)

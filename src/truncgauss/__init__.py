@@ -15,6 +15,7 @@ from .ball import (
     ball_integral,
     ball_integral_1d,
     ball_integral_mc,
+    ball_integrals,
     verify_structural,
 )
 from .errors import (

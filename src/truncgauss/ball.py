@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "MCEstimate",
     "ball_integral_1d",
     "ball_integral",
+    "ball_integrals",
     "ball_integral_mc",
     "verify_structural",
 ]
@@ -201,51 +203,81 @@ def _slice_range(rho, lam: float):
     return np.minimum(np.sqrt(rho), math.sqrt(_SUPPORT_WIDTH_SQ * lam))
 
 
-def _slice(k: int, lam: float, rho_arr, rule, inner):
-    """Integrate out one dimension (multiplicity k, variance lam).
+def _levels(lams, rho_arr, outer, inner):
+    """Slice nodes of each dimension in ``lams``, the last one first.
 
-    ``inner(rho_next)`` evaluates the remaining dimensions at the leftover
-    square radii, an array with one trailing node axis more than rho_arr.
+    The last dimension takes the ``outer`` rule, every other the ``inner``
+    rule.  Returns the levels, outermost first, each as (half-range, x^2 /
+    lambda at the nodes, Gaussian density at the nodes, weights), and the
+    leftover square radii under them.  None of it depends on the
+    multi-index, so every member of a family shares it.
     """
-    sin_t, _cos_t, weights = rule
-    half = _slice_range(rho_arr, lam)
-    x = half[..., None] * sin_t
-    rho_next = np.maximum(rho_arr[..., None] - x * x, 0.0)
-    # inner first: the density array is not held through the recursion
-    integrand = inner(rho_next) * _gauss_density(x, lam)
-    if k:
-        integrand = integrand * (x * x / lam) ** k
-    return 2.0 * half * (integrand @ weights)
+    levels = []
+    rule = outer
+    for lam in reversed(lams):
+        sin_t, _cos_t, weights = rule
+        half = _slice_range(rho_arr, lam)
+        x = half[..., None] * sin_t
+        rho_arr = np.maximum(rho_arr[..., None] - x * x, 0.0)
+        levels.append((half, x * x / lam, _gauss_density(x, lam), weights))
+        rule = inner
+    return levels, rho_arr
 
 
-def _alpha_broadcast(ks, lams, rho_arr, outer, inner):
-    """Fully vectorized slice recursion; rho_arr may have any shape.
+def _fold(ks, levels, values):
+    """Integrate the leaf values out through the levels, innermost first.
 
-    The last dimension is sliced with the ``outer`` rule, every other with
-    the ``inner`` rule.
+    ``ks`` holds the multiplicities of the levels' dimensions, innermost
+    first.  Each level is one slice step: values times the Gaussian
+    density, times the monomial (x^2 / lambda)^k, then the weighted sum.
     """
-    if len(ks) == 1:
-        return _alpha_1d_array(ks[0], rho_arr, lams[0])
-    return _slice(ks[-1], lams[-1], rho_arr, outer,
-                  lambda r: _alpha_broadcast(ks[:-1], lams[:-1], r, inner, inner))
+    for k, (half, scaled_sq, density, weights) in zip(ks, reversed(levels)):
+        integrand = values * density
+        if k:
+            integrand = integrand * scaled_sq ** k
+        values = 2.0 * half * (integrand @ weights)
+    return values
 
 
-@functools.lru_cache(maxsize=400_000)
-def _alpha_quad(ks: tuple, lams: tuple, rho: float, n_outer: int, n_inner: int) -> float:
-    """Nested quadrature for v >= 2; always slices the last dimension first."""
-    v = len(ks)
-    outer = _gl_nodes(n_outer)
-    if n_inner ** (v - 2) * n_outer > _LEAF_BUDGET:
-        def inner(rho_next):
-            return np.array([
-                _alpha_quad(ks[:-1], lams[:-1], float(r), n_inner, n_inner)
-                for r in rho_next
-            ])
+# Hits come from re-reads of a recent geometry: the gaps of one spectrum,
+# moments then correlations, finite-difference stencils.  An entry holds a
+# whole family (about 1 KB at v = 3), so the bound keeps a long sweep from
+# growing memory with every geometry it visits.
+@functools.lru_cache(maxsize=4096)
+def _alpha_quad(family: tuple, lams: tuple, rho: float, n_outer: int,
+                n_inner: int) -> tuple[float, ...]:
+    """Nested quadrature for v >= 2 of every multi-index in ``family``.
 
-        value = _slice(ks[-1], lams[-1], np.asarray(rho), outer, inner)
+    Slices the last dimension first.  The slice nodes and the leaf radii
+    depend only on (rho, lams, rules), so they are built once, and members
+    sharing the leaf multiplicity share one incomplete gamma.  Each member
+    is then folded on its own, with the same arithmetic as a one-member
+    family.  Above ``_LEAF_BUDGET`` leaf lanes the outermost level is
+    looped instead, with one family call per outer node.
+    """
+    v = len(lams)
+    outer, inner = _gl_nodes(n_outer), _gl_nodes(n_inner)
+    looped = n_inner ** (v - 2) * n_outer > _LEAF_BUDGET
+    depth = v - 1 if looped else 1  # dimensions under the folded levels
+    levels, rho_leaf = _levels(lams[depth:], np.asarray(rho), outer, inner)
+    groups: dict[tuple, list[tuple]] = {}
+    for ks in family:
+        groups.setdefault(ks[:depth], []).append(ks)
+    values = {}
+    if looped:
+        heads = tuple(groups)
+        table = np.array([_alpha_quad(heads, lams[:-1], float(r), n_inner, n_inner)
+                          for r in rho_leaf])
+        for j, head in enumerate(heads):
+            for ks in groups[head]:
+                values[ks] = float(_fold(ks[depth:], levels, table[:, j]))
     else:
-        value = _alpha_broadcast(ks, lams, np.asarray(rho), outer, _gl_nodes(n_inner))
-    return float(value)
+        for (k,), members in groups.items():
+            leaf = _alpha_1d_array(k, rho_leaf, lams[0])
+            for ks in members:
+                values[ks] = float(_fold(ks[depth:], levels, leaf))
+            del leaf  # one group's leaf at a time
+    return tuple(values[ks] for ks in family)
 
 
 def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
@@ -263,6 +295,11 @@ def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
     return IntegralValue(value, est)
 
 
+def _alpha_1d_value(k: int, rho: float, lam: float) -> float:
+    with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
+        return float(_alpha_1d_array(k, np.array([rho]), lam)[0])
+
+
 def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
     """One-dimensional integral, exact through the incomplete gamma."""
     if k < 0:
@@ -270,33 +307,67 @@ def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
     rho = _check_rho(rho)
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"variance must be positive, got {lam}")
-    with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
-        value = float(_alpha_1d_array(k, np.array([rho]), lam)[0])
+    value = _alpha_1d_value(k, rho, lam)
     return _validated(value, 1e-13 * abs(value), MultiIndex((k,)))
 
 
-def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
-    """Quadrature evaluation for 1 <= v <= 6.
+class BallIntegrals(Mapping):
+    """Ball integrals of a family of multi-indices at one geometry.
 
-    The outermost level is integrated twice (full and reduced node count);
-    their difference prices ``est_abs_error``.
+    Maps each :class:`MultiIndex` to its :class:`IntegralValue`.  A member
+    is validated when it is read, so a member that fails its checks raises
+    only for the caller that reads it.
     """
-    _check_pair(index, spectrum)
+
+    def __init__(self, raw: dict):
+        self._raw = raw  # MultiIndex -> (value, est_abs_error)
+
+    def __getitem__(self, index: MultiIndex) -> IntegralValue:
+        value, est = self._raw[index]
+        return _validated(value, est, index)
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+
+def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
+    """Quadrature evaluation of several multi-indices for 1 <= v <= 6.
+
+    All members share one pass over the geometry.  The outermost level is
+    integrated twice (full and reduced node count); their difference prices
+    each member's ``est_abs_error``.
+    """
+    indices = tuple(indices)
+    for index in indices:
+        _check_pair(index, spectrum)
     rho = _check_rho(rho)
     v = spectrum.v
+    lams = spectrum.lambdas
     if v == 1:
-        return ball_integral_1d(index.multiplicities[0], rho, spectrum.lambdas[0])
-    if v > _QUAD_MAX_DIM:
+        values = [_alpha_1d_value(index.multiplicities[0], rho, lams[0])
+                  for index in indices]
+        ests = [1e-13 * abs(value) for value in values]
+    elif v > _QUAD_MAX_DIM:
         raise CapabilityError(
             f"quadrature path supports v <= {_QUAD_MAX_DIM}, got v = {v}; "
             "use ball_integral_mc for higher dimensions"
         )
-    n_hi, n_lo = _NODES_LOW_DIM if v <= 4 else _NODES_HIGH_DIM
-    ks, lams = index.multiplicities, spectrum.lambdas
-    value = _alpha_quad(ks, lams, rho, n_hi, n_hi)
-    check = _alpha_quad(ks, lams, rho, n_lo, n_hi)
-    est = abs(value - check) + 1e-15 * abs(value)
-    return _validated(value, est, index)
+    else:
+        n_hi, n_lo = _NODES_LOW_DIM if v <= 4 else _NODES_HIGH_DIM
+        family = tuple(index.multiplicities for index in indices)
+        values = _alpha_quad(family, lams, rho, n_hi, n_hi)
+        checks = _alpha_quad(family, lams, rho, n_lo, n_hi)
+        ests = [abs(value - check) + 1e-15 * abs(value)
+                for value, check in zip(values, checks)]
+    return BallIntegrals(dict(zip(indices, zip(values, ests))))
+
+
+def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
+    """Quadrature evaluation for 1 <= v <= 6: the one-member family."""
+    return ball_integrals((index,), rho, spectrum)[index]
 
 
 def _box_muller_normals(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import IntegralValue, MultiIndex, Spectrum, ball_integral, ball_integral_mc
+from .ball import (IntegralValue, MultiIndex, Spectrum, _index_family,
+                   ball_integral, ball_integral_mc, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import Report
 
@@ -88,22 +89,32 @@ class HolderReport:
 class MomentBatch:
     """Every conditional moment at one ``(rho, spectrum)``, with its error.
 
-    Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals.  A
-    multi-index is integrated at most once per batch, on first use, and its
-    ratio is kept with the ratio's relative error (the sum of the two
+    Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals.  By
+    default the first moment read evaluates the whole order-2 family
+    ``{0, e_n, e_n + e_m}`` in one :func:`ball_integrals` pass.  A ratio is
+    kept, on first use, with its relative error (the sum of the two
     integrals' relative errors).  Every accessor returns ``(value, err)``,
     with ``err`` propagated to first order from those relative errors.
 
-    ``integral(index, rho, spectrum)`` must return an :class:`IntegralValue`;
-    the default is :func:`ball_integral`.
+    ``integral(index, rho, spectrum)``, if given, must return an
+    :class:`IntegralValue`; it is called once per multi-index read.
     """
 
     def __init__(self, rho: float, spectrum: Spectrum, integral=None):
         self.rho = rho
         self.spectrum = spectrum
         self._integral = integral
+        self._family = None  # the default route's BallIntegrals
         self._base: IntegralValue | None = None
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
+
+    def _alpha(self, index: MultiIndex) -> IntegralValue:
+        if self._integral is not None:
+            return self._integral(index, self.rho, self.spectrum)
+        if self._family is None:
+            self._family = ball_integrals(_index_family(self.spectrum.v, 2),
+                                          self.rho, self.spectrum)
+        return self._family[index]
 
     def _ratio(self, *dims: int) -> tuple[float, float]:
         """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims."""
@@ -116,11 +127,9 @@ class MomentBatch:
                 if not 0 <= d < v:
                     raise DomainError(f"dimension {d} out of range for v={v}")
                 ks[d] += 1
-            # looked up per call, so a replaced module-level ball_integral is used
-            integral = self._integral or ball_integral
             if self._base is None:
-                self._base = integral(MultiIndex.zero(v), self.rho, self.spectrum)
-            num = integral(MultiIndex(tuple(ks)), self.rho, self.spectrum)
+                self._base = self._alpha(MultiIndex.zero(v))
+            num = self._alpha(MultiIndex(tuple(ks)))
             hit = (num.value / self._base.value,
                    num.rel_error + self._base.rel_error)
             self._ratios[key] = hit
@@ -273,7 +282,11 @@ def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
 
 
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:
-    return MomentBatch(rho, spectrum).second(n)[0]
+    """E[X_n^2 | ball] from the only two integrals it needs."""
+    zero, single = MultiIndex.zero(spectrum.v), MultiIndex.single(spectrum.v, n)
+    alphas = ball_integrals((zero, single), rho, spectrum)
+    base, num = alphas[zero], alphas[single]
+    return spectrum.lambdas[n] * (num.value / base.value)
 
 
 def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
@@ -285,6 +298,8 @@ def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 <= n < spectrum.v:
+        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
     lam = spectrum.lambdas[n]
     rho = 3.0 * lam
     damping = 0.5

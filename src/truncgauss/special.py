@@ -172,15 +172,15 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
         total = np.ones_like(xs)
         term = np.ones_like(xs)
         active = np.ones(xs.shape, dtype=bool)
-        converged_at = np.full(xs.shape, -1)
+        # the first term alone may end a lane; after it, two in a row must be small
+        was_small = np.ones(xs.shape, dtype=bool)
         for n in range(_SERIES_CAP):
-            term[active] *= xs[active] / (1.0 + s + n)
-            total[active] += term[active]
-            done = active & (np.abs(term) <= _SERIES_TOL * np.abs(total))
-            # require two consecutive small terms
-            newly = done & (converged_at == n - 1)
-            converged_at[done] = n
-            active &= ~newly
+            # every lane at full width; a converged lane keeps its total
+            term *= xs / (1.0 + s + n)
+            np.add(total, term, out=total, where=active)
+            small = term <= _SERIES_TOL * total  # both positive
+            active &= ~(small & was_small)
+            was_small = small
             if not active.any():
                 break
         else:

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from truncgauss import ball
 from truncgauss.ball import (
     MultiIndex,
     Spectrum,
     ball_integral,
     ball_integral_1d,
     ball_integral_mc,
+    _index_family,
+    ball_integrals,
     verify_structural,
 )
 from truncgauss.errors import (
@@ -189,6 +192,75 @@ class TestQuadrature:
         est = ball_integral_mc(MultiIndex((0, 1, 0, 0, 0)), 10.0, spec5,
                                200_000, seed=99)
         assert abs(got.value - est.mean) < 3.0 * est.std_error
+
+
+# A v = 5 geometry where the 24/16-node rule overshoots the bound of
+# (0, 0, 0, 0, 2): the narrow last variance carries k = 2.
+NARROW5 = Spectrum((1.9636184801131922, 2.687901997421187, 0.19853898423447447,
+                    0.5663099241805805, 0.0694934091695928))
+
+
+class TestFamily:
+    @pytest.mark.parametrize("v", [2, 3, 4, 5])
+    def test_members_equal_one_member_evaluations(self, v):
+        rng = np.random.default_rng(100 + v)
+        family = _index_family(v, 2) + [MultiIndex.single(v, v - 1, 3)]
+        for _ in range(2 if v < 5 else 1):
+            spec = Spectrum(tuple(float(x) for x in rng.uniform(0.2, 3.0, v)))
+            for rho in (0.3, 4.0, 40.0):
+                rho *= float(rng.uniform(0.8, 1.25))
+                together = ball_integrals(family, rho, spec)
+                assert list(together) == family
+                for index in family:
+                    alone = ball_integrals([index], rho, spec)[index]
+                    assert together[index] == alone
+                    assert alone == ball_integral(index, rho, spec)
+
+    def test_one_dimensional_family(self):
+        spec = Spectrum((1.7,))
+        family = [MultiIndex((k,)) for k in range(4)]
+        together = ball_integrals(family, 2.5, spec)
+        for index in family:
+            assert together[index] == ball_integral_1d(
+                index.multiplicities[0], 2.5, 1.7)
+
+    def test_looped_outer_level(self, monkeypatch):
+        # a budget of 100 lanes loops the outermost level of a v = 3
+        # call; members still equal their one-member evaluations, and agree
+        # with the broadcast route to rounding
+        spec = Spectrum((1.0, 2.0, 0.3))
+        family = _index_family(3, 2)
+        ball._alpha_quad.cache_clear()
+        broadcast = ball_integrals(family, 3.0, spec)
+        monkeypatch.setattr(ball, "_LEAF_BUDGET", 100)
+        ball._alpha_quad.cache_clear()
+        try:
+            looped = ball_integrals(family, 3.0, spec)
+            for index in family:
+                alone = ball_integrals([index], 3.0, spec)[index]
+                assert looped[index] == alone
+                assert alone.value == pytest.approx(broadcast[index].value,
+                                                    rel=1e-13)
+        finally:
+            ball._alpha_quad.cache_clear()
+
+    def test_failure_raises_only_when_read(self):
+        bad = MultiIndex.single(5, 4, 2)
+        fine = MultiIndex.single(5, 0, 2)
+        together = ball_integrals([MultiIndex.zero(5), fine, bad], 60.0, NARROW5)
+        assert together[fine].value <= 3.0
+        with pytest.raises(NumericError, match="exceeds its factorized bound"):
+            together[bad]
+        with pytest.raises(NumericError, match="exceeds its factorized bound"):
+            ball_integral(bad, 60.0, NARROW5)
+
+    def test_input_errors_raise_at_once(self):
+        with pytest.raises(DomainError):
+            ball_integrals([MultiIndex.zero(3)], 1.0, Spectrum((1.0, 2.0)))
+        with pytest.raises(DomainError):
+            ball_integrals([MultiIndex.zero(2)], -1.0, Spectrum((1.0, 2.0)))
+        with pytest.raises(CapabilityError):
+            ball_integrals([MultiIndex.zero(7)], 1.0, Spectrum((1.0,) * 7))
 
 
 class TestMonteCarlo:

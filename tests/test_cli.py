@@ -247,6 +247,23 @@ class TestVerify:
         assert payload["claims_violated"] is False
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    def test_xi_checks_run_to_their_ceilings(self, capsys):
+        # the convolution checks run through q = 6, not 4, and each check's
+        # name prefix states the q it ran at
+        code, out, _ = run(["verify", "xi", "--qmax", "8"], capsys)
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        prefixes = {name.split("|")[0] for name in names}
+        assert prefixes == {"omega-scan[qmax=8]", "gap-convolution[qmax=6]",
+                            "inverse-mass-identity[qmax=6]"}
+        assert "gap-convolution[qmax=6]|inverse-mass-needs-e0=0[q=6]" in names
+        assert any(name.startswith("inverse-mass-identity[qmax=6]|identity[q=6,")
+                   for name in names)
+        code, out, _ = run(["verify", "xi", "--qmax", "3"], capsys)
+        prefixes = {c["name"].split("|")[0] for c in json.loads(out)["checks"]}
+        assert prefixes == {"omega-scan[qmax=3]", "gap-convolution[qmax=3]",
+                            "inverse-mass-identity[qmax=3]"}
+
     def test_structural_suite(self, capsys):
         code, out, _ = run(
             ["verify", "structural", "--lambda", "1,2", "--rho", "3"], capsys)
@@ -313,7 +330,29 @@ _UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
            ("verify", "--format csv"), ("verify", "--order 2")]
 
 
+_BOTH_RADII = {
+    "integral": ["integral", "--lambda", "1,2", "--index", "1:1"],
+    "integral --mc": ["integral", "--mc", "--lambda", "1,2", "--samples",
+                      "10000"],
+    "moments": ["moments", "--lambda", "1,2"],
+    "eta": ["eta", "--lambda", "1,2", "--order", "1"],
+}
+
+
 class TestSurface:
+    @pytest.mark.parametrize("base", _BOTH_RADII)
+    def test_rho_with_rho_range_exit_two(self, base, capsys):
+        # one of the two used to be dropped without notice
+        with pytest.raises(SystemExit) as exc:
+            main(_BOTH_RADII[base] + ["--rho", "2", "--rho-range", "1:3:2:lin"])
+        assert exc.value.code == 2
+
+    def test_mc_rho_range_exit_two(self, capsys):
+        code, out, err = run(_BOTH_RADII["integral --mc"]
+                             + ["--rho-range", "1:3:2:lin"], capsys)
+        assert code == 2 and not out
+        assert "--rho-range" in err
+
     @pytest.mark.parametrize(
         "command,option", _UNREAD,
         ids=[f"{c} {o.split()[0]}" for c, o in _UNREAD])

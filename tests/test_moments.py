@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from truncgauss import moments
+from truncgauss import ball, moments
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_mc
-from truncgauss.errors import DomainError
+from truncgauss.errors import DomainError, NumericError
 from truncgauss.moments import (
     NOISE_FACTOR,
     REGION_CROSSOVER,
@@ -209,24 +209,97 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_passes(monkeypatch):
+    """Record the index family of every ball_integrals call from moments,
+    and the s of every incomplete gamma the quadrature evaluates."""
+    families, gammas = [], []
+    real_family = moments.ball_integrals
+    real_gamma = ball._lower_incomplete_gamma_vec
+
+    def family(indices, *args):
+        families.append(sorted(index.multiplicities for index in indices))
+        return real_family(indices, *args)
+
+    def gamma(s, x):
+        gammas.append(s)
+        return real_gamma(s, x)
+
+    monkeypatch.setattr(moments, "ball_integrals", family)
+    monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", gamma)
+    ball._alpha_quad.cache_clear()
+    return families, gammas
+
+
+def _order_two_family(v):
+    return sorted(index.multiplicities for index in ball._index_family(v, 2))
+
+
 class TestIntegralCounts:
-    def test_gap_integrates_three_indices(self, monkeypatch):
-        calls = _count_calls(monkeypatch, "ball_integral")
-        variance_gap_with_error(1, 2.0, SPEC3)
-        assert sorted(calls) == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
+    def test_all_gaps_share_one_family_pass(self, monkeypatch):
+        families, gammas = _count_passes(monkeypatch)
+        for n in range(3):
+            variance_gap_with_error(n, 2.0, SPEC3)
+        assert families == [_order_two_family(3)] * 3
+        # one leaf per multiplicity k_1 = 0, 1, 2 and outer rule; the later
+        # calls are cache hits
+        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        assert ball._alpha_quad.cache_info().misses == 2
 
     @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0),
                                       (0.5, 1.0, 1.5, 2.0)])
     def test_moments_integrate_each_index_once(self, monkeypatch, lams):
-        calls = _count_calls(monkeypatch, "ball_integral")
+        # conditional_moments then correlation_set: one family pass, whose
+        # quadrature (v >= 2) the second reader finds in the cache
+        families, gammas = _count_passes(monkeypatch)
         v = len(lams)
         conditional_moments(2.0, Spectrum(lams))
-        assert len(calls) == len(set(calls)) == 1 + v + v * (v + 1) // 2
+        correlation_set(2.0, Spectrum(lams))
+        family = _order_two_family(v)
+        assert len(set(family)) == 1 + v + v * (v + 1) // 2
+        assert families == [family] * 2
+        # v = 1 has no cache and integrates each index once per pass
+        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        assert ball._alpha_quad.cache_info().misses == (2 if v > 1 else 0)
 
     def test_mc_estimates_each_index_once(self, monkeypatch):
         calls = _count_calls(monkeypatch, "ball_integral_mc")
         conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3)
         assert len(calls) == len(set(calls)) == 1 + 3 + 6
+
+    @pytest.mark.parametrize("n, leaves", [(0, [0.5, 0.5, 1.5, 1.5]),
+                                           (1, [0.5, 0.5])])
+    def test_second_moment_reads_two_indices(self, monkeypatch, n, leaves):
+        # rho_star's fixed point evaluates only {0, e_n}: per step at most
+        # the four incomplete gammas of two one-index evaluations
+        families, gammas = _count_passes(monkeypatch)
+        _second_moment(n, 2.0, SPEC3)
+        expected = sorted([(0, 0, 0), MultiIndex.single(3, n).multiplicities])
+        assert families == [expected]
+        assert sorted(gammas) == leaves
+
+    def test_rho_star_steps_cost_no_more_than_two_indices(self, monkeypatch):
+        families, gammas = _count_passes(monkeypatch)
+        rho_star(1, SPEC3)
+        assert families and families == [[(0, 0, 0), (0, 1, 0)]] * len(families)
+        # both indices have k_1 = 0, so one leaf per outer rule
+        assert len(gammas) <= 2 * len(families)
+
+
+class TestFamilyFailure:
+    # A v = 5 geometry where the 24/16-node rule overshoots the bound of
+    # (0, 0, 0, 0, 2): the family holds that member, but only a reader of
+    # it may fail.
+    SPEC = Spectrum((1.9636184801131922, 2.687901997421187, 0.19853898423447447,
+                     0.5663099241805805, 0.0694934091695928))
+
+    def test_unread_member_does_not_fail(self):
+        gap, err = variance_gap_with_error(0, 60.0, self.SPEC)
+        assert gap == float.fromhex("-0x1.075cd97c369d0p-22")
+        assert err == float.fromhex("0x1.07221c8c1c28cp-14")
+
+    def test_reader_of_the_bad_member_fails(self):
+        with pytest.raises(NumericError, match="exceeds its factorized bound"):
+            variance_gap_with_error(4, 60.0, self.SPEC)
 
 
 class TestMarginalDensity:
@@ -326,6 +399,11 @@ class TestRhoStar:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             rho_star(0, SPEC3, tol=0.0)
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_dimension_out_of_range(self, n):
+        with pytest.raises(DomainError):
+            rho_star(n, SPEC3)
 
 
 class TestInequalityBattery:

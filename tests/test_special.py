@@ -202,6 +202,22 @@ class TestLowerIncompleteGamma:
             ref = gammainc(s, x) * math.gamma(s)
             np.testing.assert_allclose(vec, ref, rtol=1e-13, atol=1e-300)
 
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.5, 9.5])
+    def test_lanes_converge_independently(self, s):
+        # lanes that end at the first term, at the cutoff, in the continued
+        # fraction, at zero and at infinity, mixed in one call: each lane
+        # must keep the bits it gets alone, however long its neighbours run
+        rng = np.random.default_rng(17)
+        x = np.concatenate([
+            [0.0, 1e-300, 1e-20, 1e-9, s + 12.0, np.nextafter(s + 12.0, 0.0),
+             math.inf, 1e4],
+            np.exp(rng.uniform(-30.0, math.log(s + 20.0), 300)),
+        ])
+        rng.shuffle(x)
+        together = _lower_incomplete_gamma_vec(s, x)
+        alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
+        assert together.tobytes() == np.array(alone).tobytes()
+
 
 class TestKummer:
     def test_at_zero(self):

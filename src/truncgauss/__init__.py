@@ -16,6 +16,7 @@ from .ball import (
     ball_integral_1d,
     ball_integral_mc,
     ball_integrals,
+    ball_integrals_mc,
     verify_structural,
 )
 from .errors import (

@@ -36,6 +36,7 @@ __all__ = [
     "ball_integral",
     "ball_integrals",
     "ball_integral_mc",
+    "ball_integrals_mc",
     "verify_structural",
 ]
 
@@ -48,7 +49,9 @@ _QUAD_MAX_DIM = 6
 # broadcast, bounding peak memory.
 _LEAF_BUDGET = 2_000_000
 
-_MC_CHUNK = 1 << 19
+# Rows of Monte Carlo draws per block: 640 KB of float64 at v = 10, so a
+# block stays in cache while every member reads it.
+_MC_BLOCK = 1 << 13
 _MC_MIN_SAMPLES = 10_000
 
 
@@ -370,64 +373,66 @@ def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> Integral
     return ball_integrals((index,), rho, spectrum)[index]
 
 
-def _box_muller_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normals via the Box-Muller transform on counter-based uniforms."""
-    pairs = (count + 1) // 2
-    u = rng.random((pairs, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1-u in (0, 1], log finite
-    theta = 2.0 * math.pi * u[:, 1]
-    z = np.empty(pairs * 2)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:count]
-
-
-def ball_integral_mc(index: MultiIndex, rho: float, spectrum: Spectrum,
-                     n_total: int, seed: int) -> MCEstimate:
-    """Rejection-sampling Monte Carlo oracle, reproducible per seed.
+def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
+                      seed: int) -> dict[MultiIndex, MCEstimate]:
+    """Rejection-sampling Monte Carlo oracle for several multi-indices.
 
     Samples the unconstrained Gaussian, keeps draws inside the ball, and
-    averages the monomial weight over the full budget (rejected draws
-    contribute zero), which estimates the same normalized integral as the
-    quadrature route.
+    averages each member's monomial weight over the full budget (rejected
+    draws contribute zero), which estimates the same normalized integral
+    as the quadrature route.  Every member reads the same draws: ziggurat
+    normals from ``Philox(key=seed)``, taken in blocks of ``_MC_BLOCK``
+    rows, so the estimates are reproducible per ``(seed, n_total)``.
+    Returns a dict mapping each multi-index to its :class:`MCEstimate`.
     """
-    _check_pair(index, spectrum)
+    indices = tuple(indices)
+    for index in indices:
+        _check_pair(index, spectrum)
     rho = _check_rho(rho)
     n_total = int(n_total)
     if n_total < _MC_MIN_SAMPLES:
         raise DomainError(f"need n_total >= {_MC_MIN_SAMPLES}, got {n_total}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(np.random.Philox(key=seed))
-    v = spectrum.v
-    sqrt_lams = np.sqrt(np.asarray(spectrum.lambdas))
-    ks = index.multiplicities
-
-    total = 0.0
-    total_sq = 0.0
+    lams = np.asarray(spectrum.lambdas)
+    # the (dimension, multiplicity) factors of each member's weight
+    factors = [[(j, k) for j, k in enumerate(index.multiplicities) if k]
+               for index in indices]
+    totals = [0.0] * len(indices)
+    totals_sq = [0.0] * len(indices)
     n_kept = 0
-    remaining = n_total
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        z = _box_muller_normals(rng, m * v).reshape(m, v)
-        x = z * sqrt_lams
-        keep = (x * x).sum(axis=1) < rho
-        y = keep.astype(np.float64)
-        for j, k in enumerate(ks):
-            if k:
-                y *= (x[:, j] ** 2 / spectrum.lambdas[j]) ** k
-        total += y.sum()
-        total_sq += (y * y).sum()
-        n_kept += int(keep.sum())
-        remaining -= m
+    block = np.empty((min(_MC_BLOCK, n_total), spectrum.v))
+    for start in range(0, n_total, _MC_BLOCK):
+        zz = block[:n_total - start]  # z_j^2 = x_j^2 / lambda_j, in place
+        rng.standard_normal(out=zz)
+        np.square(zz, out=zz)
+        kept = np.compress(zz @ lams < rho, zz.T, axis=1)
+        n_kept += kept.shape[1]
+        for i, members in enumerate(factors):
+            y = np.ones(kept.shape[1])
+            for j, k in members:
+                y *= kept[j] ** k
+            totals[i] += float(y.sum())
+            totals_sq[i] += float((y * y).sum())
 
     if n_kept == 0:
         raise DegenerateAcceptanceError(
             f"no samples fell inside the ball (rho={rho}, n_total={n_total}); "
             "increase the budget or the radius"
         )
-    mean = total / n_total
-    var = max(total_sq - n_total * mean * mean, 0.0) / max(n_total - 1, 1)
-    return MCEstimate(mean, math.sqrt(var / n_total), n_kept, n_total, seed)
+    out = {}
+    for index, total, total_sq in zip(indices, totals, totals_sq):
+        mean = total / n_total
+        var = max(total_sq - n_total * mean * mean, 0.0) / max(n_total - 1, 1)
+        out[index] = MCEstimate(mean, math.sqrt(var / n_total), n_kept,
+                                n_total, seed)
+    return out
+
+
+def ball_integral_mc(index: MultiIndex, rho: float, spectrum: Spectrum,
+                     n_total: int, seed: int) -> MCEstimate:
+    """Rejection-sampling Monte Carlo oracle: the one-member family."""
+    return ball_integrals_mc((index,), rho, spectrum, n_total, seed)[index]
 
 
 # ---------------------------------------------------------------------------

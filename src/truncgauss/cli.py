@@ -159,7 +159,9 @@ def cmd_integral(args: argparse.Namespace) -> int:
     if args.mc:
         if args.rho is None:
             raise DomainError("integral --mc needs --rho, and takes no --rho-range")
-        est = ball_integral_mc(index, args.rho, spec, args.samples, args.seed)
+        est = ball_integral_mc(index, args.rho, spec,
+                               1_000_000 if args.samples is None else args.samples,
+                               0 if args.seed is None else args.seed)
         record = {"mean": est.mean, "std_error": est.std_error,
                   "n_kept": est.n_kept, "n_total": est.n_total,
                   "seed": est.seed}
@@ -167,6 +169,8 @@ def cmd_integral(args: argparse.Namespace) -> int:
                str(est.n_total)]
         return _write(args, ["mean", "std_error", "n_kept", "n_total"],
                       [record], lambda rec: [row], single=True)
+    if args.samples is not None or args.seed is not None:
+        raise DomainError("--samples and --seed belong to integral --mc")
     # a single point carries no rho field
     head = ["value", "est_abs_error"]
     if args.rho_range is not None:
@@ -417,9 +421,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="multi-index as dim:mult[,dim:mult...], 1-based dims")
     p.add_argument("--mc", action="store_true",
                    help="use the seeded sampling oracle instead of quadrature")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="sample budget for --mc")
-    p.add_argument("--seed", type=int, default=0, help="seed for --mc")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sample budget for --mc (default 1000000)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for --mc (default 0)")
 
     query("moments", cmd_moments, "conditional moments and correlations")
 

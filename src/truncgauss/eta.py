@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import MultiIndex, Spectrum, ball_integral
+from .ball import MultiIndex, Spectrum, ball_integral, ball_integrals
 from .errors import CapabilityError, DomainError
 from .report import Report
 from .special import stirling_second
@@ -92,25 +92,31 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
-    """Sum over all ell-fold index insertions of the integral ratio.
+def _index_sum_ratios(ells, rho: float, spectrum: Spectrum) -> dict[int, float]:
+    """Sum over all ell-fold index insertions of the integral ratio, per ell.
 
     Equal multiplicity patterns are grouped, each weighted by the count of
-    index orderings that produce it, so the cost is one quadrature per
-    distinct pattern instead of v^ell.
+    index orderings that produce it, so the cost is one family member per
+    distinct pattern instead of v^ell.  The zero index and the patterns of
+    every ell in ``ells`` share one :func:`ball_integrals` pass.
     """
-    if ell == 0:
-        return 1.0
     v = spectrum.v
-    base = ball_integral(MultiIndex.zero(v), rho, spectrum).value
-    total = 0.0
-    fact_ell = math.factorial(ell)
-    for combo in _compositions(ell, v):
-        weight = fact_ell
-        for m in combo:
-            weight //= math.factorial(m)
-        total += weight * ball_integral(MultiIndex(combo), rho, spectrum).value
-    return total / base
+    # each pattern with its multinomial count of index orderings
+    terms = {ell: [(math.factorial(ell) // math.prod(map(math.factorial, combo)),
+                    MultiIndex(combo)) for combo in _compositions(ell, v)]
+             for ell in ells}
+    zero = MultiIndex.zero(v)
+    alphas = ball_integrals(
+        [zero] + [index for pairs in terms.values() for _, index in pairs],
+        rho, spectrum)
+    base = alphas[zero].value
+    return {ell: sum(weight * alphas[index].value for weight, index in pairs) / base
+            for ell, pairs in terms.items()}
+
+
+def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
+    """Sum over all ell-fold index insertions of the integral ratio."""
+    return _index_sum_ratios((ell,), rho, spectrum)[ell]
 
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
@@ -125,10 +131,8 @@ def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
             f"(cost grows with compositions), got {k}"
         )
     table = coefficient_table(spectrum.v, k)
-    return float(sum(
-        float(table.c[k][ell]) * index_sum_ratio(ell, rho, spectrum)
-        for ell in range(k + 1)
-    ))
+    ratios = _index_sum_ratios(range(k + 1), rho, spectrum)
+    return float(sum(float(table.c[k][ell]) * ratios[ell] for ell in range(k + 1)))
 
 
 def _central_kth(f, x: float, k: int, h: float) -> float:

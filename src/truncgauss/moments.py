@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .ball import (IntegralValue, MultiIndex, Spectrum, _index_family,
-                   ball_integral, ball_integral_mc, ball_integrals)
+                   ball_integral, ball_integrals, ball_integrals_mc)
 from .errors import DomainError, NumericError
 from .report import Report
 
@@ -89,28 +89,24 @@ class HolderReport:
 class MomentBatch:
     """Every conditional moment at one ``(rho, spectrum)``, with its error.
 
-    Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals.  By
-    default the first moment read evaluates the whole order-2 family
-    ``{0, e_n, e_n + e_m}`` in one :func:`ball_integrals` pass.  A ratio is
-    kept, on first use, with its relative error (the sum of the two
-    integrals' relative errors).  Every accessor returns ``(value, err)``,
-    with ``err`` propagated to first order from those relative errors.
-
-    ``integral(index, rho, spectrum)``, if given, must return an
-    :class:`IntegralValue`; it is called once per multi-index read.
+    Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals, read
+    from ``family``: a mapping from each multi-index of the order-2 family
+    ``{0, e_n, e_n + e_m}`` to its :class:`IntegralValue`.  By default the
+    first moment read evaluates that family in one :func:`ball_integrals`
+    pass.  A ratio is kept, on first use, with its relative error (the sum
+    of the two integrals' relative errors).  Every accessor returns
+    ``(value, err)``, with ``err`` propagated to first order from those
+    relative errors.
     """
 
-    def __init__(self, rho: float, spectrum: Spectrum, integral=None):
+    def __init__(self, rho: float, spectrum: Spectrum, family=None):
         self.rho = rho
         self.spectrum = spectrum
-        self._integral = integral
-        self._family = None  # the default route's BallIntegrals
+        self._family = family
         self._base: IntegralValue | None = None
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
 
     def _alpha(self, index: MultiIndex) -> IntegralValue:
-        if self._integral is not None:
-            return self._integral(index, self.rho, self.spectrum)
         if self._family is None:
             self._family = ball_integrals(_index_family(self.spectrum.v, 2),
                                           self.rho, self.spectrum)
@@ -175,8 +171,9 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
 
     The default quadrature route covers v <= 6 and enforces the moment
     bounds strictly.  ``method="mc"`` estimates every ratio from one shared
-    sample stream (any dimension); its plug-in estimates carry sampling
-    noise, so the bounds are only enforced up to that noise.
+    sample stream, one :func:`ball_integrals_mc` call over the order-2
+    family (any dimension); its plug-in estimates carry sampling noise, so
+    the bounds are only enforced up to that noise.
     """
     v = spectrum.v
     lams = spectrum.lambdas
@@ -184,11 +181,11 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
         batch = MomentBatch(rho, spectrum)
         slack = 1e-9
     elif method == "mc":
-        def sampled(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
-            est = ball_integral_mc(index, rho, spectrum, n_total, seed)
-            return IntegralValue(est.mean, est.std_error)
-
-        batch = MomentBatch(rho, spectrum, sampled)
+        sampled = ball_integrals_mc(_index_family(v, 2), rho, spectrum,
+                                    n_total, seed)
+        batch = MomentBatch(rho, spectrum, {
+            index: IntegralValue(est.mean, est.std_error)
+            for index, est in sampled.items()})
         slack = 20.0 / math.sqrt(n_total)
     else:
         raise DomainError(f"unknown moments method {method!r}")

@@ -1,9 +1,11 @@
 """Ball integrals: closed form, quadrature, Monte Carlo, structural identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from truncgauss import ball
 from truncgauss.ball import (
@@ -14,6 +16,7 @@ from truncgauss.ball import (
     ball_integral_mc,
     _index_family,
     ball_integrals,
+    ball_integrals_mc,
     verify_structural,
 )
 from truncgauss.errors import (
@@ -307,6 +310,48 @@ class TestMonteCarlo:
     def test_budget_floor(self):
         with pytest.raises(DomainError):
             ball_integral_mc(MultiIndex((0,)), 1.0, Spectrum((1.0,)), 100, seed=0)
+
+    @pytest.mark.parametrize("v", [2, 3, 7, 10])
+    def test_members_equal_one_member_calls(self, v):
+        # a partial last block, and a member of order 3
+        n_total = 2 * ball._MC_BLOCK + 4321
+        spec = Spectrum(tuple(0.4 + 0.3 * j for j in range(v)))
+        family = _index_family(v, 2) + [MultiIndex.single(v, v - 1, 3)]
+        together = ball_integrals_mc(family, 0.8 * sum(spec.lambdas), spec,
+                                     n_total, seed=600 + v)
+        assert list(together) == family
+        for index in family:
+            alone = ball_integral_mc(index, 0.8 * sum(spec.lambdas), spec,
+                                     n_total, seed=600 + v)
+            assert together[index] == alone
+
+    @pytest.mark.parametrize("v", range(2, 11))
+    def test_isotropic_closed_form(self, v):
+        # equal variances: alpha_k = prod (2 k_j - 1)!! P(v/2 + |k|, rho / 2 lambda)
+        lam, rho = 1.3, 1.3 * v
+        spec = Spectrum((lam,) * v)
+        family = [MultiIndex.zero(v), MultiIndex.single(v, 0),
+                  MultiIndex.single(v, v - 1, 2),
+                  MultiIndex.zero(v).bump(0).bump(v - 1)]
+        estimates = ball_integrals_mc(family, rho, spec, 200_000, seed=70 + v)
+        for index in family:
+            exact = index.factorized_bound() * gammainc(
+                v / 2 + index.order, rho / (2 * lam))
+            est = estimates[index]
+            assert abs(est.mean - exact) <= 4.0 * est.std_error
+
+    def test_blocks_bound_memory(self):
+        # draws are taken a cache-sized block at a time, so the traced peak
+        # does not grow with n_total (a whole-budget draw would need 40 MB)
+        spec = Spectrum(tuple(0.5 + 0.25 * j for j in range(10)))
+        index = MultiIndex.zero(10).bump(2).bump(7)
+        tracemalloc.start()
+        try:
+            ball_integral_mc(index, 9.0, spec, 500_000, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestStructuralReport:

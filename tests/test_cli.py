@@ -353,6 +353,14 @@ class TestSurface:
         assert code == 2 and not out
         assert "--rho-range" in err
 
+    @pytest.mark.parametrize("option", ["--samples 20000", "--seed 3"])
+    def test_mc_options_without_mc_exit_two(self, option, capsys):
+        # the quadrature route used to ignore them without notice
+        code, out, err = run(_BOTH_RADII["integral"] + ["--rho", "2"]
+                             + option.split(), capsys)
+        assert code == 2 and not out
+        assert "--mc" in err
+
     @pytest.mark.parametrize(
         "command,option", _UNREAD,
         ids=[f"{c} {o.split()[0]}" for c, o in _UNREAD])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from truncgauss import ball
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral
 from truncgauss.errors import CapabilityError, DomainError
 from truncgauss.eta import (
@@ -113,6 +114,21 @@ class TestEtaValues:
         )
         expected = 1.0 - 0.5 * summed / base
         assert eta_combinatorial(1, rho, SPEC2) == pytest.approx(expected, rel=1e-13)
+
+    def test_one_family_pass(self, monkeypatch):
+        # the zero index and the 19 compositions of orders 1..3 share one
+        # pass: one leaf per multiplicity k_1 = 0..3 and outer rule
+        gammas = []
+        real = ball._lower_incomplete_gamma_vec
+
+        def counted(s, x):
+            gammas.append(s)
+            return real(s, x)
+
+        monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
+        ball._alpha_quad.cache_clear()
+        eta_combinatorial(3, 5.0, SPEC3)
+        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5, 3.5, 3.5]
 
     def test_index_sum_ratio_multiplicity_grouping(self):
         # grouped compositions equal the naive sum over ordered insertions

@@ -196,19 +196,6 @@ class TestCorrelationSet:
             assert cors.delta[n] == variance_gap(n, 5.0, SPEC3)
 
 
-def _count_calls(monkeypatch, name):
-    """Record the multi-index of every call to moments.<name>."""
-    calls = []
-    real = getattr(moments, name)
-
-    def counted(index, *args):
-        calls.append(index.multiplicities)
-        return real(index, *args)
-
-    monkeypatch.setattr(moments, name, counted)
-    return calls
-
-
 def _count_passes(monkeypatch):
     """Record the index family of every ball_integrals call from moments,
     and the s of every incomplete gamma the quadrature evaluates."""
@@ -262,9 +249,18 @@ class TestIntegralCounts:
         assert ball._alpha_quad.cache_info().misses == (2 if v > 1 else 0)
 
     def test_mc_estimates_each_index_once(self, monkeypatch):
-        calls = _count_calls(monkeypatch, "ball_integral_mc")
+        # one sampling pass: every index of the order-2 family reads the
+        # same draws
+        families = []
+        real = moments.ball_integrals_mc
+
+        def family(indices, *args):
+            families.append(list(indices))
+            return real(indices, *args)
+
+        monkeypatch.setattr(moments, "ball_integrals_mc", family)
         conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3)
-        assert len(calls) == len(set(calls)) == 1 + 3 + 6
+        assert families == [ball._index_family(3, 2)]
 
     @pytest.mark.parametrize("n, leaves", [(0, [0.5, 0.5, 1.5, 1.5]),
                                            (1, [0.5, 0.5])])

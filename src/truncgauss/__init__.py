@@ -52,7 +52,6 @@ from .moments import (
 )
 from .special import (
     double_factorial,
-    kummer_M,
     lower_incomplete_gamma,
     raising_factorial,
     stirling_first_unsigned,

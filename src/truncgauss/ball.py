@@ -298,22 +298,6 @@ def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
     return IntegralValue(value, est)
 
 
-def _alpha_1d_value(k: int, rho: float, lam: float) -> float:
-    with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
-        return float(_alpha_1d_array(k, np.array([rho]), lam)[0])
-
-
-def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
-    """One-dimensional integral, exact through the incomplete gamma."""
-    if k < 0:
-        raise DomainError(f"multiplicity must be >= 0, got {k}")
-    rho = _check_rho(rho)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"variance must be positive, got {lam}")
-    value = _alpha_1d_value(k, rho, lam)
-    return _validated(value, 1e-13 * abs(value), MultiIndex((k,)))
-
-
 class BallIntegrals(Mapping):
     """Ball integrals of a family of multi-indices at one geometry.
 
@@ -339,7 +323,8 @@ class BallIntegrals(Mapping):
 def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
     """Quadrature evaluation of several multi-indices for 1 <= v <= 6.
 
-    All members share one pass over the geometry.  The outermost level is
+    At v = 1 each member is the incomplete-gamma closed form.  Above, all
+    members share one pass over the geometry, and the outermost level is
     integrated twice (full and reduced node count); their difference prices
     each member's ``est_abs_error``.
     """
@@ -350,8 +335,10 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
     v = spectrum.v
     lams = spectrum.lambdas
     if v == 1:
-        values = [_alpha_1d_value(index.multiplicities[0], rho, lams[0])
-                  for index in indices]
+        with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
+            values = [float(_alpha_1d_array(index.multiplicities[0],
+                                            np.array([rho]), lams[0])[0])
+                      for index in indices]
         ests = [1e-13 * abs(value) for value in values]
     elif v > _QUAD_MAX_DIM:
         raise CapabilityError(
@@ -371,6 +358,11 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
 def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
     """Quadrature evaluation for 1 <= v <= 6: the one-member family."""
     return ball_integrals((index,), rho, spectrum)[index]
+
+
+def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
+    """One-dimensional integral: the one-member family at v = 1."""
+    return ball_integral(MultiIndex((k,)), rho, Spectrum((lam,)))
 
 
 def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,

@@ -365,12 +365,13 @@ def _suite_xi(args: argparse.Namespace) -> Report:
     return report
 
 
+# each suite with the options it reads; `all` takes every suite's options
 _SUITES = {
-    "structural": _suite_structural,
-    "inequalities": _suite_inequalities,
-    "eta": _suite_eta,
-    "asymptotic": _suite_asymptotic,
-    "xi": _suite_xi,
+    "structural": (_suite_structural, {"spectrum", "rho"}),
+    "inequalities": (_suite_inequalities, {"spectrum", "quick"}),
+    "eta": (_suite_eta, {"quick"}),
+    "asymptotic": (_suite_asymptotic, {"spectrum", "quick"}),
+    "xi": (_suite_xi, {"qmax"}),
 }
 
 
@@ -378,7 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = Report(args.suite)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        report.extend(_SUITES[name](args))
+        report.extend(_SUITES[name][0](args))
     _emit([json.dumps(report.to_dict(), indent=2)], args.out)
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
@@ -391,8 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, text, spectrum=False):
-        p = sub.add_parser(name, help=text)
+    def command(name, handler, text, spectrum=False, under=sub):
+        p = under.add_parser(name, help=text)
         p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if spectrum:
@@ -438,13 +439,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("cp-table", cmd_figure, "alias of figure cp-table")
     p.set_defaults(figure="cp-table", quick=False)
 
-    p = command("verify", cmd_verify, "verification suites (JSON report)",
-                spectrum=True)
-    rho(p)
-    p.add_argument("suite", choices=(*_SUITES, "all"))
-    p.add_argument("--qmax", type=int, default=6, choices=range(1, 9),
-                   metavar="{1..8}", help="highest order of the xi suite")
-    p.add_argument("--quick", action="store_true")
+    suites = sub.add_parser("verify", help="verification suites (JSON report)") \
+        .add_subparsers(dest="suite", required=True)
+    suite_reads = {name: reads for name, (_, reads) in _SUITES.items()}
+    suite_reads["all"] = set().union(*suite_reads.values())
+    for name, reads in suite_reads.items():
+        p = command(name, cmd_verify,
+                    "every suite" if name == "all" else f"the {name} suite",
+                    spectrum="spectrum" in reads, under=suites)
+        if "rho" in reads:
+            rho(p)
+        if "qmax" in reads:
+            p.add_argument("--qmax", type=int, default=6, choices=range(1, 9),
+                           metavar="{1..8}", help="highest order of the xi suite")
+        if "quick" in reads:
+            p.add_argument("--quick", action="store_true")
     return parser
 
 

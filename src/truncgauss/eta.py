@@ -19,13 +19,14 @@ from fractions import Fraction
 from .ball import MultiIndex, Spectrum, ball_integral, ball_integrals
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import stirling_second
+from .special import raising_factorial, stirling_second
 
 __all__ = [
     "CoefficientTable",
     "coefficient_table",
     "eta_combinatorial",
     "eta_fd_oracle",
+    "q_polynomial",
     "asymptotic_checks",
 ]
 
@@ -92,8 +93,10 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _index_sum_ratios(ells, rho: float, spectrum: Spectrum) -> dict[int, float]:
-    """Sum over all ell-fold index insertions of the integral ratio, per ell.
+def _index_sum_ratios(ells, rho: float,
+                      spectrum: Spectrum) -> tuple[float, dict[int, float]]:
+    """The ball mass, and per ell the sum over all ell-fold index
+    insertions of the integral ratio.
 
     Equal multiplicity patterns are grouped, each weighted by the count of
     index orderings that produce it, so the cost is one family member per
@@ -106,17 +109,33 @@ def _index_sum_ratios(ells, rho: float, spectrum: Spectrum) -> dict[int, float]:
                     MultiIndex(combo)) for combo in _compositions(ell, v)]
              for ell in ells}
     zero = MultiIndex.zero(v)
-    alphas = ball_integrals(
-        [zero] + [index for pairs in terms.values() for _, index in pairs],
+    alphas = ball_integrals(dict.fromkeys(  # ell = 0 repeats the zero index
+        [zero] + [index for pairs in terms.values() for _, index in pairs]),
         rho, spectrum)
     base = alphas[zero].value
-    return {ell: sum(weight * alphas[index].value for weight, index in pairs) / base
-            for ell, pairs in terms.items()}
+    return base, {ell: sum(weight * alphas[index].value
+                           for weight, index in pairs) / base
+                  for ell, pairs in terms.items()}
 
 
 def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
     """Sum over all ell-fold index insertions of the integral ratio."""
-    return _index_sum_ratios((ell,), rho, spectrum)[ell]
+    return _index_sum_ratios((ell,), rho, spectrum)[1][ell]
+
+
+def _etas(k_max: int, rho: float,
+          spectrum: Spectrum) -> tuple[float, tuple[float, ...]]:
+    """The ball mass and eta_0, ..., eta_k_max from one family read."""
+    if k_max > _K_MAX_COMBINATORIAL:
+        raise CapabilityError(
+            f"combinatorial route supports k <= {_K_MAX_COMBINATORIAL} "
+            f"(cost grows with compositions), got {k_max}"
+        )
+    c = coefficient_table(spectrum.v, k_max).c
+    mass, ratios = _index_sum_ratios(range(k_max + 1), rho, spectrum)
+    return mass, tuple(
+        float(sum(float(c[k][ell]) * ratios[ell] for ell in range(k + 1)))
+        for k in range(k_max + 1))
 
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
@@ -125,14 +144,7 @@ def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
         return 1.0
-    if k > _K_MAX_COMBINATORIAL:
-        raise CapabilityError(
-            f"combinatorial route supports k <= {_K_MAX_COMBINATORIAL} "
-            f"(cost grows with compositions), got {k}"
-        )
-    table = coefficient_table(spectrum.v, k)
-    ratios = _index_sum_ratios(range(k + 1), rho, spectrum)
-    return float(sum(float(table.c[k][ell]) * ratios[ell] for ell in range(k + 1)))
+    return _etas(k, rho, spectrum)[1][k]
 
 
 def _central_kth(f, x: float, k: int, h: float) -> float:
@@ -170,6 +182,20 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     return rho ** k * deriv / alpha(rho)
 
 
+def q_polynomial(k: int, x: float, a: float) -> float:
+    """Binomial-type polynomial with raising-factorial coefficients.
+
+    Degree k in x with unit leading coefficient; the l-th coefficient is
+    C(k, l) times the l-th raising factorial of a.
+    """
+    if k < 0:
+        raise DomainError(f"degree must be >= 0, got {k}")
+    return float(sum(
+        math.comb(k, ell) * raising_factorial(a, ell) * x ** (k - ell)
+        for ell in range(k + 1)
+    ))
+
+
 def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     """Upper bound on |rho^k (d/drho)^k alpha| at large radius.
 
@@ -184,8 +210,6 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     if k == 1:
         poly_max = 1.0
     else:
-        from .expansion import q_polynomial
-
         a = -(v / 2.0 - 1.0)
         lo = rho / (2.0 * spectrum.lambda_max)
         hi = rho / (2.0 * spectrum.lambda_min)
@@ -203,9 +227,10 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("rho schedule must be strictly increasing")
     report = Report("asymptotic")
-    zero = MultiIndex.zero(v)
+    # the mass and every eta_k at a radius come from one family read
+    reads = {rho: _etas(k_max, rho, spectrum) for rho in schedule}
     for k in range(1, k_max + 1):
-        values = [eta_combinatorial(k, r, spectrum) for r in schedule]
+        values = [reads[r][1][k] for r in schedule]
         tail = values[-3:] if len(values) >= 3 else values
         decreasing = all(abs(b) < abs(a) for a, b in zip(tail, tail[1:]))
         report.add(f"vanishing[k={k}]", decreasing,
@@ -217,8 +242,8 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
         report.add(f"limit-sign[k={k}]", sign_ok, want * values[-1],
                    detail=f"expected sign {int(want)}")
         for rho in schedule[-2:]:
-            alpha = ball_integral(zero, rho, spectrum).value
-            lhs = abs(eta_combinatorial(k, rho, spectrum)) * alpha
+            alpha, etas = reads[rho]
+            lhs = abs(etas[k]) * alpha
             env = radial_derivative_envelope(k, rho, spectrum)
             report.add(f"envelope[k={k},rho={rho:g}]", lhs < env, env - lhs,
                        detail=f"|rho^k d^k alpha| {lhs:.3e} < bound {env:.3e}")

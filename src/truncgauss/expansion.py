@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
+from .ball import MultiIndex, Spectrum, ball_integrals
 from .errors import DomainError, NumericError
-from .eta import eta_combinatorial
+from .eta import _etas, q_polynomial
 from .moments import MomentBatch
 from .report import Report
-from .special import raising_factorial
 
 __all__ = [
     "ExpansionPartialSum",
@@ -57,31 +56,20 @@ class ConvergenceEstimate:
     fit_chi2: float
 
 
-def q_polynomial(k: int, x: float, a: float) -> float:
-    """Binomial-type polynomial with raising-factorial coefficients.
-
-    Degree k in x with unit leading coefficient; the l-th coefficient is
-    C(k, l) times the l-th raising factorial of a.
-    """
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k}")
-    return float(sum(
-        math.comb(k, ell) * raising_factorial(a, ell) * x ** (k - ell)
-        for ell in range(k + 1)
-    ))
+def _reduced(order: int, rho: float, spectrum: Spectrum,
+             *dims: int) -> tuple[float, tuple[float, ...]]:
+    """Mass and eta_0, ..., eta_order of the spectrum without ``dims``,
+    from one family read; with no dimension left, mass 1 and eta = (1, 0, ...)."""
+    rest = tuple(lam for j, lam in enumerate(spectrum.lambdas) if j not in dims)
+    if not rest:
+        return 1.0, (1.0,) + (0.0,) * order
+    return _etas(order, rho, Spectrum(rest))
 
 
-def _eta_reduced(q: int, rho: float, reduced: Spectrum | None) -> float:
-    """Coefficient function of the reduced spectrum; trivial when empty."""
-    if reduced is None:
-        return 1.0 if q == 0 else 0.0
-    return eta_combinatorial(q, rho, reduced)
-
-
-def _reduced_mass(rho: float, reduced: Spectrum | None) -> float:
-    if reduced is None:
-        return 1.0
-    return ball_integral(MultiIndex.zero(reduced.v), rho, reduced).value
+def _alphas_1d(ks, rho: float, lam: float) -> dict[int, float]:
+    """alpha_k(rho; lam) for every k in ks, from one v = 1 family."""
+    family = ball_integrals([MultiIndex((k,)) for k in ks], rho, Spectrum((lam,)))
+    return {index.multiplicities[0]: family[index].value for index in family}
 
 
 def expand_alpha(target: str, n: int, order: int, rho: float,
@@ -105,15 +93,13 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
         base_k = 0 if target == TARGET_ALPHA else int(k)
         if base_k < 0:
             raise DomainError(f"multiplicity must be >= 0, got {base_k}")
-        reduced = spectrum.drop(n) if v >= 2 else None
-        rest = _reduced_mass(rho, reduced)
-        terms = []
-        for q in range(order + 1):
-            one_dim = ball_integral_1d(base_k + q, rho, lam_n).value
-            terms.append(
-                (-1.0) ** q / math.factorial(q) * (lam_n / rho) ** q
-                * one_dim * rest * _eta_reduced(q, rho, reduced)
-            )
+        rest, etas = _reduced(order, rho, spectrum, n)
+        one_dim = _alphas_1d(range(base_k, base_k + order + 1), rho, lam_n)
+        terms = [
+            (-1.0) ** q / math.factorial(q) * (lam_n / rho) ** q
+            * one_dim[base_k + q] * rest * etas[q]
+            for q in range(order + 1)
+        ]
     elif target == TARGET_PAIR:
         if m is None or m == n or not 0 <= m < v:
             raise DomainError(
@@ -122,10 +108,9 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
         if v < 2:
             raise DomainError("pair target needs v >= 2")
         lam_m = spectrum.lambdas[m]
-        reduced = None
-        if v > 2:
-            reduced = spectrum.drop(max(n, m)).drop(min(n, m))
-        rest = _reduced_mass(rho, reduced)
+        rest, etas = _reduced(order, rho, spectrum, n, m)
+        alpha_n = _alphas_1d(range(1, order + 2), rho, lam_n)
+        alpha_m = _alphas_1d(range(1, order + 2), rho, lam_m)
         terms = []
         for j in range(order + 1):
             inner = 0.0
@@ -134,12 +119,10 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
                 inner += (
                     math.comb(j, a)
                     * (lam_n / rho) ** a * (lam_m / rho) ** b
-                    * ball_integral_1d(1 + a, rho, lam_n).value
-                    * ball_integral_1d(1 + b, rho, lam_m).value
+                    * alpha_n[1 + a] * alpha_m[1 + b]
                 )
             terms.append(
-                (-1.0) ** j / math.factorial(j) * inner * rest
-                * _eta_reduced(j, rho, reduced)
+                (-1.0) ** j / math.factorial(j) * inner * rest * etas[j]
             )
     else:
         raise DomainError(f"unknown expansion target {target!r}")
@@ -157,11 +140,8 @@ def gamma_nn_expansion_coeff(rho_limit: bool, n: int, rho: float,
     """
     if rho_limit:
         return 8.0
-    lam = spectrum.lambdas[n]
-    base = ball_integral_1d(0, rho, lam).value
-    r1 = ball_integral_1d(1, rho, lam).value / base
-    r2 = ball_integral_1d(2, rho, lam).value / base
-    r3 = ball_integral_1d(3, rho, lam).value / base
+    alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])
+    r1, r2, r3 = (alpha[k] / alpha[0] for k in (1, 2, 3))
     return r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3
 
 
@@ -174,25 +154,18 @@ def gamma_nm_cancellation_check(n: int, m: int, rho: float,
     either series' first-order term by at least one more power of
     lambda / rho (with an exponentially small remainder on top).
     """
-    if n == m:
-        raise DomainError("cancellation check needs two distinct dimensions")
     v = spectrum.v
-    if v < 2:
-        raise DomainError("needs v >= 2")
+    if n == m or not (0 <= n < v and 0 <= m < v):
+        raise DomainError("cancellation check needs two distinct dimensions "
+                          f"in 0..{v - 1}, got {n} and {m}")
     report = Report("covariance-cancellation")
     lam_n, lam_m = spectrum.lambdas[n], spectrum.lambdas[m]
 
-    base_n = ball_integral_1d(0, rho, lam_n).value
-    base_m = ball_integral_1d(0, rho, lam_m).value
-    rn1 = ball_integral_1d(1, rho, lam_n).value / base_n
-    rn2 = ball_integral_1d(2, rho, lam_n).value / base_n
-    rm1 = ball_integral_1d(1, rho, lam_m).value / base_m
-    rm2 = ball_integral_1d(2, rho, lam_m).value / base_m
-
-    reduced = None
-    if v > 2:
-        reduced = spectrum.drop(max(n, m)).drop(min(n, m))
-    eta1 = _eta_reduced(1, rho, reduced)
+    alpha_n = _alphas_1d(range(3), rho, lam_n)
+    alpha_m = _alphas_1d(range(3), rho, lam_m)
+    rn1, rn2 = alpha_n[1] / alpha_n[0], alpha_n[2] / alpha_n[0]
+    rm1, rm2 = alpha_m[1] / alpha_m[0], alpha_m[2] / alpha_m[0]
+    eta1 = _reduced(1, rho, spectrum, n, m)[1][1]
 
     # Ratio expansion of the pair integral over the mass.
     route_a0 = rn1 * rm1

@@ -1,9 +1,9 @@
 """Exact integer combinatorics and scalar special functions.
 
 Integer routines return Python ints, so every combinatorial identity built
-on top of them holds exactly.  The incomplete-gamma / Kummer evaluations
-target ~1e-13 relative accuracy in float64 and never let a NaN or Inf
-escape: iteration caps and overflow raise :class:`NumericError` instead.
+on top of them holds exactly.  The incomplete gamma targets ~1e-13
+relative accuracy in float64 and never lets a NaN or Inf escape: iteration
+caps and overflow raise :class:`NumericError` instead.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "stirling_first_unsigned",
     "raising_factorial",
     "lower_incomplete_gamma",
-    "kummer_M",
 ]
 
 # Tables grow on demand.  Growth is check-then-append, so it runs under a
@@ -99,51 +98,12 @@ def raising_factorial(x, n: int):
     return out
 
 
-def _kummer_sum(a: float, b: float, x: float) -> float:
-    """Sum of the confluent hypergeometric series at (a, b, x)."""
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for n in range(_SERIES_CAP):
-        term *= (a + n) / (b + n) * x / (n + 1)
-        total += term
-        if abs(term) <= _SERIES_TOL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise NumericError(
-        f"Kummer series did not converge in {_SERIES_CAP} terms "
-        f"(a={a}, b={b}, x={x}, last term {term:.3e})"
-    )
-
-
-def kummer_M(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric M(a, b, x) for b > 0 and x >= 0."""
-    if b <= 0.0:
-        raise DomainError(f"kummer_M requires b > 0, got b = {b}")
-    if x < 0.0:
-        raise DomainError(f"kummer_M requires x >= 0, got x = {x}")
-    out = _kummer_sum(a, b, x)
-    if not math.isfinite(out):
-        raise NumericError(f"kummer_M overflow at (a={a}, b={b}, x={x})")
-    return out
-
-
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 
-    Scalar entry to :func:`_lower_incomplete_gamma_vec`: series below
-    x = s + 12, complement of a continued fraction above; both capped,
-    never silently truncated.
+    The one-lane case of :func:`_lower_incomplete_gamma_vec`, which checks
+    the domain and holds the only series.
     """
-    if s <= 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires s > 0, got s = {s}")
-    if not x >= 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x = {x}")
-    if x == 0.0:
-        return 0.0
     return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 
 
@@ -156,10 +116,11 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError(f"lower_incomplete_gamma requires s > 0, got s = {s}")
     if not np.all(x >= 0.0):
-        raise DomainError("lower_incomplete_gamma requires x >= 0")
+        raise DomainError("lower_incomplete_gamma requires x >= 0, "
+                          f"got x = {x[~(x >= 0.0)][0]}")
     out = np.zeros_like(x)
     try:
         whole = math.gamma(s)

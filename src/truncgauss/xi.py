@@ -175,13 +175,6 @@ def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
     return total
 
 
-def _decrement(tail: tuple[int, ...], *positions: int) -> tuple[int, ...]:
-    out = list(tail)
-    for pos in positions:
-        out[pos - 1] -= 1
-    return tuple(out)
-
-
 def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     """The two split weights competing in the variance-gap limit.
 
@@ -189,30 +182,35 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     r + s <= q, weighted by (r - s)^2, on the doubly decremented tail.
     ``which = 1``: single positions l, weighted by l^2, on the singly
     decremented tail.  The sign law reduces to omega0 < omega1.
+
+    Both sums close.  Let n = sum e and M = n! / prod e_k!.  Removing one
+    part at l leaves n - 1 parts, and :func:`psi` of that tail is
+    n (n - 1)! e_l / prod e_k! = M e_l, so omega1 = M sum_l l^2 e_l.
+    Removing parts at r and s leaves n - 2, and psi gives
+    (n - 1)! e_r e_s / prod e_k! = (M / n) e_r e_s, so omega0 =
+    (M / n) sum_{r>s} (r - s)^2 e_r e_s.  A position with e = 0 adds
+    nothing, and r + s <= q holds whenever e_r and e_s are both positive,
+    since r + s is part of the power count q.
     """
     if which not in (0, 1):
         raise DomainError(f"which must be 0 or 1, got {which}")
     tail = tuple(int(x) for x in tail)
     if len(tail) > q:
         raise DomainError(f"tail {tail} longer than q={q}")
+    if any(e < 0 for e in tail):
+        raise DomainError(f"tail entries must be nonnegative, got {tail}")
     tail = _pad(tail, q)
     if power_count(tail) != q:
         raise DomainError(
             f"tail {tail} has power count {power_count(tail)}, expected q={q}"
         )
-    total = 0
+    entries = list(enumerate(tail, start=1))
     if which == 1:
-        for ell in range(1, q + 1):
-            if tail[ell - 1] >= 1:
-                total += ell * ell * psi(q - ell, _decrement(tail, ell))
-    else:
-        for r in range(1, q + 1):
-            for s in range(1, r):
-                if r + s > q:
-                    continue
-                if tail[r - 1] >= 1 and tail[s - 1] >= 1:
-                    total += (r - s) ** 2 * psi(q - r - s, _decrement(tail, r, s))
-    return total
+        return _tail_multinomial(tail) * sum(ell * ell * e for ell, e in entries)
+    pairs = sum((r - s) ** 2 * e_r * e_s
+                for r, e_r in entries for s, e_s in entries[:r - 1])
+    # each pair term of M e_r e_s is a multiple of n; no pair when n < 2
+    return _tail_multinomial(tail) * pairs // max(sum(tail), 1)
 
 
 def _semifactorial_weight(tail: tuple[int, ...]) -> Fraction:

@@ -319,6 +319,8 @@ _BASES = {
     "figure": ["figure", "gamma-curves", "--quick"],
     "cp-table": ["cp-table"],
     "verify": ["verify", "xi", "--qmax", "2"],
+    **{f"verify {suite}": ["verify", suite]
+       for suite in ("structural", "inequalities", "eta", "asymptotic", "xi")},
 }
 _UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
            ("figure", "--v 2"), ("figure", "--lambda 1"),
@@ -327,7 +329,25 @@ _UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
            ("cp-table", "--seed 1"), ("cp-table", "--format json"),
            ("cp-table", "--quick"),
            ("verify", "--rho-range 1:2:2:lin"), ("verify", "--seed 1"),
-           ("verify", "--format csv"), ("verify", "--order 2")]
+           ("verify", "--format csv"), ("verify", "--order 2"),
+           ("verify eta", "--lambda 1,2"), ("verify eta", "--v 2"),
+           ("verify eta", "--rho 3"), ("verify eta", "--qmax 2"),
+           ("verify xi", "--rho 3"), ("verify xi", "--quick"),
+           ("verify xi", "--lambda 1"), ("verify structural", "--quick"),
+           ("verify structural", "--qmax 2"), ("verify inequalities", "--rho 3"),
+           ("verify inequalities", "--qmax 2"), ("verify asymptotic", "--rho 3"),
+           ("verify asymptotic", "--qmax 2")]
+
+
+# every option each verify suite reads, and `all` reads them all
+_SUITE_READ = {
+    "structural": "--lambda 1,2 --v 2 --rho 3",
+    "inequalities": "--lambda 1,2 --v 2 --quick",
+    "eta": "--quick",
+    "asymptotic": "--lambda 1,2 --v 2 --quick",
+    "xi": "--qmax 3",
+    "all": "--lambda 1,2 --v 2 --rho 3 --quick --qmax 3",
+}
 
 
 _BOTH_RADII = {
@@ -369,6 +389,12 @@ class TestSurface:
         with pytest.raises(SystemExit) as exc:
             main(_BASES[command] + option.split())
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", _SUITE_READ)
+    def test_suite_options_parse(self, suite):
+        args = _build_parser().parse_args(
+            ["verify", suite, "--out", "r.json"] + _SUITE_READ[suite].split())
+        assert args.suite == suite and args.out == "r.json"
 
     def test_readme_commands_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

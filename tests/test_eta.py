@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from truncgauss import ball
+from truncgauss import eta as eta_mod
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral
 from truncgauss.errors import CapabilityError, DomainError
 from truncgauss.eta import (
@@ -129,6 +130,10 @@ class TestEtaValues:
         ball._alpha_quad.cache_clear()
         eta_combinatorial(3, 5.0, SPEC3)
         assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5, 3.5, 3.5]
+        # at v = 1 each member is one closed form; the zero index is read once
+        gammas.clear()
+        eta_combinatorial(2, 5.0, Spectrum((1.3,)))
+        assert sorted(gammas) == [0.5, 1.5, 2.5]
 
     def test_index_sum_ratio_multiplicity_grouping(self):
         # grouped compositions equal the naive sum over ordered insertions
@@ -235,6 +240,21 @@ class TestAsymptoticReport:
         det_sqrt = math.sqrt(1.0 * 2.0 * 3.0)
         pref = 30.0 ** 1.5 / (2.0 ** 1.5 * math.gamma(1.5) * det_sqrt)
         assert env == pytest.approx(pref * math.exp(-30.0 / 6.0), rel=1e-12)
+
+    def test_one_family_read_per_radius(self, monkeypatch):
+        # the mass and eta_1..eta_4 at each radius come from one call; the
+        # older code read one family per (k, radius) and the mass apart: 28
+        calls = []
+        real = ball.ball_integrals
+
+        def counted(indices, rho, spectrum):
+            calls.append(rho)
+            return real(indices, rho, spectrum)
+
+        for module in (ball, eta_mod):  # ball_integral reads ball's name
+            monkeypatch.setattr(module, "ball_integrals", counted)
+        asymptotic_checks(3, SPEC3, 4, (20, 40, 80))
+        assert calls == [20.0, 40.0, 80.0]
 
     def test_schedule_must_increase(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truncgauss import ball
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
 from truncgauss.errors import DomainError
 from truncgauss.expansion import (
@@ -21,6 +22,12 @@ from truncgauss.moments import correlation_set
 
 
 class TestQPolynomial:
+    def test_one_definition_under_every_name(self):
+        import truncgauss
+        from truncgauss import eta
+
+        assert q_polynomial is eta.q_polynomial is truncgauss.q_polynomial
+
     def test_degree_zero(self):
         assert q_polynomial(0, 3.7, -1.2) == 1.0
 
@@ -63,6 +70,21 @@ class TestExpandAlpha:
                        * ball_integral_1d(2, rho, 1.0).value * rest
                        * eta_combinatorial(2, rho, reduced))
         assert part.terms[2] == pytest.approx(expected_t2, rel=1e-12)
+
+    def test_one_family_per_geometry(self, monkeypatch):
+        # the reduced (2, 3) spectrum is one family: 5 leaf multiplicities
+        # times 2 outer rules, plus alpha_0..alpha_4 at lambda = 1
+        gammas = []
+        real = ball._lower_incomplete_gamma_vec
+
+        def counted(s, x):
+            gammas.append(s)
+            return real(s, x)
+
+        monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
+        ball._alpha_quad.cache_clear()
+        expand_alpha("alpha", 0, 4, 30.0, Spectrum((1, 2, 3)))
+        assert sorted(gammas) == [k + 0.5 for k in range(5) for _ in range(3)]
 
     def test_higher_order_tightens(self):
         rho = 40.0
@@ -187,6 +209,12 @@ class TestCancellationCheck:
     def test_needs_distinct_dimensions(self):
         with pytest.raises(DomainError):
             gamma_nm_cancellation_check(1, 1, 5.0, Spectrum((1.0, 2.0)))
+
+    @pytest.mark.parametrize("n,m", [(-1, 0), (0, 3)])
+    def test_dimensions_in_range(self, n, m):
+        # a negative dimension would index from the end of the spectrum
+        with pytest.raises(DomainError):
+            gamma_nm_cancellation_check(n, m, 5.0, Spectrum((1.0, 2.0, 3.0)))
 
 
 class TestConvergenceEstimate:

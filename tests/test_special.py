@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainc, hyp1f1
+from scipy.special import gammainc
 
 from truncgauss import special
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
     double_factorial,
-    kummer_M,
     lower_incomplete_gamma,
     raising_factorial,
     stirling_first_unsigned,
@@ -191,6 +190,8 @@ class TestLowerIncompleteGamma:
     def test_nan_is_domain_error(self):
         with pytest.raises(DomainError):
             lower_incomplete_gamma(1.5, math.nan)
+        with pytest.raises(DomainError):  # used to return 0.0
+            lower_incomplete_gamma(math.nan, 1.0)
         with pytest.raises(DomainError):
             _lower_incomplete_gamma_vec(1.5, np.array([1.0, math.nan]))
 
@@ -217,35 +218,3 @@ class TestLowerIncompleteGamma:
         together = _lower_incomplete_gamma_vec(s, x)
         alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
         assert together.tobytes() == np.array(alone).tobytes()
-
-
-class TestKummer:
-    def test_at_zero(self):
-        assert kummer_M(2.7, 1.3, 0.0) == 1.0
-
-    def test_exponential_identity(self):
-        for x in (0.2, 1.0, 4.0, 12.0):
-            assert kummer_M(1.0, 2.0, x) == pytest.approx(
-                (math.exp(x) - 1.0) / x, rel=1e-13)
-
-    def test_below_exponential(self):
-        for a in (0.3, 1.0, 2.5, 6.0):
-            for x in (0.5, 3.0, 10.0, 20.0):
-                assert kummer_M(1.0, 1.0 + a, x) < math.exp(x)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a = float(rng.uniform(-4.0, 6.0))
-            b = float(rng.uniform(0.1, 8.0))
-            x = float(rng.uniform(0.0, 30.0))
-            assert kummer_M(a, b, x) == pytest.approx(
-                float(hyp1f1(a, b, x)), rel=5e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            kummer_M(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            kummer_M(1.0, -2.0, 1.0)
-        with pytest.raises(DomainError):
-            kummer_M(1.0, 2.0, -1.0)

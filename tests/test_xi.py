@@ -227,6 +227,15 @@ class TestOmega:
         with pytest.raises(DomainError):
             omega(1, 3, (1, 0, 1))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_negative_entry_raises(self, which):
+        # power count 3 is met, but no tail has a negative part
+        with pytest.raises(DomainError):
+            omega(which, 3, (-1, 2))
+
+    def test_empty_tail(self):
+        assert omega(0, 0, ()) == 0 and omega(1, 0, ()) == 0
+
 
 class TestGapLimit:
     def test_reference_values(self):

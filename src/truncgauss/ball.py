@@ -45,9 +45,10 @@ __all__ = [
 _NODES_LOW_DIM = (48, 32)   # v <= 4
 _NODES_HIGH_DIM = (24, 16)  # v in {5, 6}
 _QUAD_MAX_DIM = 6
-# Above this leaf-array size the outermost level is looped instead of
-# broadcast, bounding peak memory.
-_LEAF_BUDGET = 2_000_000
+# Leaf lanes per quadrature block: 128 KB of float64, so the incomplete-gamma
+# series and every member's fold run in a 2 MB L2 cache.  Of 8k, 16k, 32k
+# and 64k lanes, 16k was fastest on moments-v4.
+_LEAF_BLOCK = 1 << 14
 
 # Rows of Monte Carlo draws per block: 640 KB of float64 at v = 10, so a
 # block stays in cache while every member reads it.
@@ -251,36 +252,33 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float, n_outer: int,
                 n_inner: int) -> tuple[float, ...]:
     """Nested quadrature for v >= 2 of every multi-index in ``family``.
 
-    Slices the last dimension first.  The slice nodes and the leaf radii
-    depend only on (rho, lams, rules), so they are built once, and members
-    sharing the leaf multiplicity share one incomplete gamma.  Each member
-    is then folded on its own, with the same arithmetic as a one-member
-    family.  Above ``_LEAF_BUDGET`` leaf lanes the outermost level is
-    looped instead, with one family call per outer node.
+    Slices the last dimension first.  The outermost "head" levels, as few
+    as leave each head node at most ``_LEAF_BLOCK`` leaf lanes, are built
+    once.  The levels under them, the leaf incomplete gamma of each leaf
+    multiplicity and each member's inner fold run in blocks of whole head
+    nodes, filling a (members, heads) table that each member then folds
+    through the head levels.  Blocks depend only on the rules, so a member
+    gets the arithmetic of its one-member family.  At v <= 3 the whole leaf
+    is one block.
     """
-    v = len(lams)
     outer, inner = _gl_nodes(n_outer), _gl_nodes(n_inner)
-    looped = n_inner ** (v - 2) * n_outer > _LEAF_BUDGET
-    depth = v - 1 if looped else 1  # dimensions under the folded levels
-    levels, rho_leaf = _levels(lams[depth:], np.asarray(rho), outer, inner)
-    groups: dict[tuple, list[tuple]] = {}
-    for ks in family:
-        groups.setdefault(ks[:depth], []).append(ks)
-    values = {}
-    if looped:
-        heads = tuple(groups)
-        table = np.array([_alpha_quad(heads, lams[:-1], float(r), n_inner, n_inner)
-                          for r in rho_leaf])
-        for j, head in enumerate(heads):
-            for ks in groups[head]:
-                values[ks] = float(_fold(ks[depth:], levels, table[:, j]))
-    else:
-        for (k,), members in groups.items():
+    depth = len(lams) - 2  # inner levels under the head levels
+    while depth and n_inner ** depth > _LEAF_BLOCK:
+        depth -= 1
+    heads, rho_heads = _levels(lams[depth + 1:], np.asarray(rho), outer, inner)
+    shape, rho_heads = rho_heads.shape, rho_heads.reshape(-1)
+    table = np.empty((len(family), rho_heads.size))
+    step = _LEAF_BLOCK // n_inner ** depth  # whole head nodes per block
+    for start in range(0, rho_heads.size, step):
+        block = slice(start, start + step)
+        levels, rho_leaf = _levels(lams[1:depth + 1], rho_heads[block], inner, inner)
+        for k in dict.fromkeys(ks[0] for ks in family):  # one leaf per k_1
             leaf = _alpha_1d_array(k, rho_leaf, lams[0])
-            for ks in members:
-                values[ks] = float(_fold(ks[depth:], levels, leaf))
-            del leaf  # one group's leaf at a time
-    return tuple(values[ks] for ks in family)
+            for i, ks in enumerate(family):
+                if ks[0] == k:
+                    table[i, block] = _fold(ks[1:depth + 1], levels, leaf)
+    return tuple(float(_fold(ks[depth + 1:], heads, row.reshape(shape)))
+                 for ks, row in zip(family, table))
 
 
 def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
@@ -324,9 +322,9 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
     """Quadrature evaluation of several multi-indices for 1 <= v <= 6.
 
     At v = 1 each member is the incomplete-gamma closed form.  Above, all
-    members share one pass over the geometry, and the outermost level is
-    integrated twice (full and reduced node count); their difference prices
-    each member's ``est_abs_error``.
+    members share one pass over the geometry in cache-sized blocks, whose
+    memory is bounded at every v.  It runs with the full and the reduced
+    outer node count, and their difference prices each ``est_abs_error``.
     """
     indices = tuple(indices)
     for index in indices:

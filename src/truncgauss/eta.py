@@ -224,8 +224,8 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
     if v != spectrum.v:
         raise DomainError(f"v={v} does not match spectrum dimension {spectrum.v}")
     schedule = tuple(float(r) for r in rho_schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("rho schedule must be strictly increasing")
+    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise DomainError("rho schedule must be non-empty and strictly increasing")
     report = Report("asymptotic")
     # the mass and every eta_k at a radius come from one family read
     reads = {rho: _etas(k_max, rho, spectrum) for rho in schedule}

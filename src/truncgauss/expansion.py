@@ -138,6 +138,8 @@ def gamma_nn_expansion_coeff(rho_limit: bool, n: int, rho: float,
     dimension n; at infinite radius the ratios reach their semifactorial
     limits and the bracket equals 15 - 9 + 2 = 8.
     """
+    if not 0 <= n < spectrum.v:
+        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
     if rho_limit:
         return 8.0
     alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])

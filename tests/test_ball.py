@@ -1,7 +1,9 @@
 """Ball integrals: closed form, quadrature, Monte Carlo, structural identities."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -227,25 +229,68 @@ class TestFamily:
             assert together[index] == ball_integral_1d(
                 index.multiplicities[0], 2.5, 1.7)
 
-    def test_looped_outer_level(self, monkeypatch):
-        # a budget of 100 lanes loops the outermost level of a v = 3
-        # call; members still equal their one-member evaluations, and agree
-        # with the broadcast route to rounding
-        spec = Spectrum((1.0, 2.0, 0.3))
-        family = _index_family(3, 2)
+    @pytest.mark.parametrize("v, block", [(3, 1), (4, 100), (5, 2304)])
+    def test_block_boundaries(self, monkeypatch, v, block):
+        # at any block size members equal their one-member evaluations, and
+        # agree with the whole leaf in one block to rounding; the family has
+        # every leaf multiplicity, and powers on inner and head levels
+        spec = Spectrum((1.0, 2.0, 0.3, 1.4, 0.7)[:v])
+        family = [MultiIndex.zero(v), MultiIndex.single(v, 0),
+                  MultiIndex.single(v, 0, 2), MultiIndex.single(v, 0).bump(1),
+                  MultiIndex.single(v, 1).bump(v - 1), MultiIndex.single(v, v - 1, 2)]
+        monkeypatch.setattr(ball, "_LEAF_BLOCK", 1 << 30)
         ball._alpha_quad.cache_clear()
-        broadcast = ball_integrals(family, 3.0, spec)
-        monkeypatch.setattr(ball, "_LEAF_BUDGET", 100)
+        whole = ball_integrals(family, 3.0, spec)
+        monkeypatch.setattr(ball, "_LEAF_BLOCK", block)
         ball._alpha_quad.cache_clear()
         try:
-            looped = ball_integrals(family, 3.0, spec)
+            blocked = ball_integrals(family, 3.0, spec)
             for index in family:
                 alone = ball_integrals([index], 3.0, spec)[index]
-                assert looped[index] == alone
-                assert alone.value == pytest.approx(broadcast[index].value,
-                                                    rel=1e-13)
+                assert blocked[index] == alone
+                assert abs(alone.value - whole[index].value) <= (
+                    1e-15 * whole[index].value)
         finally:
             ball._alpha_quad.cache_clear()
+
+    def test_threads_match_serial(self):
+        # the blocked pass shares no buffer between calls, so four threads
+        # over eight geometries give the serial bytes
+        rng = np.random.default_rng(44)
+        family = _index_family(4, 2)
+        geometries = [(float(rng.uniform(0.5, 20.0)),
+                       Spectrum(tuple(float(x) for x in rng.uniform(0.3, 3.0, 4))))
+                      for _ in range(8)]
+
+        def evaluate(geometry):
+            together = ball_integrals(family, *geometry)
+            return [(together[index].value, together[index].est_abs_error)
+                    for index in family]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ball._alpha_quad.cache_clear()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(evaluate, g) for g in geometries]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(old)
+        ball._alpha_quad.cache_clear()
+        assert threaded == [evaluate(g) for g in geometries]
+
+    def test_memory_is_bounded(self):
+        # a v = 5 family holds one block of leaf lanes at a time, never its
+        # whole 24^4-lane leaf (about 27 MB of temporaries)
+        spec = Spectrum((1.0, 2.0, 0.3, 1.4, 0.7))
+        ball._alpha_quad.cache_clear()
+        tracemalloc.start()
+        try:
+            ball_integrals(_index_family(5, 2), 3.0, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_failure_raises_only_when_read(self):
         bad = MultiIndex.single(5, 4, 2)

@@ -263,3 +263,7 @@ class TestAsymptoticReport:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             asymptotic_checks(2, SPEC3, 2, (5.0, 10.0))
+
+    def test_empty_schedule(self):
+        with pytest.raises(DomainError):
+            asymptotic_checks(3, SPEC3, 2, ())

@@ -158,6 +158,12 @@ class TestGammaNNCoefficient:
     def test_limit_value(self):
         assert gamma_nn_expansion_coeff(True, 0, 1.0, SPEC2) == 8.0
 
+    @pytest.mark.parametrize("rho_limit", [False, True])
+    @pytest.mark.parametrize("n", [-1, 2])
+    def test_dimension_out_of_range(self, rho_limit, n):
+        with pytest.raises(DomainError):
+            gamma_nn_expansion_coeff(rho_limit, n, 5.0, SPEC2)
+
     def test_finite_radius_approaches_limit(self):
         vals = [gamma_nn_expansion_coeff(False, 0, rho, SPEC2)
                 for rho in (10.0, 30.0, 90.0)]

@@ -198,8 +198,9 @@ class TestCorrelationSet:
 
 def _count_passes(monkeypatch):
     """Record the index family of every ball_integrals call from moments,
-    and the s of every incomplete gamma the quadrature evaluates."""
-    families, gammas = [], []
+    the s of every incomplete gamma the quadrature evaluates, and the lanes
+    evaluated at each s."""
+    families, gammas, lanes = [], [], {}
     real_family = moments.ball_integrals
     real_gamma = ball._lower_incomplete_gamma_vec
 
@@ -209,12 +210,13 @@ def _count_passes(monkeypatch):
 
     def gamma(s, x):
         gammas.append(s)
+        lanes[s] = lanes.get(s, 0) + np.size(x)
         return real_gamma(s, x)
 
     monkeypatch.setattr(moments, "ball_integrals", family)
     monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", gamma)
     ball._alpha_quad.cache_clear()
-    return families, gammas
+    return families, gammas, lanes
 
 
 def _order_two_family(v):
@@ -223,7 +225,7 @@ def _order_two_family(v):
 
 class TestIntegralCounts:
     def test_all_gaps_share_one_family_pass(self, monkeypatch):
-        families, gammas = _count_passes(monkeypatch)
+        families, gammas, _ = _count_passes(monkeypatch)
         for n in range(3):
             variance_gap_with_error(n, 2.0, SPEC3)
         assert families == [_order_two_family(3)] * 3
@@ -237,15 +239,21 @@ class TestIntegralCounts:
     def test_moments_integrate_each_index_once(self, monkeypatch, lams):
         # conditional_moments then correlation_set: one family pass, whose
         # quadrature (v >= 2) the second reader finds in the cache
-        families, gammas = _count_passes(monkeypatch)
+        families, gammas, lanes = _count_passes(monkeypatch)
         v = len(lams)
         conditional_moments(2.0, Spectrum(lams))
         correlation_set(2.0, Spectrum(lams))
         family = _order_two_family(v)
         assert len(set(family)) == 1 + v + v * (v + 1) // 2
         assert families == [family] * 2
-        # v = 1 has no cache and integrates each index once per pass
-        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        if v < 4:
+            # one block per outer rule; v = 1 has no cache and integrates
+            # each index once per pass
+            assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        else:
+            # blocks of whole outer nodes: per order, the blocks cover the
+            # leaf of each outer rule once
+            assert lanes == {s: 48 ** 3 + 32 * 48 ** 2 for s in (0.5, 1.5, 2.5)}
         assert ball._alpha_quad.cache_info().misses == (2 if v > 1 else 0)
 
     def test_mc_estimates_each_index_once(self, monkeypatch):
@@ -267,14 +275,14 @@ class TestIntegralCounts:
     def test_second_moment_reads_two_indices(self, monkeypatch, n, leaves):
         # rho_star's fixed point evaluates only {0, e_n}: per step at most
         # the four incomplete gammas of two one-index evaluations
-        families, gammas = _count_passes(monkeypatch)
+        families, gammas, _ = _count_passes(monkeypatch)
         _second_moment(n, 2.0, SPEC3)
         expected = sorted([(0, 0, 0), MultiIndex.single(3, n).multiplicities])
         assert families == [expected]
         assert sorted(gammas) == leaves
 
     def test_rho_star_steps_cost_no_more_than_two_indices(self, monkeypatch):
-        families, gammas = _count_passes(monkeypatch)
+        families, gammas, _ = _count_passes(monkeypatch)
         rho_star(1, SPEC3)
         assert families and families == [[(0, 0, 0), (0, 1, 0)]] * len(families)
         # both indices have k_1 = 0, so one leaf per outer rule

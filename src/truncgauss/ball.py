@@ -243,11 +243,16 @@ def _fold(ks, levels, values):
     return values
 
 
-# Hits come from re-reads of a recent geometry: the gaps of one spectrum,
-# moments then correlations, finite-difference stencils.  An entry holds a
-# whole family (about 1 KB at v = 3), so the bound keeps a long sweep from
-# growing memory with every geometry it visits.
-@functools.lru_cache(maxsize=4096)
+# Hits come from re-reads of recent geometries: moments then correlations,
+# the gaps of one spectrum, finite-difference stencils.  `verify all` scores
+# 138 hits in 698 calls at 256 entries and at 4096 (128 at 64), the bench's
+# traced seed-1 gap-sweep and moments-v4 runs score 4080/6480 and 18/36 at
+# both, and `figure delta-grid` visits each of its 7200 geometries once.
+# Only `verify_structural` at v = 3 re-reads further back: 128 hits in 516
+# calls at 256 entries, 136 at 4096.  An entry holds a whole family, about
+# 0.5 KB at v = 2, so a larger bound mostly grows memory: `figure
+# delta-grid` leaves 1.9 MB in 4096 entries, 0.1 MB in 256.
+@functools.lru_cache(maxsize=256)
 def _alpha_quad(family: tuple, lams: tuple, rho: float, n_outer: int,
                 n_inner: int) -> tuple[float, ...]:
     """Nested quadrature for v >= 2 of every multi-index in ``family``.
@@ -440,8 +445,17 @@ def _fd_derivative(f, x: float, rel_step: float = 1e-5):
 
 
 def _index_family(v: int, order_cap: int) -> list[MultiIndex]:
-    """All multi-indices with total order <= min(order_cap, 2), entries <= 2."""
-    cap = min(order_cap, 2)
+    """All multi-indices with total order <= min(order_cap, 2), entries <= 2.
+
+    A new list on each call, of members shared by every call.
+    """
+    return list(_index_family_members(v, min(order_cap, 2)))
+
+
+# Members are built once per family, so the quadrature cache's keys share
+# their multiplicity tuples instead of holding copies.
+@functools.lru_cache(maxsize=32)
+def _index_family_members(v: int, cap: int) -> tuple[MultiIndex, ...]:
     out = []
 
     def rec(prefix, budget):
@@ -452,14 +466,14 @@ def _index_family(v: int, order_cap: int) -> list[MultiIndex]:
             rec(prefix + [k], budget - k)
 
     rec([], cap)
-    return out
+    return tuple(out)
 
 
 def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Report:
     """Finite-difference checks of the scaling/derivative identities plus
     the one-index hierarchy and power-dominance inequalities."""
-    if order_cap > 4:
-        raise DomainError(f"order_cap must be <= 4, got {order_cap}")
+    if not 0 <= order_cap <= 4:
+        raise DomainError(f"order_cap must be in 0..4, got {order_cap}")
     rho = _check_rho(rho)
     v = spectrum.v
     report = Report("structural")

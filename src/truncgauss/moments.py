@@ -273,6 +273,8 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
 
 def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
     """E[X_n^4] <= lambda_n (2 lambda_n + E[X_n^2]), valid at every radius."""
+    if not 0 <= n < spectrum.v:
+        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
     moments = conditional_moments(rho, spectrum)
     lam = spectrum.lambdas[n]
     return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + 1e-12)

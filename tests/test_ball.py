@@ -310,6 +310,37 @@ class TestFamily:
         with pytest.raises(CapabilityError):
             ball_integrals([MultiIndex.zero(7)], 1.0, Spectrum((1.0,) * 7))
 
+    def test_quadrature_cache_is_bounded(self):
+        # a sweep that visits each geometry once keeps only the last 256
+        # families (about 100 KB); 4096 entries kept all 2000, 860 KB.  Small
+        # radii keep the series, and so the traced sweep, short.
+        rng = np.random.default_rng(31)
+        family = _index_family(3, 2)
+        ball._alpha_quad.cache_clear()
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                spec = Spectrum(tuple(float(x) for x in rng.uniform(0.3, 3.0, 3)))
+                ball_integrals(family, float(rng.uniform(0.2, 1.0)), spec)
+            info = ball._alpha_quad.cache_info()
+            held = tracemalloc.get_traced_memory()[0]
+            ball._alpha_quad.cache_clear()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert info.currsize <= 256
+        assert held < 512 * 1024
+
+    def test_index_family_members_are_shared(self):
+        # each call gives a new list, whose members every call shares, so a
+        # caller may extend its list
+        first = _index_family(3, 2)
+        first.append(MultiIndex.single(3, 0, 3))
+        second, third = _index_family(3, 2), _index_family(3, 2)
+        assert len(second) == 1 + 3 + 6
+        assert second == third == first[:-1]
+        assert all(a is b is c for a, b, c in zip(first, second, third))
+
 
 class TestMonteCarlo:
     def test_all_kept_at_huge_radius(self):
@@ -418,5 +449,7 @@ class TestStructuralReport:
         assert report.passed
 
     def test_order_cap_limit(self):
-        with pytest.raises(DomainError):
-            verify_structural(1.0, Spectrum((1.0,)), order_cap=5)
+        # a negative cap would skip every check but the radial-derivative pair
+        for cap in (5, -1):
+            with pytest.raises(DomainError):
+                verify_structural(1.0, Spectrum((1.0,)), order_cap=cap)

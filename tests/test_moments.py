@@ -367,6 +367,12 @@ class TestLooseBound:
         for n in range(3):
             assert loose_bound_check(n, 8.0, SPEC3)
 
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_dimension_out_of_range(self, n):
+        # n = -1 would check the last dimension, n = 3 index past it
+        with pytest.raises(DomainError):
+            loose_bound_check(n, 5.0, SPEC3)
+
     def test_approaches_equality(self):
         # at large radius both sides tend to 3 lambda^2
         spec = Spectrum((1.0,))

@@ -245,13 +245,12 @@ def _fold(ks, levels, values):
 
 # Hits come from re-reads of recent geometries: moments then correlations,
 # the gaps of one spectrum, finite-difference stencils.  `verify all` scores
-# 138 hits in 698 calls at 256 entries and at 4096 (128 at 64), the bench's
-# traced seed-1 gap-sweep and moments-v4 runs score 4080/6480 and 18/36 at
-# both, and `figure delta-grid` visits each of its 7200 geometries once.
-# Only `verify_structural` at v = 3 re-reads further back: 128 hits in 516
-# calls at 256 entries, 136 at 4096.  An entry holds a whole family, about
-# 0.5 KB at v = 2, so a larger bound mostly grows memory: `figure
-# delta-grid` leaves 1.9 MB in 4096 entries, 0.1 MB in 256.
+# 72 hits in 486 calls at 64, 256 and 4096 entries, the bench's traced
+# seed-1 gap-sweep and moments-v4 runs score 4080/6480 and 18/36 at 256 and
+# 4096, and `figure delta-grid` visits each of its 7200 geometries once.
+# An entry holds a whole family, about 0.5 KB at v = 2, so a larger bound
+# mostly grows memory: `figure delta-grid` leaves 1.9 MB in 4096 entries,
+# 0.1 MB in 256.
 @functools.lru_cache(maxsize=256)
 def _alpha_quad(family: tuple, lams: tuple, rho: float, n_outer: int,
                 n_inner: int) -> tuple[float, ...]:
@@ -434,12 +433,15 @@ def ball_integral_mc(index: MultiIndex, rho: float, spectrum: Spectrum,
 # Structural identities
 # ---------------------------------------------------------------------------
 
-def _fd_derivative(f, x: float, rel_step: float = 1e-5):
-    """Central first derivative, Richardson-extrapolated once."""
-    h = rel_step * x
-
+def _fd_derivative(f, x: float, k: int, h: float):
+    """k-th derivative of f at x, elementwise if f returns an array: central
+    k-th differences at half-integer offsets, steps h and h / 2, one
+    Richardson step."""
     def central(step):
-        return (f(x + step) - f(x - step)) / (2.0 * step)
+        total = 0.0
+        for j in range(k + 1):
+            total += (-1) ** j * math.comb(k, j) * f(x + (k / 2.0 - j) * step)
+        return total / step ** k
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
@@ -471,35 +473,41 @@ def _index_family_members(v: int, cap: int) -> tuple[MultiIndex, ...]:
 
 def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Report:
     """Finite-difference checks of the scaling/derivative identities plus
-    the one-index hierarchy and power-dominance inequalities."""
+    the one-index hierarchy and power-dominance inequalities.  Each geometry
+    is one family read; the differences act on arrays of member values."""
     if not 0 <= order_cap <= 4:
         raise DomainError(f"order_cap must be in 0..4, got {order_cap}")
     rho = _check_rho(rho)
     v = spectrum.v
     report = Report("structural")
     tol = 1e-6
+    family = _index_family(v, order_cap)
+    lams = spectrum.lambdas
 
-    def value(idx: MultiIndex, at_rho=rho, lams=None) -> float:
-        spec = spectrum if lams is None else Spectrum(lams)
-        return ball_integral(idx, at_rho, spec).value
+    def read(members, at_rho=rho, r=0, lam_r=lams[0]) -> np.ndarray:
+        at_lams = lams[:r] + (lam_r,) + lams[r + 1:]  # lambda_r moved to lam_r
+        got = ball_integrals(members, at_rho, Spectrum(at_lams))
+        return np.array([got[idx].value for idx in members])
 
-    for idx in _index_family(v, order_cap):
+    def scaled_derivative(f, x):  # x f'(x), member by member, step 2e-5 x
+        return (x * _fd_derivative(f, x, 1, 2e-5 * x)).tolist()
+
+    rho_terms = scaled_derivative(lambda at: read(family, at_rho=at), rho)
+    lam_terms = [scaled_derivative(lambda at, r=r: read(family, r=r, lam_r=at), lam)
+                 for r, lam in enumerate(lams)]
+    at_base = ball_integrals(dict.fromkeys(
+        family + [idx.bump(k) for idx in family for k in range(v)]
+        + [MultiIndex.single(v, n, k) for n in range(v)
+           for k in range(order_cap + 1)]), rho, spectrum)
+
+    def value(idx: MultiIndex) -> float:
+        return at_base[idx].value
+
+    for i, idx in enumerate(family):
         name = "k=" + ",".join(map(str, idx.multiplicities))
         base = value(idx)
-
-        rho_term = rho * _fd_derivative(lambda r: value(idx, at_rho=r), rho)
-        lam_terms = []
-        for r in range(v):
-            def along(lam_r, _r=r):
-                lams = list(spectrum.lambdas)
-                lams[_r] = lam_r
-                return value(idx, lams=tuple(lams))
-
-            lam_terms.append(
-                spectrum.lambdas[r] * _fd_derivative(along, spectrum.lambdas[r])
-            )
-
-        res = abs(rho_term + sum(lam_terms)) / base
+        rho_term = rho_terms[i]
+        res = abs(rho_term + sum(terms[i] for terms in lam_terms)) / base
         report.add(f"scaling[{name}]", res < tol, tol - res,
                    detail=f"relative residual {res:.3e}")
 
@@ -511,7 +519,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
                    detail=f"relative residual {res:.3e}")
 
         for r in range(v):
-            lhs = lam_terms[r]
+            lhs = lam_terms[r][i]
             rhs = 0.5 * (value(idx.bump(r)) - (2 * idx.multiplicities[r] + 1) * base)
             res = abs(lhs - rhs) / max(base, abs(lhs), abs(rhs))
             report.add(f"variance-derivative[{name},dim{r}]", res < tol, tol - res,
@@ -520,7 +528,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
     # One-index hierarchy: each step of the moment chain, per dimension.
     for n in range(v):
         prev = value(MultiIndex.zero(v))
-        for k in range(1, min(order_cap, 4) + 1):
+        for k in range(1, order_cap + 1):
             cur = value(MultiIndex.single(v, n, k))
             margin = (2 * k - 1) * prev - cur
             report.add(f"hierarchy[dim{n},k={k}]", margin >= -1e-12 * prev, margin)
@@ -528,20 +536,19 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
 
     # Power dominance: k-index integral bounded by (rho/lambda)^(k-p) times lower.
     for n in range(v):
-        vals = [value(MultiIndex.single(v, n, k))
-                for k in range(min(order_cap, 4) + 1)]
+        vals = [value(MultiIndex.single(v, n, k)) for k in range(order_cap + 1)]
         for k in range(1, len(vals)):
             for p in range(k):
-                bound = (rho / spectrum.lambdas[n]) ** (k - p) * vals[p]
+                bound = (rho / lams[n]) ** (k - p) * vals[p]
                 margin = bound - vals[k]
                 report.add(f"power-dominance[dim{n},{k}->{p}]",
                            margin >= -1e-12 * bound, margin)
 
     # The radial derivative of any indexed integral dies off at large radius.
     rho_big = 60.0 * spectrum.lambda_max
-    for idx in (MultiIndex.zero(v), MultiIndex.single(v, 0, 1)):
-        drv = rho_big * _fd_derivative(lambda r: value(idx, at_rho=r), rho_big)
-        scale = value(idx, at_rho=rho_big)
+    far = [MultiIndex.zero(v), MultiIndex.single(v, 0, 1)]
+    drvs = scaled_derivative(lambda at: read(far, at_rho=at), rho_big)
+    for idx, drv, scale in zip(far, drvs, read(far, at_rho=rho_big).tolist()):
         res = abs(drv) / scale
         report.add(
             f"vanishing-radial-derivative[k={','.join(map(str, idx.multiplicities))}]",

@@ -430,7 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
     query("moments", cmd_moments, "conditional moments and correlations")
 
     p = query("eta", cmd_eta, "coefficient functions at one radius")
-    p.add_argument("--order", type=int, default=4, help="highest order")
+    k_max = eta_mod._K_MAX_COMBINATORIAL
+    p.add_argument("--order", type=int, default=4, choices=range(1, k_max + 1),
+                   metavar=f"{{1..{k_max}}}", help="highest order")
 
     p = command("figure", cmd_figure, "figure-reproduction data")
     p.add_argument("figure", choices=_FIGURES)

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import MultiIndex, Spectrum, ball_integral, ball_integrals
+from .ball import (MultiIndex, Spectrum, _fd_derivative, ball_integral,
+                   ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
 from .special import raising_factorial, stirling_second
@@ -147,14 +148,6 @@ def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
     return _etas(k, rho, spectrum)[1][k]
 
 
-def _central_kth(f, x: float, k: int, h: float) -> float:
-    """Central k-th difference at half-integer offsets, error O(h^2)."""
-    total = 0.0
-    for j in range(k + 1):
-        total += (-1) ** j * math.comb(k, j) * f(x + (k / 2.0 - j) * h)
-    return total / h ** k
-
-
 def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     """Finite-difference oracle for the k-th coefficient function.
 
@@ -176,10 +169,7 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     h = rho * 10.0 ** (-2.0 / k)
     if h == 0.0 or rho - (k / 2.0) * h <= 0.0:
         raise DomainError(f"step {h} leaves the domain at rho={rho}")
-    coarse = _central_kth(alpha, rho, k, h)
-    fine = _central_kth(alpha, rho, k, h / 2.0)
-    deriv = (4.0 * fine - coarse) / 3.0
-    return rho ** k * deriv / alpha(rho)
+    return rho ** k * _fd_derivative(alpha, rho, k, h) / alpha(rho)
 
 
 def q_polynomial(k: int, x: float, a: float) -> float:

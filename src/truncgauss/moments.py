@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (IntegralValue, MultiIndex, Spectrum, _index_family,
-                   ball_integral, ball_integrals, ball_integrals_mc)
+from .ball import (IntegralValue, MultiIndex, Spectrum, _check_rho,
+                   _index_family, ball_integral, ball_integrals, ball_integrals_mc)
 from .errors import DomainError, NumericError
 from .report import Report
 
@@ -240,7 +240,7 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
     v = spectrum.v
     if not 0 <= n < v:
         raise DomainError(f"dimension {n} out of range for v={v}")
-    rho = float(rho)
+    rho = _check_rho(rho)
     if x * x >= rho:
         return 0.0
     lam = spectrum.lambdas[n]
@@ -283,9 +283,8 @@ def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:
     """E[X_n^2 | ball] from the only two integrals it needs."""
     zero, single = MultiIndex.zero(spectrum.v), MultiIndex.single(spectrum.v, n)
-    alphas = ball_integrals((zero, single), rho, spectrum)
-    base, num = alphas[zero], alphas[single]
-    return spectrum.lambdas[n] * (num.value / base.value)
+    family = ball_integrals((zero, single), rho, spectrum)
+    return MomentBatch(rho, spectrum, family=family).second(n)[0]
 
 
 def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:

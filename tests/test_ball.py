@@ -453,3 +453,34 @@ class TestStructuralReport:
         for cap in (5, -1):
             with pytest.raises(DomainError):
                 verify_structural(1.0, Spectrum((1.0,)), order_cap=cap)
+
+    @pytest.mark.parametrize("lams, reads", [((1.0, 2.0), 18),
+                                             ((0.5, 1.0, 2.5), 22)])
+    def test_one_family_read_per_geometry(self, monkeypatch, lams, reads):
+        # the base point, the rho stencil, each lambda_r stencil and the far
+        # radius with its stencil: 10 + 4v geometries, each read once
+        families = []
+        real = ball.ball_integrals
+
+        def counted(indices, *args):
+            families.append(list(indices))
+            return real(indices, *args)
+
+        monkeypatch.setattr(ball, "ball_integrals", counted)
+        ball._alpha_quad.cache_clear()
+        verify_structural(5.0, Spectrum(lams), order_cap=2)
+        assert len(families) == reads
+        assert all(len(family) > 1 for family in families)
+        assert ball._alpha_quad.cache_info().hits == 0
+
+    def test_margins_are_pinned(self):
+        # family reads and the shared difference rule must move no margin
+        # by a single bit from the one-member, first-derivative evaluation
+        report = verify_structural(3.0, Spectrum((1.0, 2.0)), order_cap=2)
+        margins = {check.name: check.margin.hex() for check in report.checks}
+        assert margins["scaling[k=0,0]"] == "0x1.0c6db1decbf65p-20"
+        assert margins["radial-derivative[k=1,1]"] == "0x1.0c6f459fd6944p-20"
+        assert margins["variance-derivative[k=2,0,dim1]"] == "0x1.0c6ef281e94bcp-20"
+        assert margins["hierarchy[dim1,k=2]"] == "0x1.010425f2dde2ep-1"
+        assert margins["power-dominance[dim0,2->0]"] == "0x1.557bcb90fcd15p+2"
+        assert margins["vanishing-radial-derivative[k=1,0]"] == "0x1.5726ff785e18fp-27"

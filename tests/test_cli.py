@@ -174,6 +174,14 @@ class TestMomentsAndEta:
         assert float(lines[1].split(",")[2]) == pytest.approx(
             0.36655929027728096, rel=1e-10)
 
+    @pytest.mark.parametrize("order", ["0", "-1", "7"])
+    def test_eta_order_outside_combinatorial_range_exit_two(self, order, capsys):
+        # the combinatorial route covers k = 1..6: an empty table or the
+        # cost cap must not pass as success or as a numeric failure
+        with pytest.raises(SystemExit) as exc:
+            main(["eta", "--lambda", "1,2", "--rho", "5", "--order", order])
+        assert exc.value.code == 2
+
     def test_integral_rho_range(self, capsys):
         code, out, _ = run(
             ["integral", "--lambda", "1", "--rho-range", "0.5:8:4:lin",

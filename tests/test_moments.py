@@ -320,6 +320,12 @@ class TestMarginalDensity:
         assert marginal_density(0, 2.5, rho, SPEC3) == 0.0
         assert marginal_density(0, 2.0 - 1e-7, rho, SPEC3) < 1e-7
 
+    @pytest.mark.parametrize("rho", [-1.0, 0.0])
+    def test_nonpositive_radius_is_domain_error(self, rho):
+        # the support test must not answer 0.0 for a radius that has no ball
+        with pytest.raises(DomainError):
+            marginal_density(0, 0.5, rho, Spectrum((1.0, 2.0)))
+
     def test_even_symmetry(self):
         for x in (0.1, 0.9, 1.7):
             assert marginal_density(2, x, 5.0, SPEC3) == marginal_density(

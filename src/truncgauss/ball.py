@@ -25,7 +25,7 @@ from .errors import (
     NumericError,
 )
 from .report import Report
-from .special import _lower_incomplete_gamma_vec, double_factorial
+from .special import _compositions, _lower_incomplete_gamma_vec, double_factorial
 
 __all__ = [
     "Spectrum",
@@ -100,8 +100,9 @@ class MultiIndex:
 
     def __post_init__(self):
         ks = tuple(int(k) for k in self.multiplicities)
-        if any(k < 0 for k in ks):
-            raise DomainError(f"multiplicities must be >= 0, got {ks}")
+        if any(k < 0 for k in ks) or ks != tuple(self.multiplicities):
+            raise DomainError("multiplicities must be integers >= 0, "
+                              f"got {self.multiplicities}")
         object.__setattr__(self, "multiplicities", ks)
 
     @classmethod
@@ -458,17 +459,8 @@ def _index_family(v: int, order_cap: int) -> list[MultiIndex]:
 # their multiplicity tuples instead of holding copies.
 @functools.lru_cache(maxsize=32)
 def _index_family_members(v: int, cap: int) -> tuple[MultiIndex, ...]:
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == v:
-            out.append(MultiIndex(tuple(prefix)))
-            return
-        for k in range(min(budget, 2) + 1):
-            rec(prefix + [k], budget - k)
-
-    rec([], cap)
-    return tuple(out)
+    return tuple(MultiIndex(ks) for ks in sorted(
+        ks for total in range(cap + 1) for ks in _compositions(total, v)))
 
 
 def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Report:

@@ -20,7 +20,8 @@ from .ball import (MultiIndex, Spectrum, _fd_derivative, ball_integral,
                    ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import raising_factorial, stirling_second
+from .special import (_compositions, _multinomial, raising_factorial,
+                      stirling_second)
 
 __all__ = [
     "CoefficientTable",
@@ -84,16 +85,6 @@ def coefficient_table(v: int, k_max: int) -> CoefficientTable:
     )
 
 
-def _compositions(total: int, parts: int):
-    """All ordered splits of `total` into `parts` nonnegative summands."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _index_sum_ratios(ells, rho: float,
                       spectrum: Spectrum) -> tuple[float, dict[int, float]]:
     """The ball mass, and per ell the sum over all ell-fold index
@@ -106,8 +97,8 @@ def _index_sum_ratios(ells, rho: float,
     """
     v = spectrum.v
     # each pattern with its multinomial count of index orderings
-    terms = {ell: [(math.factorial(ell) // math.prod(map(math.factorial, combo)),
-                    MultiIndex(combo)) for combo in _compositions(ell, v)]
+    terms = {ell: [(_multinomial(combo), MultiIndex(combo))
+                   for combo in _compositions(ell, v)]
              for ell in ells}
     zero = MultiIndex.zero(v)
     alphas = ball_integrals(dict.fromkeys(  # ell = 0 repeats the zero index
@@ -216,6 +207,8 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
     schedule = tuple(float(r) for r in rho_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("rho schedule must be non-empty and strictly increasing")
+    if k_max < 1:
+        raise DomainError(f"need k_max >= 1 for any check, got {k_max}")
     report = Report("asymptotic")
     # the mass and every eta_k at a radius come from one family read
     reads = {rho: _etas(k_max, rho, spectrum) for rho in schedule}

@@ -20,6 +20,7 @@ from .errors import DomainError, NumericError
 from .eta import _etas, q_polynomial
 from .moments import MomentBatch
 from .report import Report
+from .special import _compositions, _multinomial
 
 __all__ = [
     "ExpansionPartialSum",
@@ -66,10 +67,10 @@ def _reduced(order: int, rho: float, spectrum: Spectrum,
     return _etas(order, rho, Spectrum(rest))
 
 
-def _alphas_1d(ks, rho: float, lam: float) -> dict[int, float]:
-    """alpha_k(rho; lam) for every k in ks, from one v = 1 family."""
+def _alphas_1d(ks, rho: float, lam: float) -> list[float]:
+    """alpha_k(rho; lam) for every k in ks, in order, from one v = 1 family."""
     family = ball_integrals([MultiIndex((k,)) for k in ks], rho, Spectrum((lam,)))
-    return {index.multiplicities[0]: family[index].value for index in family}
+    return [member.value for member in family.values()]
 
 
 def expand_alpha(target: str, n: int, order: int, rho: float,
@@ -80,53 +81,43 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     ``target`` selects the integral: the plain mass ("alpha"), the k-fold
     single-index integral ("alpha_nk", multiplicity via ``k``), or the
     two-index pair integral ("alpha_nm", second dimension via ``m``).
-    The returned terms list carries one contribution per order.
+    Each is a set of sliced dimensions d with base multiplicities k_d, and
+    the order-j term is (-1)^j / j! times the reduced mass and eta_j,
+    times the sum over compositions a of j of multinomial(j; a) times
+    prod_d (lambda_d / rho)^(a_d) alpha_1d(k_d + a_d).  The returned terms
+    list carries one contribution per order.
     """
     if order < 0 or order > _MAX_ORDER:
         raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
     v = spectrum.v
     if not 0 <= n < v:
         raise DomainError(f"dimension {n} out of range for v={v}")
-    lam_n = spectrum.lambdas[n]
-
-    if target in (TARGET_ALPHA, TARGET_SINGLE):
-        base_k = 0 if target == TARGET_ALPHA else int(k)
-        if base_k < 0:
-            raise DomainError(f"multiplicity must be >= 0, got {base_k}")
-        rest, etas = _reduced(order, rho, spectrum, n)
-        one_dim = _alphas_1d(range(base_k, base_k + order + 1), rho, lam_n)
-        terms = [
-            (-1.0) ** q / math.factorial(q) * (lam_n / rho) ** q
-            * one_dim[base_k + q] * rest * etas[q]
-            for q in range(order + 1)
-        ]
+    if target == TARGET_ALPHA:
+        base = {n: 0}
+    elif target == TARGET_SINGLE:
+        base = {n: k}
     elif target == TARGET_PAIR:
         if m is None or m == n or not 0 <= m < v:
             raise DomainError(
                 f"pair target needs a second dimension distinct from {n}, got {m}"
             )
-        if v < 2:
-            raise DomainError("pair target needs v >= 2")
-        lam_m = spectrum.lambdas[m]
-        rest, etas = _reduced(order, rho, spectrum, n, m)
-        alpha_n = _alphas_1d(range(1, order + 2), rho, lam_n)
-        alpha_m = _alphas_1d(range(1, order + 2), rho, lam_m)
-        terms = []
-        for j in range(order + 1):
-            inner = 0.0
-            for a in range(j + 1):
-                b = j - a
-                inner += (
-                    math.comb(j, a)
-                    * (lam_n / rho) ** a * (lam_m / rho) ** b
-                    * alpha_n[1 + a] * alpha_m[1 + b]
-                )
-            terms.append(
-                (-1.0) ** j / math.factorial(j) * inner * rest * etas[j]
-            )
+        base = {n: 1, m: 1}
     else:
         raise DomainError(f"unknown expansion target {target!r}")
 
+    lams = spectrum.lambdas
+    # per sliced dimension: lambda_d / rho and alpha_1d(k_d + a), a = 0..order
+    sliced = [(lams[d] / rho,
+               _alphas_1d([k_d + a for a in range(order + 1)], rho, lams[d]))
+              for d, k_d in base.items()]
+    rest, etas = _reduced(order, rho, spectrum, *base)
+    terms = []
+    for j in range(order + 1):
+        inner = sum(
+            _multinomial(split) * math.prod(
+                ratio ** a * alphas[a] for (ratio, alphas), a in zip(sliced, split))
+            for split in _compositions(j, len(sliced)))
+        terms.append((-1.0) ** j / math.factorial(j) * inner * rest * etas[j])
     return ExpansionPartialSum(target, order, float(sum(terms)), tuple(terms))
 
 
@@ -211,26 +202,15 @@ def _term_profile_log(p: int, phi_star: float, log_x: np.ndarray) -> np.ndarray:
     This is the p-th term envelope: the degree-(p-1) binomial-type
     polynomial over (p-1)!, carrying the x^((v-1)/2) prefactor of the
     reduced-dimension derivative bound (hence the +phi* in the exponent,
-    with phi* = (v-3)/2, r_l the l-th raising factorial of -phi*).
+    with phi* = (v-3)/2, r_l the l-th raising factorial of -phi*).  A zero
+    factor of r_l gives it, and every later coefficient, sign 0 and log -inf.
     """
-    signs = np.empty(p)
-    logabs = np.empty(p)
-    sign, mag = 1.0, 0.0
-    alive = True
-    for ell in range(p):
-        if alive and ell > 0:
-            factor = -phi_star + (ell - 1)
-            if factor == 0.0:
-                alive = False
-            else:
-                sign *= math.copysign(1.0, factor)
-                mag += math.log(abs(factor))
-        if alive:
-            signs[ell] = sign
-            logabs[ell] = mag - math.lgamma(ell + 1) - math.lgamma(p - ell)
-        else:
-            signs[ell] = 0.0
-            logabs[ell] = -np.inf
+    factors = np.arange(p - 1) - phi_star  # r_l = prod of the first l
+    with np.errstate(divide="ignore"):
+        logabs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(factors)))))
+    signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))
+    logabs = (logabs - [math.lgamma(ell + 1) for ell in range(p)]
+              - [math.lgamma(p - ell) for ell in range(p)])
     powers = p - np.arange(p) + phi_star
     log_terms = logabs[None, :] + np.outer(log_x, powers)
     peak = np.max(log_terms, axis=1)
@@ -243,7 +223,12 @@ def _term_profile_log(p: int, phi_star: float, log_x: np.ndarray) -> np.ndarray:
 
 
 def _c_value(v: int, p: int) -> float:
-    """Max over positive x of the p-th term profile, divided by p."""
+    """Max over positive x of the p-th term profile, divided by p.
+
+    A 400-point log grid over [1e-3, 1e3] picks the lobe; the two cells
+    around the best node are then re-gridded with 400 points until the
+    bracket is narrower than 1e-10 relative.
+    """
     phi_star = (v - 3) / 2.0
     grid = np.linspace(math.log(1e-3), math.log(1e3), 400)
     profile = _term_profile_log(p, phi_star, grid)
@@ -252,39 +237,13 @@ def _c_value(v: int, p: int) -> float:
         raise NumericError(
             f"maximizer bracket failure for the term profile at v={v}, p={p}"
         )
-    lo, hi = grid[i - 1], grid[i + 1]
-
-    def f(log_x: float) -> float:
-        return float(_term_profile_log(p, phi_star, np.array([log_x]))[0])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
+    a, b = grid[i - 1], grid[i + 1]
     while abs(b - a) > 1e-10 * max(abs(a), abs(b), 1.0):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-    # One parabolic polish through the final bracket.
-    xs = np.array([a, (a + b) / 2.0, b])
-    ys = np.array([f(xs[0]), f(xs[1]), f(xs[2])])
-    denom = (xs[0] - xs[1]) * (xs[0] - xs[2]) * (xs[1] - xs[2])
-    if denom != 0.0:
-        aa = (xs[2] * (ys[1] - ys[0]) + xs[1] * (ys[0] - ys[2])
-              + xs[0] * (ys[2] - ys[1])) / denom
-        bb = (xs[2] ** 2 * (ys[0] - ys[1]) + xs[1] ** 2 * (ys[2] - ys[0])
-              + xs[0] ** 2 * (ys[1] - ys[2])) / denom
-        if aa < 0.0:
-            vertex = -bb / (2.0 * aa)
-            if xs[0] <= vertex <= xs[2]:
-                ys = np.append(ys, f(vertex))
-    return math.exp(float(np.max(ys))) / p
+        grid = np.linspace(a, b, 400)
+        profile = _term_profile_log(p, phi_star, grid)
+        i = min(max(int(np.argmax(profile)), 1), len(grid) - 2)
+        a, b = grid[i - 1], grid[i + 1]
+    return math.exp(float(np.max(profile))) / p
 
 
 def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
@@ -293,7 +252,7 @@ def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
     A decaying fit (positive exponent) signals a convergent expansion for
     that dimension; the estimate turns increasing at v = 6.
     """
-    if not 2 <= v <= 6:
+    if not 2 <= v <= 6 or v != int(v):
         raise DomainError(f"estimate defined for 2 <= v <= 6, got {v}")
     if not 1 <= p_min < p_max <= 200:
         raise DomainError(f"need 1 <= p_min < p_max <= 200, got [{p_min}, {p_max}]")

@@ -98,6 +98,21 @@ def raising_factorial(x, n: int):
     return out
 
 
+def _compositions(total: int, parts: int):
+    """All ordered splits of `total` into `parts` nonnegative summands."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _multinomial(parts) -> int:
+    """(sum parts)! / prod part!, the ordering count of the parts."""
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 

@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 
 from .errors import DomainError
 from .report import Report
-from .special import double_factorial
+from .special import _multinomial, double_factorial
 
 __all__ = [
     "power_count",
@@ -66,15 +66,6 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
     rec(1, m, ())
     return tuple(out)
-
-
-def _tail_multinomial(tail: tuple[int, ...]) -> int:
-    """(sum e)! / prod e_k!, the ordering count of the tail's parts."""
-    total = sum(tail)
-    out = math.factorial(total)
-    for e in tail:
-        out //= math.factorial(e)
-    return out
 
 
 def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
@@ -149,7 +140,7 @@ def psi(p: int, tail: tuple[int, ...]) -> int:
         raise DomainError(f"tail entries must be nonnegative, got {tail}")
     if power_count(tail) != p:
         return 0
-    return (sum(tail) + 1) * _tail_multinomial(tail)
+    return (sum(tail) + 1) * _multinomial(tail)
 
 
 def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
@@ -158,6 +149,8 @@ def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
     tail = tuple(int(x) for x in tail)
     if p < 0:
         raise DomainError(f"need p >= 0, got {p}")
+    if any(e < 0 for e in tail):
+        raise DomainError(f"tail entries must be nonnegative, got {tail}")
     if power_count(tail) != p:
         return 0
     total = 0
@@ -166,7 +159,7 @@ def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
         nonlocal total
         if i == len(tail):
             rest = tuple(e - c for e, c in zip(tail, sub))
-            total += _tail_multinomial(sub) * _tail_multinomial(rest)
+            total += _multinomial(sub) * _multinomial(rest)
             return
         for c in range(tail[i] + 1):
             rec(i + 1, sub + (c,))
@@ -206,11 +199,11 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
         )
     entries = list(enumerate(tail, start=1))
     if which == 1:
-        return _tail_multinomial(tail) * sum(ell * ell * e for ell, e in entries)
+        return _multinomial(tail) * sum(ell * ell * e for ell, e in entries)
     pairs = sum((r - s) ** 2 * e_r * e_s
                 for r, e_r in entries for s, e_s in entries[:r - 1])
     # each pair term of M e_r e_s is a multiple of n; no pair when n < 2
-    return _tail_multinomial(tail) * pairs // max(sum(tail), 1)
+    return _multinomial(tail) * pairs // max(sum(tail), 1)
 
 
 def _semifactorial_weight(tail: tuple[int, ...]) -> Fraction:
@@ -331,7 +324,7 @@ def _inverse_mass_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
     tail = e_full[1:]
     if e_full[0] != 0 or power_count(tail) != order:
         return Fraction(0)
-    return (-1) ** sum(tail) * _tail_multinomial(tail) \
+    return (-1) ** sum(tail) * _multinomial(tail) \
         * _semifactorial_weight(tail)
 
 
@@ -392,6 +385,8 @@ def inverse_mass_identity_check(q_max: int = 4) -> Report:
     weights.  Their product must be 1 at order zero and vanish at every
     higher order, in exact arithmetic.
     """
+    if not 0 <= q_max <= _Q_MAX:
+        raise DomainError(f"need 0 <= q_max <= {_Q_MAX}, got {q_max}")
     report = Report("inverse-mass-identity")
     for q in range(0, q_max + 1):
         alpha_map = _coefficient_map(q, partial(xi_alpha_limit, k=0))

@@ -1,5 +1,6 @@
 """Ball integrals: closed form, quadrature, Monte Carlo, structural identities."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -54,6 +55,12 @@ class TestTypes:
         assert idx.factorized_bound() == 1 * 1 * 3
         with pytest.raises(DomainError):
             MultiIndex((-1,))
+
+    def test_non_integral_multiplicity_raises(self):
+        # truncating would integrate a different index
+        with pytest.raises(DomainError):
+            MultiIndex((1.5, 0))
+        assert MultiIndex((2.0, 0)).multiplicities == (2, 0)
 
     def test_pair_mismatch(self):
         with pytest.raises(DomainError):
@@ -340,6 +347,14 @@ class TestFamily:
         assert len(second) == 1 + 3 + 6
         assert second == third == first[:-1]
         assert all(a is b is c for a, b, c in zip(first, second, third))
+
+    def test_index_family_members_in_lexicographic_order(self):
+        for v in range(1, 8):
+            for cap in range(3):
+                want = [ks for ks in itertools.product(range(3), repeat=v)
+                        if sum(ks) <= cap]
+                got = [idx.multiplicities for idx in _index_family(v, cap)]
+                assert got == want, (v, cap)
 
 
 class TestMonteCarlo:

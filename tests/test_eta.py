@@ -267,3 +267,9 @@ class TestAsymptoticReport:
     def test_empty_schedule(self):
         with pytest.raises(DomainError):
             asymptotic_checks(3, SPEC3, 2, ())
+
+    def test_needs_an_order(self):
+        # k_max = 0 would pass with no checks at all
+        spec = Spectrum((1.0, 2.0))
+        with pytest.raises(DomainError):
+            asymptotic_checks(2, spec, 0, (20.0, 40.0))

@@ -11,6 +11,8 @@ from truncgauss import ball
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
 from truncgauss.errors import DomainError
 from truncgauss.expansion import (
+    _c_value,
+    _term_profile_log,
     convergence_estimate,
     expand_alpha,
     gamma_nm_cancellation_check,
@@ -145,6 +147,24 @@ class TestExpandAlpha:
                     * ball_integral_1d(1, rho, 2.0).value)
         assert part.value == pytest.approx(expected, rel=1e-13)
 
+    def test_pair_term_prefactor_structure(self):
+        # order 2 of the pair target: the binomial sum over the two slices
+        rho = 9.0
+        spec = Spectrum((1.0, 2.0, 3.0))
+        part = expand_alpha("alpha_nm", 0, 2, rho, spec, m=1)
+        a_n = [ball_integral_1d(k, rho, 1.0).value for k in range(4)]
+        a_m = [ball_integral_1d(k, rho, 2.0).value for k in range(4)]
+        x, y = 1.0 / rho, 2.0 / rho
+        inner = (y * y * a_n[1] * a_m[3] + 2.0 * x * y * a_n[2] * a_m[2]
+                 + x * x * a_n[3] * a_m[1])
+        expected_t2 = (0.5 * inner * ball_integral_1d(0, rho, 3.0).value
+                       * eta_combinatorial(2, rho, Spectrum((3.0,))))
+        assert part.terms[2] == pytest.approx(expected_t2, rel=1e-12)
+
+    def test_non_integral_multiplicity_raises(self):
+        with pytest.raises(DomainError):
+            expand_alpha("alpha_nk", 0, 1, 7.0, SPEC2, k=1.5)
+
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             expand_alpha("alpha", 0, 5, 1.0, SPEC2)
@@ -248,6 +268,41 @@ class TestConvergenceEstimate:
     def test_positive_values(self):
         est = convergence_estimate(4, 50, 60)
         assert all(c > 0 for c in est.c_values)
+
+    def test_non_integral_dimension_raises(self):
+        with pytest.raises(DomainError):
+            convergence_estimate(2.5, 50, 60)
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+    def test_maximizer_matches_bounded_brent(self, v):
+        # scipy's bounded Brent search on the lobe the first grid picks
+        from scipy.optimize import minimize_scalar
+
+        phi_star = (v - 3) / 2.0
+        grid = np.linspace(math.log(1e-3), math.log(1e3), 400)
+        for p in (50, 75, 100, 200):
+            i = int(np.argmax(_term_profile_log(p, phi_star, grid)))
+            best = minimize_scalar(
+                lambda t: -_term_profile_log(p, phi_star, np.array([t]))[0],
+                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+                options={"xatol": 1e-12})
+            assert _c_value(v, p) == pytest.approx(
+                math.exp(-best.fun) / p, rel=1e-10)
+
+    def test_profile_is_pinned(self):
+        # (v, p, grid node) -> profile value, as float.hex
+        grid = np.linspace(math.log(1e-3), math.log(1e3), 400)
+        pinned = {
+            (2, 50, 331): "-0x1.b877eef34efc8p+3",
+            (3, 1, 100): "-0x1.bd123c510f1afp+1",
+            (5, 3, 250): "0x1.040468bdb7080p-3",
+            (5, 40, 320): "-0x1.5a40f83553ae0p+0",
+            (6, 200, 380): "-0x1.d509cbb76f6d8p+6",
+            (4, 100, 10): "-0x1.1ff22a36c5289p+4",
+        }
+        for (v, p, i), want in pinned.items():
+            got = _term_profile_log(p, (v - 3) / 2.0, grid)[i]
+            assert float(got).hex() == want, (v, p, i)
 
 
 class TestOneIndexUpperBound:

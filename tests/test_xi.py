@@ -196,6 +196,12 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi(0, (-1,))
 
+    def test_grouped_negative_entry_raises(self):
+        # the grouped route rejects what psi rejects
+        for p, tail in ((1, (-1, 1)), (1, (3, -1)), (0, (-1,))):
+            with pytest.raises(DomainError):
+                psi_grouped(p, tail)
+
     def test_hand_value(self):
         # (2, 0): splits (0|2), (1|1), (2|0) each with unit weights -> 3
         assert psi(2, (2, 0)) == 3
@@ -302,3 +308,9 @@ class TestScans:
     def test_inverse_mass_identity(self):
         report = inverse_mass_identity_check(4)
         assert report.all_ok
+
+    @pytest.mark.parametrize("q_max", [-3, -1, 13])
+    def test_inverse_mass_identity_order_range(self, q_max):
+        # a negative order would pass with no checks at all
+        with pytest.raises(DomainError):
+            inverse_mass_identity_check(q_max)

@@ -25,7 +25,8 @@ from .errors import (
     NumericError,
 )
 from .report import Report
-from .special import _compositions, _lower_incomplete_gamma_vec, double_factorial
+from .special import (_compositions, _integer, _integers,
+                      _lower_incomplete_gamma_vec, double_factorial)
 
 __all__ = [
     "Spectrum",
@@ -56,7 +57,9 @@ _MC_BLOCK = 1 << 13
 _MC_MIN_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
+# The two input types are slotted: a sweep's caller keeps one Spectrum per
+# geometry, and slots cut an instance from 89 to 48 bytes.
+@dataclass(frozen=True, slots=True)
 class Spectrum:
     """Variance vector (the diagonal of the covariance), all entries > 0."""
 
@@ -92,15 +95,15 @@ class Spectrum:
         return Spectrum(self.lambdas[:n] + self.lambdas[n + 1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Per-dimension multiplicities (k_1, ..., k_v) of the even monomial."""
 
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.multiplicities)
-        if any(k < 0 for k in ks) or ks != tuple(self.multiplicities):
+        ks = _integers(self.multiplicities, "multiplicities")
+        if any(k < 0 for k in ks):
             raise DomainError("multiplicities must be integers >= 0, "
                               f"got {self.multiplicities}")
         object.__setattr__(self, "multiplicities", ks)
@@ -244,46 +247,66 @@ def _fold(ks, levels, values):
     return values
 
 
-# Hits come from re-reads of recent geometries: moments then correlations,
-# the gaps of one spectrum, finite-difference stencils.  `verify all` scores
-# 72 hits in 486 calls at 64, 256 and 4096 entries, the bench's traced
-# seed-1 gap-sweep and moments-v4 runs score 4080/6480 and 18/36 at 256 and
-# 4096, and `figure delta-grid` visits each of its 7200 geometries once.
-# An entry holds a whole family, about 0.5 KB at v = 2, so a larger bound
-# mostly grows memory: `figure delta-grid` leaves 1.9 MB in 4096 entries,
-# 0.1 MB in 256.
+# One entry per geometry.  Hits come from re-reads of recent geometries:
+# moments then correlations, the gaps of one spectrum, finite-difference
+# stencils.  `verify all` scores 36 hits in 243 calls at 64, 256 and 4096
+# entries, the bench's traced seed-1 gap-sweep and moments-v4 runs score
+# 2040/3240 and 9/18 at 256 and 4096, and `figure delta-grid` visits each
+# of its 3600 geometries once.  An entry holds a whole family's values and
+# errors, about 0.5 KB at v = 2, so a larger bound mostly grows memory:
+# `figure delta-grid` leaves 1.9 MB in 4096 entries, 0.13 MB in 256.
 @functools.lru_cache(maxsize=256)
-def _alpha_quad(family: tuple, lams: tuple, rho: float, n_outer: int,
-                n_inner: int) -> tuple[float, ...]:
+def _alpha_quad(family: tuple, lams: tuple, rho: float, n_nodes: int,
+                n_check: int) -> np.ndarray:
     """Nested quadrature for v >= 2 of every multi-index in ``family``.
 
-    Slices the last dimension first.  The outermost "head" levels, as few
-    as leave each head node at most ``_LEAF_BLOCK`` leaf lanes, are built
-    once.  The levels under them, the leaf incomplete gamma of each leaf
-    multiplicity and each member's inner fold run in blocks of whole head
-    nodes, filling a (members, heads) table that each member then folds
-    through the head levels.  Blocks depend only on the rules, so a member
-    gets the arithmetic of its one-member family.  At v <= 3 the whole leaf
-    is one block.
+    Slices the last dimension first, every level with ``n_nodes`` nodes.
+    The outermost level carries the ``n_check`` nodes of the reduced rule
+    beside them, so one sweep serves both rules, and only the outermost
+    fold splits them into each member's value and the check that prices
+    its ``est_abs_error``.  The outermost "head" levels, as few as leave
+    each head node at most ``_LEAF_BLOCK`` leaf lanes, are built once.  The
+    levels under them, the leaf incomplete gamma of each leaf multiplicity
+    and each member's inner fold run in blocks of whole head nodes, filling
+    a (members, heads) table that each member then folds through the head
+    levels.  Blocks depend only on the rules and restart at the reduced
+    rule's first head, so a member gets the arithmetic of its one-member
+    family under each rule alone.  At v <= 3 the whole leaf is one block.
+    Returns a (2, members) array: the values, then their errors.
     """
-    outer, inner = _gl_nodes(n_outer), _gl_nodes(n_inner)
+    inner = _gl_nodes(n_nodes)
+    outer = [np.concatenate(parts)  # the value's nodes, then the check's
+             for parts in zip(inner, _gl_nodes(n_check))]
     depth = len(lams) - 2  # inner levels under the head levels
-    while depth and n_inner ** depth > _LEAF_BLOCK:
+    while depth and n_nodes ** depth > _LEAF_BLOCK:
         depth -= 1
     heads, rho_heads = _levels(lams[depth + 1:], np.asarray(rho), outer, inner)
     shape, rho_heads = rho_heads.shape, rho_heads.reshape(-1)
-    table = np.empty((len(family), rho_heads.size))
-    step = _LEAF_BLOCK // n_inner ** depth  # whole head nodes per block
-    for start in range(0, rho_heads.size, step):
-        block = slice(start, start + step)
-        levels, rho_leaf = _levels(lams[1:depth + 1], rho_heads[block], inner, inner)
-        for k in dict.fromkeys(ks[0] for ks in family):  # one leaf per k_1
-            leaf = _alpha_1d_array(k, rho_leaf, lams[0])
-            for i, ks in enumerate(family):
-                if ks[0] == k:
-                    table[i, block] = _fold(ks[1:depth + 1], levels, leaf)
-    return tuple(float(_fold(ks[depth + 1:], heads, row.reshape(shape)))
-                 for ks, row in zip(family, table))
+    size = rho_heads.size
+    table = np.empty((len(family), size))
+    step = _LEAF_BLOCK // n_nodes ** depth  # whole head nodes per block
+    edges = (0, size) if size <= step else (0, size // shape[0] * n_nodes, size)
+    for first, stop in zip(edges, edges[1:]):
+        for start in range(first, stop, step):
+            block = slice(start, min(start + step, stop))
+            levels, rho_leaf = _levels(lams[1:depth + 1], rho_heads[block],
+                                       inner, inner)
+            for k in dict.fromkeys(ks[0] for ks in family):  # one leaf per k_1
+                leaf = _alpha_1d_array(k, rho_leaf, lams[0])
+                for i, ks in enumerate(family):
+                    if ks[0] == k:
+                        table[i, block] = _fold(ks[1:depth + 1], levels, leaf)
+    half, scaled_sq, density, weights = heads[0]
+    rules = [(part, [(half, scaled_sq[part], density[part], weights[part])])
+             for part in (slice(None, n_nodes), slice(n_nodes, None))]
+    out = np.empty((2, len(family)))
+    for i, (ks, row) in enumerate(zip(family, table)):
+        under = _fold(ks[depth + 1:-1], heads[1:], row.reshape(shape))
+        value, check = (float(_fold(ks[-1:], top, under[part]))
+                        for part, top in rules)
+        out[:, i] = value, abs(value - check) + 1e-15 * abs(value)
+    out.flags.writeable = False  # shared by every reader of the cache entry
+    return out
 
 
 def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
@@ -328,8 +351,9 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
 
     At v = 1 each member is the incomplete-gamma closed form.  Above, all
     members share one pass over the geometry in cache-sized blocks, whose
-    memory is bounded at every v.  It runs with the full and the reduced
-    outer node count, and their difference prices each ``est_abs_error``.
+    memory is bounded at every v.  The reduced outer node count rides in
+    the same pass, and its difference from the full count prices each
+    ``est_abs_error``.
     """
     indices = tuple(indices)
     for index in indices:
@@ -349,12 +373,9 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
             "use ball_integral_mc for higher dimensions"
         )
     else:
-        n_hi, n_lo = _NODES_LOW_DIM if v <= 4 else _NODES_HIGH_DIM
         family = tuple(index.multiplicities for index in indices)
-        values = _alpha_quad(family, lams, rho, n_hi, n_hi)
-        checks = _alpha_quad(family, lams, rho, n_lo, n_hi)
-        ests = [abs(value - check) + 1e-15 * abs(value)
-                for value, check in zip(values, checks)]
+        values, ests = _alpha_quad(family, lams, rho, *(
+            _NODES_LOW_DIM if v <= 4 else _NODES_HIGH_DIM)).tolist()
     return BallIntegrals(dict(zip(indices, zip(values, ests))))
 
 
@@ -384,10 +405,10 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     for index in indices:
         _check_pair(index, spectrum)
     rho = _check_rho(rho)
-    n_total = int(n_total)
+    n_total = _integer(n_total, "n_total")
     if n_total < _MC_MIN_SAMPLES:
         raise DomainError(f"need n_total >= {_MC_MIN_SAMPLES}, got {n_total}")
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = _integer(seed, "seed") & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(np.random.Philox(key=seed))
     lams = np.asarray(spectrum.lambdas)
     # the (dimension, multiplicity) factors of each member's weight

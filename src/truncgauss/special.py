@@ -40,8 +40,25 @@ _CF_TOL = 1e-15
 _SERIES_CUTOFF_OFFSET = 12.0
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int: an integral value passes, any other is a
+    :class:`DomainError`, never a silent truncation."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, got {x!r}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """Every entry through :func:`_integer`."""
+    return tuple(_integer(x, what) for x in values)
+
+
 def double_factorial(n: int) -> int:
     """n!! with the empty-product conventions (-1)!! = 0!! = 1."""
+    n = _integer(n, "double factorial argument")
     if n < -1:
         raise DomainError(f"double factorial undefined for n = {n} < -1")
     out = 1

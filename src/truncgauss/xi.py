@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 
 from .errors import DomainError
 from .report import Report
-from .special import _multinomial, double_factorial
+from .special import _integer, _integers, _multinomial, double_factorial
 
 __all__ = [
     "power_count",
@@ -51,6 +51,7 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     Entries above index m are forced to zero by the power count, so the
     result is independent of q beyond padding.
     """
+    q, m = _integer(q, "q"), _integer(m, "m")
     if q < 0 or m < 0 or q > _Q_MAX or m > _Q_MAX:
         raise DomainError(f"need 0 <= q, m <= {_Q_MAX}, got q={q}, m={m}")
     out: list[tuple[int, ...]] = []
@@ -111,9 +112,10 @@ def xi_alpha_limit(q: int, e, k: int) -> Fraction:
     summed over the zeroth exponent, hence depends only on the tail of the
     full vector e = (e_0, ..., e_q).
     """
+    q, k = _integer(q, "q"), _integer(k, "k")
     if q < 0 or k < 0:
         raise DomainError(f"need q >= 0 and k >= 0, got q={q}, k={k}")
-    entries = tuple(int(x) for x in e)
+    entries = _integers(e, "exponents")
     if len(entries) != q + 1:
         raise DomainError(
             f"exponent vector must have length q+1={q + 1}, got {entries}")
@@ -133,7 +135,7 @@ def psi(p: int, tail: tuple[int, ...]) -> int:
     sum_j C(n, j) j! (n - j)! / prod e_k! = (n + 1) n! / prod e_k!.
     ``psi_grouped`` enumerates the splits instead.
     """
-    tail = tuple(int(x) for x in tail)
+    p, tail = _integer(p, "p"), _integers(tail, "tail entries")
     if p < 0:
         raise DomainError(f"need p >= 0, got {p}")
     if any(e < 0 for e in tail):
@@ -146,7 +148,7 @@ def psi(p: int, tail: tuple[int, ...]) -> int:
 def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
     """Alternative route to the split weight: group by the first part's
     power count and walk componentwise sub-tails directly."""
-    tail = tuple(int(x) for x in tail)
+    p, tail = _integer(p, "p"), _integers(tail, "tail entries")
     if p < 0:
         raise DomainError(f"need p >= 0, got {p}")
     if any(e < 0 for e in tail):
@@ -187,7 +189,7 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     """
     if which not in (0, 1):
         raise DomainError(f"which must be 0 or 1, got {which}")
-    tail = tuple(int(x) for x in tail)
+    q, tail = _integer(q, "q"), _integers(tail, "tail entries")
     if len(tail) > q:
         raise DomainError(f"tail {tail} longer than q={q}")
     if any(e < 0 for e in tail):
@@ -219,7 +221,7 @@ def _semifactorial_weight(tail: tuple[int, ...]) -> Fraction:
 def gap_limit_coefficient(q: int, tail: tuple[int, ...]) -> Fraction:
     """Radius limit of the variance-gap coefficient at order q, summed over
     the zeroth exponent; exact rational."""
-    tail = tuple(int(x) for x in tail)
+    tail = _integers(tail, "tail entries")
     if power_count(tail) != q:
         raise DomainError(
             f"tail {tail} has power count {power_count(tail)}, expected {q}"
@@ -237,6 +239,7 @@ def omega_inequality_scan(q_max: int) -> Report:
     tail has at least two parts), omega0 < omega1, and the resulting sign
     of each gap coefficient.
     """
+    q_max = _integer(q_max, "q_max")
     if not 1 <= q_max <= 8:
         raise DomainError(f"need 1 <= q_max <= 8, got {q_max}")
     report = Report("omega-scan")
@@ -349,6 +352,7 @@ def gap_convolution_check(q_max: int) -> Report:
     coefficient maps explicitly over order and exponent splits, then sums
     the zeroth exponent.  Both are exact, so the comparison is equality.
     """
+    q_max = _integer(q_max, "q_max")
     if not 1 <= q_max <= 6:
         raise DomainError(f"need 1 <= q_max <= 6, got {q_max}")
     report = Report("gap-convolution")
@@ -385,6 +389,7 @@ def inverse_mass_identity_check(q_max: int = 4) -> Report:
     weights.  Their product must be 1 at order zero and vanish at every
     higher order, in exact arithmetic.
     """
+    q_max = _integer(q_max, "q_max")
     if not 0 <= q_max <= _Q_MAX:
         raise DomainError(f"need 0 <= q_max <= {_Q_MAX}, got {q_max}")
     report = Report("inverse-mass-identity")

@@ -30,6 +30,104 @@ from truncgauss.errors import (
 )
 
 
+# The order-2 family's (value, est_abs_error) as float.hex at one geometry
+# per v, as (rho, lambdas, members), computed with one quadrature sweep per
+# outer rule.  The shared sweep of both rules must move neither number by a
+# bit; at v = 4 the leaf spans several blocks of head nodes.
+PINNED_ORDER_TWO = {
+    2: (3.0, (1.0, 2.0), [
+        ((0, 0), '0x1.48d2aa2cba50ep-1', '0x1.191c601a08f12p-50'),
+        ((0, 1), '0x1.c27e1df5fa440p-3', '0x1.0f66b542f9c75p-50'),
+        ((0, 2), '0x1.4369c21677406p-3', '0x1.7b085f0397690p-51'),
+        ((1, 0), '0x1.67d02b22f4992p-2', '0x1.ca8e8a7cddc7ep-51'),
+        ((1, 1), '0x1.6ab7cb4c16b4bp-4', '0x1.c618951e12ad2p-52'),
+        ((2, 0), '0x1.c7133e154c9aap-2', '0x1.70179f1f68bc2p-50'),
+    ]),
+    3: (5.0, (0.5, 1.0, 2.5), [
+        ((0, 0, 0), '0x1.7474c928f437bp-1', '0x1.51ac983216847p-50'),
+        ((0, 0, 1), '0x1.33778dc7e6003p-2', '0x1.668b55312c448p-50'),
+        ((0, 0, 2), '0x1.0fdf9a92563bep-2', '0x1.4c868bfed8836p-50'),
+        ((0, 1, 0), '0x1.0380f6a4ee117p-1', '0x1.52166f05cafd0p-50'),
+        ((0, 1, 1), '0x1.4ce146e283d0cp-3', '0x1.7db287f184e82p-51'),
+        ((0, 2, 0), '0x1.c2ef5c76077e9p-1', '0x1.8eed4a9fa5597p-49'),
+        ((1, 0, 0), '0x1.4067e6d3fcf5dp-1', '0x1.745f5a0425d10p-50'),
+        ((1, 0, 1), '0x1.c042fb9fc20d5p-3', '0x1.171653fc6de1dp-50'),
+        ((1, 1, 0), '0x1.8d340cebbe5e7p-2', '0x1.1fcd8407702a2p-50'),
+        ((2, 0, 0), '0x1.816df2ba3c416p+0', '0x1.f8fa3e22bc01fp-49'),
+    ]),
+    4: (7.0, (0.3, 1.1, 2.2, 0.9), [
+        ((0, 0, 0, 0), '0x1.9fa9f515378c7p-1', '0x1.f4ffbd8238d1cp-49'),
+        ((0, 0, 0, 1), '0x1.52179c3520a2dp-1', '0x1.8f2a1cca432a4p-49'),
+        ((0, 0, 0, 2), '0x1.6f1eefc6c86a2p+0', '0x1.a755d84b40b43p-48'),
+        ((0, 0, 1, 0), '0x1.cca572609b4f9p-2', '0x1.38d487fc533c8p-49'),
+        ((0, 0, 1, 1), '0x1.376d731ed9a04p-2', '0x1.67a8b8169555cp-50'),
+        ((0, 0, 2, 0), '0x1.2173d93f2d75ap-1', '0x1.b17940cf660bcp-49'),
+        ((0, 1, 0, 0), '0x1.3dbe3792ce0efp-1', '0x1.996fcc74eeea7p-49'),
+        ((0, 1, 0, 1), '0x1.c457e570b4d9dp-2', '0x1.ff52c5e9e7921p-50'),
+        ((0, 1, 1, 0), '0x1.1dce759b9a7ffp-2', '0x1.b07287076f1cbp-50'),
+        ((0, 2, 0, 0), '0x1.38f1d694ec168p+0', '0x1.a8160a6e38583p-48'),
+        ((1, 0, 0, 0), '0x1.8c1839317cd88p-1', '0x1.bf7da022495b8p-49'),
+        ((1, 0, 0, 1), '0x1.35174db6f28a2p-1', '0x1.67005b1e40123p-49'),
+        ((1, 0, 1, 0), '0x1.984c2188a75c0p-2', '0x1.097676b2f67b1p-49'),
+        ((1, 1, 0, 0), '0x1.205c76f74c845p-1', '0x1.812a9d13ed005p-49'),
+        ((2, 0, 0, 0), '0x1.17966dbd2acfap+1', '0x1.3eb2691fdaf3ap-47'),
+    ]),
+    5: (4.0, (1.0, 1.5, 2.0, 2.5, 3.0), [
+        ((0, 0, 0, 0, 0), '0x1.507a65bc67370p-3', '0x1.3d6b9b57bcea0p-52'),
+        ((0, 0, 0, 0, 1), '0x1.0549d447ee519p-5', '0x1.3317a0519b29ap-54'),
+        ((0, 0, 0, 0, 2), '0x1.d6eb4f2bed6abp-7', '0x1.e91a9b1170deep-56'),
+        ((0, 0, 0, 1, 0), '0x1.305a8b8a2840ap-5', '0x1.4b55fd514e050p-54'),
+        ((0, 0, 0, 1, 1), '0x1.6fb1ffe665358p-8', '0x1.aefe7a98e7052p-57'),
+        ((0, 0, 0, 2, 0), '0x1.42f499dd71636p-6', '0x1.75cec9e85c6fcp-55'),
+        ((0, 0, 1, 0, 0), '0x1.6c3696236f25dp-5', '0x1.ad08a86d1d6cap-54'),
+        ((0, 0, 1, 0, 1), '0x1.bb828487654c1p-8', '0x1.b9ac80d4b51e6p-57'),
+        ((0, 0, 1, 1, 0), '0x1.03a9849432b13p-7', '0x1.322d4388419bcp-56'),
+        ((0, 0, 2, 0, 0), '0x1.d5a602dbc59b1p-6', '0x1.2431bd55f523cp-54'),
+        ((0, 1, 0, 0, 0), '0x1.c4ca721e6734fp-5', '0x1.9ee608275de8bp-54'),
+        ((0, 1, 0, 0, 1), '0x1.1724d9c5d5b9ap-7', '0x1.5d24e1ef61aaap-56'),
+        ((0, 1, 0, 1, 0), '0x1.46cac6af27492p-7', '0x1.b7f7b440d8beap-56'),
+        ((0, 1, 1, 0, 0), '0x1.89ec08ca1be0ep-7', '0x1.ddc224f96fe16p-56'),
+        ((0, 2, 0, 0, 0), '0x1.73860c79c272cp-5', '0x1.9126328fa0b96p-54'),
+        ((1, 0, 0, 0, 0), '0x1.29fee420c9651p-4', '0x1.07c1b3a988bf1p-53'),
+        ((1, 0, 0, 0, 1), '0x1.77bf692c70570p-7', '0x1.29c379a1bfff3p-55'),
+        ((1, 0, 0, 1, 0), '0x1.b7b6e194da40bp-7', '0x1.2bc4c2a04213ep-55'),
+        ((1, 0, 1, 0, 0), '0x1.08dec80a97041p-6', '0x1.351bd30e52b6dp-55'),
+        ((1, 1, 0, 0, 0), '0x1.4cc78bb020179p-6', '0x1.9b56939fed7cep-55'),
+        ((2, 0, 0, 0, 0), '0x1.4ec8413e96852p-4', '0x1.7c7734cee853ap-53'),
+    ]),
+    6: (2.0, (0.6, 0.9, 1.2, 1.5, 1.8, 2.1), [
+        ((0, 0, 0, 0, 0, 0), '0x1.78965355c97bep-5', '0x1.73ffefbc31cb7p-54'),
+        ((0, 0, 0, 0, 0, 1), '0x1.713d1fe26c3f1p-8', '0x1.8fdcea1a2b9bep-57'),
+        ((0, 0, 0, 0, 0, 2), '0x1.ae8b67c6555ffp-10', '0x1.f2600255a2f79p-59'),
+        ((0, 0, 0, 0, 1, 0), '0x1.a7e50d2bdcabbp-8', '0x1.0750d5a3bdd40p-56'),
+        ((0, 0, 0, 0, 1, 1), '0x1.4a6c814e4da69p-11', '0x1.7a0318525a9fdp-60'),
+        ((0, 0, 0, 0, 2, 0), '0x1.1d46c5dda5980p-9', '0x1.8098ab92dfc88p-58'),
+        ((0, 0, 0, 1, 0, 0), '0x1.f178dbeb0e365p-8', '0x1.f80d493c19cdfp-57'),
+        ((0, 0, 0, 1, 0, 1), '0x1.853e4e66baac0p-11', '0x1.7b1fe22ac0f81p-60'),
+        ((0, 0, 0, 1, 1, 0), '0x1.c0101b7f27b15p-11', '0x1.3e1e560193a82p-59'),
+        ((0, 0, 0, 2, 0, 0), '0x1.8bd5887b52ce3p-9', '0x1.ded5b52f886e6p-58'),
+        ((0, 0, 1, 0, 0, 0), '0x1.2ce3feb598ed9p-7', '0x1.4962e7fb04ee0p-56'),
+        ((0, 0, 1, 0, 0, 1), '0x1.d97519607b7d7p-11', '0x1.ea8867a81a361p-60'),
+        ((0, 0, 1, 0, 1, 0), '0x1.107cb2b4c9346p-10', '0x1.596587a97d009p-59'),
+        ((0, 0, 1, 1, 0, 0), '0x1.40f157a9fe904p-10', '0x1.94acb95166592p-59'),
+        ((0, 0, 2, 0, 0, 0), '0x1.24b7a59efce6dp-8', '0x1.64c904dad5c9fp-57'),
+        ((0, 1, 0, 0, 0, 0), '0x1.7c73bb7cd837ep-7', '0x1.b62cec49f0772p-56'),
+        ((0, 1, 0, 0, 0, 1), '0x1.2df57a43e46c8p-10', '0x1.29fcdcfb8e79cp-59'),
+        ((0, 1, 0, 0, 1, 0), '0x1.5b8a8d78239fbp-10', '0x1.e3a5f7ec5987dp-59'),
+        ((0, 1, 0, 1, 0, 0), '0x1.994bcd546b835p-10', '0x1.1334e470de3bep-58'),
+        ((0, 1, 1, 0, 0, 0), '0x1.f1a642fed8764p-10', '0x1.3c136c39094b2p-58'),
+        ((0, 2, 0, 0, 0, 0), '0x1.dbc6b64d128d2p-8', '0x1.35eb4a26dda29p-56'),
+        ((1, 0, 0, 0, 0, 0), '0x1.020b47191d276p-6', '0x1.3144113bd8b8ep-55'),
+        ((1, 0, 0, 0, 0, 1), '0x1.a04151ecd6cfcp-10', '0x1.052a585691660p-58'),
+        ((1, 0, 0, 0, 1, 0), '0x1.df04163e42cf0p-10', '0x1.26d4bce71015ap-58'),
+        ((1, 0, 0, 1, 0, 0), '0x1.1a0161dee93b4p-9', '0x1.5ec142de7cd62p-58'),
+        ((1, 0, 1, 0, 0, 0), '0x1.56c5bce3de34dp-9', '0x1.e0f6b5f961aaep-58'),
+        ((1, 1, 0, 0, 0, 0), '0x1.b4b85848502e5p-9', '0x1.1aecffdcdd054p-57'),
+        ((2, 0, 0, 0, 0, 0), '0x1.c28d69a3ed3dbp-7', '0x1.1ed1b8b064f5fp-55'),
+    ]),
+}
+
+
 class TestTypes:
     def test_spectrum_validation(self):
         with pytest.raises(DomainError):
@@ -356,6 +454,14 @@ class TestFamily:
                 got = [idx.multiplicities for idx in _index_family(v, cap)]
                 assert got == want, (v, cap)
 
+    @pytest.mark.parametrize("v", sorted(PINNED_ORDER_TWO))
+    def test_order_two_family_is_pinned(self, v):
+        rho, lams, pinned = PINNED_ORDER_TWO[v]
+        family = _index_family(v, 2)
+        got = ball_integrals(family, rho, Spectrum(lams))
+        assert [(index.multiplicities, got[index].value.hex(),
+                 got[index].est_abs_error.hex()) for index in family] == pinned
+
 
 class TestMonteCarlo:
     def test_all_kept_at_huge_radius(self):
@@ -401,6 +507,16 @@ class TestMonteCarlo:
     def test_budget_floor(self):
         with pytest.raises(DomainError):
             ball_integral_mc(MultiIndex((0,)), 1.0, Spectrum((1.0,)), 100, seed=0)
+
+    def test_non_integral_budget_and_seed_raise(self):
+        # 12345.7 draws used to run as 12345, and seed 1.5 as seed 1
+        index, spec = MultiIndex((0,)), Spectrum((1.0,))
+        with pytest.raises(DomainError):
+            ball_integral_mc(index, 1.0, spec, 12345.7, seed=1)
+        with pytest.raises(DomainError):
+            ball_integral_mc(index, 1.0, spec, 12345, seed=1.5)
+        assert ball_integral_mc(index, 1.0, spec, 20000.0, seed=3.0) == \
+            ball_integral_mc(index, 1.0, spec, 20000, seed=3)
 
     @pytest.mark.parametrize("v", [2, 3, 7, 10])
     def test_members_equal_one_member_calls(self, v):

@@ -118,7 +118,7 @@ class TestEtaValues:
 
     def test_one_family_pass(self, monkeypatch):
         # the zero index and the 19 compositions of orders 1..3 share one
-        # pass: one leaf per multiplicity k_1 = 0..3 and outer rule
+        # pass: one leaf per multiplicity k_1 = 0..3, shared by both outer rules
         gammas = []
         real = ball._lower_incomplete_gamma_vec
 
@@ -129,7 +129,7 @@ class TestEtaValues:
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
         eta_combinatorial(3, 5.0, SPEC3)
-        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5, 3.5, 3.5]
+        assert sorted(gammas) == [0.5, 1.5, 2.5, 3.5]
         # at v = 1 each member is one closed form; the zero index is read once
         gammas.clear()
         eta_combinatorial(2, 5.0, Spectrum((1.3,)))

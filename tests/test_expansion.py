@@ -74,8 +74,8 @@ class TestExpandAlpha:
         assert part.terms[2] == pytest.approx(expected_t2, rel=1e-12)
 
     def test_one_family_per_geometry(self, monkeypatch):
-        # the reduced (2, 3) spectrum is one family: 5 leaf multiplicities
-        # times 2 outer rules, plus alpha_0..alpha_4 at lambda = 1
+        # the reduced (2, 3) spectrum is one family: 5 leaf multiplicities,
+        # each shared by both outer rules, plus alpha_0..alpha_4 at lambda = 1
         gammas = []
         real = ball._lower_incomplete_gamma_vec
 
@@ -86,7 +86,7 @@ class TestExpandAlpha:
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
         expand_alpha("alpha", 0, 4, 30.0, Spectrum((1, 2, 3)))
-        assert sorted(gammas) == [k + 0.5 for k in range(5) for _ in range(3)]
+        assert sorted(gammas) == [k + 0.5 for k in range(5) for _ in range(2)]
 
     def test_higher_order_tightens(self):
         rho = 40.0

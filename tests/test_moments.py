@@ -101,6 +101,16 @@ class TestConditionalMoments:
         for n in range(8):
             assert m.second[n] == pytest.approx(mean, rel=5e-2)
 
+    def test_mc_non_integral_budget_and_seed_raise(self):
+        # 50000.5 draws used to run as 50000, and seed 3.5 as seed 3
+        with pytest.raises(DomainError):
+            conditional_moments(8.0, SPEC3, method="mc", n_total=50_000.5, seed=3)
+        with pytest.raises(DomainError):
+            conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3.5)
+        assert conditional_moments(8.0, SPEC3, method="mc", n_total=50_000.0,
+                                   seed=3.0) == conditional_moments(
+            8.0, SPEC3, method="mc", n_total=50_000, seed=3)
+
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             conditional_moments(1.0, SPEC3, method="magic")
@@ -229,10 +239,10 @@ class TestIntegralCounts:
         for n in range(3):
             variance_gap_with_error(n, 2.0, SPEC3)
         assert families == [_order_two_family(3)] * 3
-        # one leaf per multiplicity k_1 = 0, 1, 2 and outer rule; the later
-        # calls are cache hits
-        assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
-        assert ball._alpha_quad.cache_info().misses == 2
+        # one leaf per multiplicity k_1 = 0, 1, 2, shared by both outer
+        # rules; the later calls are cache hits
+        assert sorted(gammas) == [0.5, 1.5, 2.5]
+        assert ball._alpha_quad.cache_info().misses == 1
 
     @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0),
                                       (0.5, 1.0, 1.5, 2.0)])
@@ -246,15 +256,17 @@ class TestIntegralCounts:
         family = _order_two_family(v)
         assert len(set(family)) == 1 + v + v * (v + 1) // 2
         assert families == [family] * 2
-        if v < 4:
-            # one block per outer rule; v = 1 has no cache and integrates
-            # each index once per pass
+        if v == 1:
+            # no cache: each index is integrated once per pass
             assert sorted(gammas) == [0.5, 0.5, 1.5, 1.5, 2.5, 2.5]
+        elif v < 4:
+            # one block holds the heads of both outer rules
+            assert sorted(gammas) == [0.5, 1.5, 2.5]
         else:
             # blocks of whole outer nodes: per order, the blocks cover the
             # leaf of each outer rule once
             assert lanes == {s: 48 ** 3 + 32 * 48 ** 2 for s in (0.5, 1.5, 2.5)}
-        assert ball._alpha_quad.cache_info().misses == (2 if v > 1 else 0)
+        assert ball._alpha_quad.cache_info().misses == (1 if v > 1 else 0)
 
     def test_mc_estimates_each_index_once(self, monkeypatch):
         # one sampling pass: every index of the order-2 family reads the
@@ -270,11 +282,10 @@ class TestIntegralCounts:
         conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3)
         assert families == [ball._index_family(3, 2)]
 
-    @pytest.mark.parametrize("n, leaves", [(0, [0.5, 0.5, 1.5, 1.5]),
-                                           (1, [0.5, 0.5])])
+    @pytest.mark.parametrize("n, leaves", [(0, [0.5, 1.5]), (1, [0.5])])
     def test_second_moment_reads_two_indices(self, monkeypatch, n, leaves):
         # rho_star's fixed point evaluates only {0, e_n}: per step at most
-        # the four incomplete gammas of two one-index evaluations
+        # the two incomplete gammas of two one-index evaluations
         families, gammas, _ = _count_passes(monkeypatch)
         _second_moment(n, 2.0, SPEC3)
         expected = sorted([(0, 0, 0), MultiIndex.single(3, n).multiplicities])
@@ -285,7 +296,7 @@ class TestIntegralCounts:
         families, gammas, _ = _count_passes(monkeypatch)
         rho_star(1, SPEC3)
         assert families and families == [[(0, 0, 0), (0, 1, 0)]] * len(families)
-        # both indices have k_1 = 0, so one leaf per outer rule
+        # both indices have k_1 = 0, so one leaf serves both outer rules
         assert len(gammas) <= 2 * len(families)
 
 

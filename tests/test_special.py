@@ -35,6 +35,12 @@ class TestDoubleFactorial:
         with pytest.raises(DomainError):
             double_factorial(-2)
 
+    def test_non_integral_argument_raises(self):
+        # 4.5 used to give 4.5 * 2.5 = 11.25
+        with pytest.raises(DomainError):
+            double_factorial(4.5)
+        assert double_factorial(5.0) == 15
+
     @given(st.integers(min_value=1, max_value=120))
     def test_strides_compose(self, n):
         assert double_factorial(n) == n * double_factorial(n - 2)

@@ -53,6 +53,14 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_exponents(13, 1)
 
+    def test_non_integral_arguments_raise(self):
+        # q = 2.5 used to give the q = 2 tails, m = 2.5 a TypeError
+        with pytest.raises(DomainError):
+            enumerate_exponents(2.5, 2)
+        with pytest.raises(DomainError):
+            enumerate_exponents(2, 2.5)
+        assert enumerate_exponents(2.0, 2) == enumerate_exponents(2, 2)
+
 
 class TestXiProduct:
     def test_identity_element(self):
@@ -170,6 +178,12 @@ class TestSingleIntegralLimit:
         assert xi_alpha_limit(3, (0, 0, 0, 1), 2) == Fraction(
             double_factorial(2 * 5 - 1), 6)
 
+    def test_non_integral_exponent_raises(self):
+        # (0, 1.5) used to read as (0, 1)
+        with pytest.raises(DomainError):
+            xi_alpha_limit(1, (0, 1.5), 0)
+        assert xi_alpha_limit(1, (0.0, 1.0), 0) == 1
+
     def test_tail_form_rejected(self):
         # only the full vector (e_0, ..., e_q) is accepted
         with pytest.raises(DomainError):
@@ -201,6 +215,13 @@ class TestPsi:
         for p, tail in ((1, (-1, 1)), (1, (3, -1)), (0, (-1,))):
             with pytest.raises(DomainError):
                 psi_grouped(p, tail)
+
+    @pytest.mark.parametrize("route", [psi, psi_grouped])
+    def test_non_integral_entry_raises(self, route):
+        # (1.5,) used to read as (1,), giving 2
+        with pytest.raises(DomainError):
+            route(1, (1.5,))
+        assert route(1, (1.0,)) == 2
 
     def test_hand_value(self):
         # (2, 0): splits (0|2), (1|1), (2|0) each with unit weights -> 3
@@ -239,6 +260,12 @@ class TestOmega:
         with pytest.raises(DomainError):
             omega(which, 3, (-1, 2))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_integral_entry_raises(self, which):
+        # (0.9, 1) used to read as (0, 1)
+        with pytest.raises(DomainError):
+            omega(which, 2, (0.9, 1))
+
     def test_empty_tail(self):
         assert omega(0, 0, ()) == 0 and omega(1, 0, ()) == 0
 
@@ -269,6 +296,11 @@ class TestGapLimit:
         for q in range(1, 9):
             for tail in enumerate_exponents(q, q):
                 assert omega(0, q, tail) < omega(1, q, tail)
+
+    def test_non_integral_entry_raises(self):
+        # (1.5,) used to read as (1,), giving 4
+        with pytest.raises(DomainError):
+            gap_limit_coefficient(1, (1.5,))
 
     def test_magnitude_when_no_pairings(self):
         for q in range(1, 7):
@@ -308,6 +340,14 @@ class TestScans:
     def test_inverse_mass_identity(self):
         report = inverse_mass_identity_check(4)
         assert report.all_ok
+
+    @pytest.mark.parametrize("check", [omega_inequality_scan,
+                                       gap_convolution_check,
+                                       inverse_mass_identity_check])
+    def test_non_integral_order_raises(self, check):
+        # each used to raise TypeError from range()
+        with pytest.raises(DomainError):
+            check(2.5)
 
     @pytest.mark.parametrize("q_max", [-3, -1, 13])
     def test_inverse_mass_identity_order_range(self, q_max):

@@ -88,8 +88,7 @@ class Spectrum:
 
     def drop(self, n: int) -> "Spectrum":
         """Spectrum with dimension n (0-based) removed; needs v >= 2."""
-        if not 0 <= n < self.v:
-            raise DomainError(f"dimension {n} out of range for v={self.v}")
+        n = _dimension(n, self.v)
         if self.v == 1:
             raise DomainError("cannot reduce a one-dimensional spectrum")
         return Spectrum(self.lambdas[:n] + self.lambdas[n + 1:])
@@ -110,12 +109,12 @@ class MultiIndex:
 
     @classmethod
     def zero(cls, v: int) -> "MultiIndex":
-        return cls((0,) * v)
+        return cls((0,) * _integer(v, "v"))
 
     @classmethod
     def single(cls, v: int, n: int, k: int = 1) -> "MultiIndex":
-        ks = [0] * v
-        ks[n] = k
+        ks = [0] * _integer(v, "v")
+        ks[_dimension(n, len(ks))] = k
         return cls(tuple(ks))
 
     @property
@@ -128,7 +127,7 @@ class MultiIndex:
 
     def bump(self, n: int, by: int = 1) -> "MultiIndex":
         ks = list(self.multiplicities)
-        ks[n] += by
+        ks[_dimension(n, self.v)] += by
         return MultiIndex(tuple(ks))
 
     def factorized_bound(self) -> int:
@@ -163,6 +162,15 @@ def _check_rho(rho: float) -> float:
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"square radius must be positive and finite, got {rho}")
     return rho
+
+
+def _dimension(n, v: int) -> int:
+    """``n`` as a 0-based dimension of a v-dimensional spectrum; a
+    non-integral or out-of-range ``n`` is a :class:`DomainError`."""
+    n = _integer(n, "dimension")
+    if not 0 <= n < v:
+        raise DomainError(f"dimension {n} out of range for v={v}")
+    return n
 
 
 def _check_pair(index: MultiIndex, spectrum: Spectrum) -> None:
@@ -272,6 +280,8 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float, n_nodes: int,
     levels.  Blocks depend only on the rules and restart at the reduced
     rule's first head, so a member gets the arithmetic of its one-member
     family under each rule alone.  At v <= 3 the whole leaf is one block.
+    Each block sorts its leaf radii once, so every leaf incomplete gamma
+    takes its lanes already ascending.
     Returns a (2, members) array: the values, then their errors.
     """
     inner = _gl_nodes(n_nodes)
@@ -291,8 +301,13 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float, n_nodes: int,
             block = slice(start, min(start + step, stop))
             levels, rho_leaf = _levels(lams[1:depth + 1], rho_heads[block],
                                        inner, inner)
+            # each leaf takes the lanes in ascending radius, the order the
+            # incomplete gamma runs them in, and scatters back for the folds
+            order = np.argsort(rho_leaf, axis=None)
+            ascending = rho_leaf.reshape(-1)[order]
+            leaf = np.empty(rho_leaf.shape)
             for k in dict.fromkeys(ks[0] for ks in family):  # one leaf per k_1
-                leaf = _alpha_1d_array(k, rho_leaf, lams[0])
+                leaf.reshape(-1)[order] = _alpha_1d_array(k, ascending, lams[0])
                 for i, ks in enumerate(family):
                     if ks[0] == k:
                         table[i, block] = _fold(ks[1:depth + 1], levels, leaf)

@@ -34,11 +34,12 @@ def _fmt(x: float) -> str:
 
 
 def _threads() -> int:
+    """The TG_THREADS worker count, at least 1; a non-integer is a usage error."""
     raw = os.environ.get("TG_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise DomainError(f"TG_THREADS must be an integer, got {raw!r}") from None
 
 
 def _map_grid(fn, items):

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MultiIndex, Spectrum, ball_integrals
+from .ball import MultiIndex, Spectrum, _dimension, ball_integrals
 from .errors import DomainError, NumericError
 from .eta import _etas, q_polynomial
 from .moments import MomentBatch
 from .report import Report
-from .special import _compositions, _multinomial
+from .special import _compositions, _integer, _multinomial
 
 __all__ = [
     "ExpansionPartialSum",
@@ -90,18 +90,17 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     if order < 0 or order > _MAX_ORDER:
         raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
     v = spectrum.v
-    if not 0 <= n < v:
-        raise DomainError(f"dimension {n} out of range for v={v}")
+    n = _dimension(n, v)
     if target == TARGET_ALPHA:
         base = {n: 0}
     elif target == TARGET_SINGLE:
         base = {n: k}
     elif target == TARGET_PAIR:
-        if m is None or m == n or not 0 <= m < v:
+        if m is None or _dimension(m, v) == n:
             raise DomainError(
                 f"pair target needs a second dimension distinct from {n}, got {m}"
             )
-        base = {n: 1, m: 1}
+        base = {n: 1, _dimension(m, v): 1}
     else:
         raise DomainError(f"unknown expansion target {target!r}")
 
@@ -129,8 +128,7 @@ def gamma_nn_expansion_coeff(rho_limit: bool, n: int, rho: float,
     dimension n; at infinite radius the ratios reach their semifactorial
     limits and the bracket equals 15 - 9 + 2 = 8.
     """
-    if not 0 <= n < spectrum.v:
-        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
+    n = _dimension(n, spectrum.v)
     if rho_limit:
         return 8.0
     alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])
@@ -147,10 +145,10 @@ def gamma_nm_cancellation_check(n: int, m: int, rho: float,
     either series' first-order term by at least one more power of
     lambda / rho (with an exponentially small remainder on top).
     """
-    v = spectrum.v
-    if n == m or not (0 <= n < v and 0 <= m < v):
-        raise DomainError("cancellation check needs two distinct dimensions "
-                          f"in 0..{v - 1}, got {n} and {m}")
+    n, m = _dimension(n, spectrum.v), _dimension(m, spectrum.v)
+    if n == m:
+        raise DomainError("cancellation check needs two distinct dimensions, "
+                          f"got {n} and {m}")
     report = Report("covariance-cancellation")
     lam_n, lam_m = spectrum.lambdas[n], spectrum.lambdas[m]
 
@@ -252,7 +250,9 @@ def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
     A decaying fit (positive exponent) signals a convergent expansion for
     that dimension; the estimate turns increasing at v = 6.
     """
-    if not 2 <= v <= 6 or v != int(v):
+    v, p_min, p_max = (_integer(x, what) for x, what in
+                       ((v, "v"), (p_min, "p_min"), (p_max, "p_max")))
+    if not 2 <= v <= 6:
         raise DomainError(f"estimate defined for 2 <= v <= 6, got {v}")
     if not 1 <= p_min < p_max <= 200:
         raise DomainError(f"need 1 <= p_min < p_max <= 200, got [{p_min}, {p_max}]")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (IntegralValue, MultiIndex, Spectrum, _check_rho,
+from .ball import (IntegralValue, MultiIndex, Spectrum, _check_rho, _dimension,
                    _index_family, ball_integral, ball_integrals, ball_integrals_mc)
 from .errors import DomainError, NumericError
 from .report import Report
@@ -113,15 +113,14 @@ class MomentBatch:
         return self._family[index]
 
     def _ratio(self, *dims: int) -> tuple[float, float]:
-        """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims."""
+        """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims,
+        each d already checked by :func:`_dimension`."""
         key = tuple(sorted(dims))
         hit = self._ratios.get(key)
         if hit is None:
             v = self.spectrum.v
             ks = [0] * v
             for d in dims:
-                if not 0 <= d < v:
-                    raise DomainError(f"dimension {d} out of range for v={v}")
                 ks[d] += 1
             if self._base is None:
                 self._base = self._alpha(MultiIndex.zero(v))
@@ -133,12 +132,14 @@ class MomentBatch:
 
     def second(self, n: int) -> tuple[float, float]:
         """E[X_n^2 | ball]."""
+        n = _dimension(n, self.spectrum.v)
         ratio, rel = self._ratio(n)
         value = self.spectrum.lambdas[n] * ratio
         return value, value * rel
 
     def product(self, n: int, m: int) -> tuple[float, float]:
         """E[X_n^2 X_m^2 | ball]; the fourth moment E[X_n^4 | ball] when n == m."""
+        n, m = _dimension(n, self.spectrum.v), _dimension(m, self.spectrum.v)
         ratio, rel = self._ratio(n, m)
         lams = self.spectrum.lambdas
         value = lams[n] * lams[m] * ratio
@@ -146,6 +147,7 @@ class MomentBatch:
 
     def cov(self, n: int, m: int) -> tuple[float, float]:
         """cov(X_n^2, X_m^2 | ball); var(X_n^2 | ball) when n == m."""
+        n, m = _dimension(n, self.spectrum.v), _dimension(m, self.spectrum.v)
         rnm, enm = self._ratio(n, m)
         rn, en = self._ratio(n)
         rm, em = self._ratio(m)
@@ -155,6 +157,7 @@ class MomentBatch:
 
     def gap(self, n: int) -> tuple[float, float]:
         """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2."""
+        n = _dimension(n, self.spectrum.v)
         var, var_err = self.cov(n, n)
         second, sec_err = self.second(n)
         lam = self.spectrum.lambdas[n]
@@ -238,8 +241,7 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
     ball mass at the leftover square radius times the Gaussian factor.
     """
     v = spectrum.v
-    if not 0 <= n < v:
-        raise DomainError(f"dimension {n} out of range for v={v}")
+    n = _dimension(n, v)
     rho = _check_rho(rho)
     if x * x >= rho:
         return 0.0
@@ -255,6 +257,7 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
 
 def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
     """Essential-supremum bound on var(X_n^2), with the truncation regime."""
+    n = _dimension(n, spectrum.v)
     batch = MomentBatch(rho, spectrum)
     e2 = batch.second(n)[0]
     lam = spectrum.lambdas[n]
@@ -273,8 +276,7 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
 
 def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
     """E[X_n^4] <= lambda_n (2 lambda_n + E[X_n^2]), valid at every radius."""
-    if not 0 <= n < spectrum.v:
-        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
+    n = _dimension(n, spectrum.v)
     moments = conditional_moments(rho, spectrum)
     lam = spectrum.lambdas[n]
     return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + 1e-12)
@@ -296,8 +298,7 @@ def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if not 0 <= n < spectrum.v:
-        raise DomainError(f"dimension {n} out of range for v={spectrum.v}")
+    n = _dimension(n, spectrum.v)
     lam = spectrum.lambdas[n]
     rho = 3.0 * lam
     damping = 0.5

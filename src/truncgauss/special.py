@@ -144,8 +144,12 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
 
     Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
     take Gamma(s) minus a modified-Lentz continued fraction for the upper
-    tail, and x = inf gives Gamma(s).  Iteration caps and overflow raise
-    :class:`NumericError`.
+    tail, and x = inf gives Gamma(s).  The lanes run in ascending x, sorted
+    only when the input is not already ascending, so the zero, series,
+    continued-fraction and infinite lanes are contiguous ranges.  The
+    result keeps the input's shape and lane order, and each lane takes the
+    same operations wherever it sits, so its bits do not depend on its
+    neighbours.  Iteration caps and overflow raise :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     if not s > 0.0:
@@ -153,65 +157,96 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     if not np.all(x >= 0.0):
         raise DomainError("lower_incomplete_gamma requires x >= 0, "
                           f"got x = {x[~(x >= 0.0)][0]}")
-    out = np.zeros_like(x)
     try:
         whole = math.gamma(s)
     except OverflowError as exc:
         raise NumericError(f"Gamma({s}) overflows float64") from exc
 
-    ser = (x > 0.0) & (x < s + _SERIES_CUTOFF_OFFSET)
-    if np.any(ser):
-        xs = x[ser]
-        total = np.ones_like(xs)
-        term = np.ones_like(xs)
-        active = np.ones(xs.shape, dtype=bool)
-        # the first term alone may end a lane; after it, two in a row must be small
-        was_small = np.ones(xs.shape, dtype=bool)
-        for n in range(_SERIES_CAP):
-            # every lane at full width; a converged lane keeps its total
-            term *= xs / (1.0 + s + n)
-            np.add(total, term, out=total, where=active)
-            small = term <= _SERIES_TOL * total  # both positive
-            active &= ~(small & was_small)
-            was_small = small
-            if not active.any():
-                break
-        else:
-            raise NumericError(
-                f"vectorized incomplete-gamma series hit the {_SERIES_CAP}-term cap"
-            )
-        out[ser] = np.exp(s * np.log(xs) - xs) / s * total
-
-    out[np.isinf(x)] = whole
-    cf = (x >= s + _SERIES_CUTOFF_OFFSET) & np.isfinite(x)
-    if np.any(cf):
-        xc = x[cf]
-        tiny = 1e-300
-        b = xc + 1.0 - s
-        c = np.full_like(xc, 1.0 / tiny)
-        d = 1.0 / b
-        h = d.copy()
-        active = np.ones(xc.shape, dtype=bool)
-        for i in range(1, _CF_CAP + 1):
-            an = -i * (i - s)
-            b = b + 2.0
-            d = an * d + b
-            np.copyto(d, tiny, where=np.abs(d) < tiny)
-            c = b + an / c
-            np.copyto(c, tiny, where=np.abs(c) < tiny)
-            d = 1.0 / d
-            delta = d * c
-            h *= np.where(active, delta, 1.0)
-            active &= np.abs(delta - 1.0) >= _CF_TOL
-            if not active.any():
-                break
-        else:
-            raise NumericError(
-                f"vectorized incomplete-gamma continued fraction hit the "
-                f"{_CF_CAP}-iteration cap"
-            )
-        out[cf] = whole - np.exp(s * np.log(xc) - xc) * h
-
+    flat = x.ravel()
+    order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else slice(None)
+    lanes = flat[order]
+    out = np.zeros_like(lanes)
+    first = np.searchsorted(lanes, 0.0, side="right")
+    cut, inf = np.searchsorted(lanes, (s + _SERIES_CUTOFF_OFFSET, math.inf))
+    if cut > first:
+        xs = lanes[first:cut]
+        out[first:cut] = np.exp(s * np.log(xs) - xs) / s * _kummer_sum(s, xs)
+    if inf > cut:
+        xc = lanes[cut:inf]
+        out[cut:inf] = whole - np.exp(s * np.log(xc) - xc) * _upper_fraction(s, xc)
+    out[inf:] = whole
     if not np.all(np.isfinite(out)):
         raise NumericError(f"vectorized lower_incomplete_gamma overflow at s={s}")
-    return out
+    result = np.empty_like(out)
+    result[order] = out
+    return result.reshape(x.shape)
+
+
+def _kummer_sum(s: float, x: np.ndarray) -> np.ndarray:
+    """sum_n x^n / ((s + 1) ... (s + n)) over ascending lanes x > 0.
+
+    A lane ends once a term is below 1e-15 of its sum: the first term alone
+    may end it, after that two in a row must.  Smaller x needs fewer terms,
+    so lanes end in about ascending order.  Each iteration works on the
+    range from the first lane still running, and a mask freezes the sums of
+    the few lanes in it that ended out of order.
+    """
+    total = np.ones_like(x)
+    # The loop allocates nothing: ``tmp`` takes each quotient and threshold,
+    # and the masks "this term is not small" and "the last one was not"
+    # trade buffers.  Every name below is a view of the running range.
+    tmp = np.empty_like(x)
+    big, was_big = np.empty(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
+    xs, t, tot, run = x, np.ones_like(x), total, np.ones(x.shape, dtype=bool)
+    for n in range(_SERIES_CAP):
+        t *= np.divide(xs, 1.0 + s + n, out=tmp)
+        np.add(tot, t, out=tot, where=run)
+        np.greater(t, np.multiply(_SERIES_TOL, tot, out=tmp), out=big)
+        run &= np.logical_or(big, was_big, out=was_big)
+        big, was_big = was_big, big
+        skip = run.argmax()  # lanes before the first one still running
+        if skip:
+            xs, t, tot, run, tmp, big, was_big = (
+                a[skip:] for a in (xs, t, tot, run, tmp, big, was_big))
+        elif not run[0]:
+            return total
+    raise NumericError(
+        f"vectorized incomplete-gamma series hit the {_SERIES_CAP}-term cap"
+    )
+
+
+def _upper_fraction(s: float, x: np.ndarray) -> np.ndarray:
+    """The modified-Lentz continued fraction whose product with x^s e^-x is
+    the upper incomplete gamma, over ascending lanes x >= s + 12.
+
+    Larger x converges in fewer steps, so lanes end in about descending
+    order, and each iteration works on the range up to the last lane still
+    running.
+    """
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = np.full_like(x, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    hs = h  # a view of h's running range
+    run = np.ones(x.shape, dtype=bool)
+    for i in range(1, _CF_CAP + 1):
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        np.copyto(d, tiny, where=np.abs(d) < tiny)
+        c = b + an / c
+        np.copyto(c, tiny, where=np.abs(c) < tiny)
+        d = 1.0 / d
+        delta = d * c
+        np.multiply(hs, delta, out=hs, where=run)
+        run &= np.abs(delta - 1.0) >= _CF_TOL
+        skip = run[::-1].argmax()  # lanes after the last one still running
+        if skip:
+            b, c, d, hs, run = (a[:-skip] for a in (b, c, d, hs, run))
+        elif not run[-1]:
+            return h
+    raise NumericError(
+        f"vectorized incomplete-gamma continued fraction hit the "
+        f"{_CF_CAP}-iteration cap"
+    )

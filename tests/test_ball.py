@@ -160,6 +160,22 @@ class TestTypes:
             MultiIndex((1.5, 0))
         assert MultiIndex((2.0, 0)).multiplicities == (2, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: Spectrum((1.0, 2.0, 3.0)).drop(n),
+        lambda n: MultiIndex.single(3, n),
+        lambda n: MultiIndex.zero(3).bump(n),
+    ], ids=["drop", "single", "bump"])
+    def test_non_integral_dimension_raises(self, call):
+        # a list or slice index used to leak TypeError, even for 1.0
+        with pytest.raises(DomainError):
+            call(1.5)
+        assert call(1.0) == call(1)
+
+    def test_non_integral_length_raises(self):
+        with pytest.raises(DomainError):  # leaked TypeError
+            MultiIndex.zero(2.5)
+        assert MultiIndex.zero(3.0) == MultiIndex.zero(3)
+
     def test_pair_mismatch(self):
         with pytest.raises(DomainError):
             ball_integral(MultiIndex((0, 0)), 1.0, Spectrum((1.0,)))

@@ -310,6 +310,15 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    @pytest.mark.parametrize("threads", ["2.5", "four"])
+    def test_malformed_thread_count_exits_two(self, capsys, monkeypatch,
+                                              threads):
+        # used to run every grid serially without a word
+        monkeypatch.setenv("TG_THREADS", threads)
+        code, out, err = run(["figure", "gamma-curves", "--quick"], capsys)
+        assert code == 2 and not out
+        assert "TG_THREADS" in err and repr(threads) in err
+
     def test_thread_count_does_not_change_output(self, capsys, tmp_path,
                                                  monkeypatch):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -172,6 +172,10 @@ class TestExpandAlpha:
             expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=0)
         with pytest.raises(DomainError):
             expand_alpha("nonsense", 0, 1, 1.0, SPEC2)
+        with pytest.raises(DomainError):  # leaked TypeError
+            expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1.5)
+        assert (expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1.0)
+                == expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1))
 
 
 class TestGammaNNCoefficient:
@@ -236,9 +240,10 @@ class TestCancellationCheck:
         with pytest.raises(DomainError):
             gamma_nm_cancellation_check(1, 1, 5.0, Spectrum((1.0, 2.0)))
 
-    @pytest.mark.parametrize("n,m", [(-1, 0), (0, 3)])
+    @pytest.mark.parametrize("n,m", [(-1, 0), (0, 3), (0, 1.5)])
     def test_dimensions_in_range(self, n, m):
-        # a negative dimension would index from the end of the spectrum
+        # a negative dimension would index from the end of the spectrum, and
+        # a non-integral one leaked TypeError
         with pytest.raises(DomainError):
             gamma_nm_cancellation_check(n, m, 5.0, Spectrum((1.0, 2.0, 3.0)))
 
@@ -272,6 +277,12 @@ class TestConvergenceEstimate:
     def test_non_integral_dimension_raises(self):
         with pytest.raises(DomainError):
             convergence_estimate(2.5, 50, 60)
+
+    def test_string_arguments_raise(self):
+        # "3" used to leak TypeError from the range comparison
+        for args in (("3", 50, 60), (3, "50", 60), (3, 50, 60.5)):
+            with pytest.raises(DomainError):
+                convergence_estimate(*args)
 
     @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
     def test_maximizer_matches_bounded_brent(self, v):

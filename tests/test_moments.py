@@ -433,6 +433,21 @@ class TestRhoStar:
             rho_star(n, SPEC3)
 
 
+class TestDimensionArgument:
+    @pytest.mark.parametrize("call", [
+        lambda n: variance_gap_with_error(n, 2.0, SPEC3),
+        lambda n: holder_report(n, 2.0, SPEC3),
+        lambda n: rho_star(n, SPEC3),
+        lambda n: marginal_density(n, 0.3, 2.0, SPEC3),
+    ], ids=["variance_gap_with_error", "holder_report", "rho_star",
+            "marginal_density"])
+    def test_non_integral_is_domain_error_and_integral_float_works(self, call):
+        # each leaked TypeError from a list index, even for 1.0
+        with pytest.raises(DomainError):
+            call(1.5)
+        assert call(1.0) == call(1)
+
+
 class TestInequalityBattery:
     @pytest.mark.parametrize("rho", [0.5, 2.0, 5.0, 15.0, 60.0])
     def test_all_pass_at_reference_spectrum(self, rho):

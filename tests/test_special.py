@@ -140,6 +140,19 @@ class TestRaisingFactorial:
         assert raising_factorial(x, n + 1) == x * raising_factorial(x + 1, n)
 
 
+@st.composite
+def _shuffled_lanes(draw):
+    """An s and lanes mixing 0, series-range, continued-fraction-range and
+    inf, with a permutation of them."""
+    s = draw(st.sampled_from([0.5, 1.5, 2.5, 3.7, 9.5]))
+    cut = s + special._SERIES_CUTOFF_OFFSET
+    lane = st.one_of(st.just(0.0), st.just(math.inf),
+                     st.floats(0.0, cut, exclude_max=True), st.just(cut),
+                     st.floats(cut, 1e4))
+    x = draw(st.lists(lane, min_size=2, max_size=64))
+    return s, np.array(x), np.array(draw(st.permutations(range(len(x)))))
+
+
 class TestLowerIncompleteGamma:
     def test_limits(self):
         assert lower_incomplete_gamma(0.5, 1e6) == pytest.approx(
@@ -208,6 +221,20 @@ class TestLowerIncompleteGamma:
             vec = _lower_incomplete_gamma_vec(s, x)
             ref = gammainc(s, x) * math.gamma(s)
             np.testing.assert_allclose(vec, ref, rtol=1e-13, atol=1e-300)
+
+    @given(_shuffled_lanes())
+    @settings(max_examples=80, deadline=None)
+    def test_lane_order_and_shape_change_no_bits(self, case):
+        # the lanes run in ascending x whatever order they come in, so
+        # every order, and a 2-D view of them, gives each lane its bits
+        s, x, perm = case
+        got = _lower_incomplete_gamma_vec(s, x)
+        assert _lower_incomplete_gamma_vec(s, x[perm]).tobytes() == got[perm].tobytes()
+        half = x.size // 2
+        grid = x[:2 * half].reshape(2, half).T  # not C-contiguous
+        out = _lower_incomplete_gamma_vec(s, grid)
+        assert out.shape == (half, 2)
+        assert out.tobytes() == got[:2 * half].reshape(2, half).T.tobytes()
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 2.5, 9.5])
     def test_lanes_converge_independently(self, s):

@@ -212,8 +212,8 @@ def cmd_eta(args: argparse.Namespace) -> int:
     spec = _spectrum(args)
 
     def record(rho: float) -> dict:
-        return {"rho": rho, "eta": {k: eta_mod.eta_combinatorial(k, rho, spec)
-                                    for k in range(1, args.order + 1)}}
+        etas = eta_mod._etas(args.order, rho, spec)[1]
+        return {"rho": rho, "eta": dict(enumerate(etas[1:], start=1))}
 
     return _query(args, ["rho", "k", "eta"], record, lambda rec: [
         [_fmt(rec["rho"]), str(k), _fmt(v)] for k, v in rec["eta"].items()])
@@ -335,8 +335,8 @@ def _suite_eta(args: argparse.Namespace) -> Report:
         battery = [(spec, rhos[:2]) for spec, rhos in battery[:2]]
     for spec, rhos in battery:
         for rho in rhos:
-            for k in (1, 2, 3):
-                comb = eta_mod.eta_combinatorial(k, rho, spec)
+            etas = eta_mod._etas(3, rho, spec)[1]
+            for k, comb in enumerate(etas[1:], start=1):
                 fd = eta_mod.eta_fd_oracle(k, rho, spec)
                 denom = max(abs(comb), 1e-10)
                 rel = abs(comb - fd) / denom

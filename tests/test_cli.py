@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from truncgauss import cli
+from truncgauss import ball, cli
 from truncgauss.cli import _build_parser, main
 
 
@@ -174,6 +174,14 @@ class TestMomentsAndEta:
         assert float(lines[1].split(",")[2]) == pytest.approx(
             0.36655929027728096, rel=1e-10)
 
+    def test_eta_reads_one_family_per_radius(self, capsys):
+        # every order at one radius comes from one family read
+        ball._alpha_quad.cache_clear()
+        code, _, _ = run(["eta", "--lambda", "1,2,3", "--rho", "5",
+                          "--order", "6"], capsys)
+        assert code == 0
+        assert ball._alpha_quad.cache_info().misses == 1
+
     @pytest.mark.parametrize("order", ["0", "-1", "7"])
     def test_eta_order_outside_combinatorial_range_exit_two(self, order, capsys):
         # the combinatorial route covers k = 1..6: an empty table or the
@@ -264,7 +272,8 @@ class TestVerify:
         prefixes = {name.split("|")[0] for name in names}
         assert prefixes == {"omega-scan[qmax=8]", "gap-convolution[qmax=6]",
                             "inverse-mass-identity[qmax=6]"}
-        assert "gap-convolution[qmax=6]|inverse-mass-needs-e0=0[q=6]" in names
+        assert any(name.startswith("gap-convolution[qmax=6]|route-equivalence[q=6,")
+                   for name in names)
         assert any(name.startswith("inverse-mass-identity[qmax=6]|identity[q=6,")
                    for name in names)
         code, out, _ = run(["verify", "xi", "--qmax", "3"], capsys)

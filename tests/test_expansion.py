@@ -20,7 +20,7 @@ from truncgauss.expansion import (
     q_polynomial,
 )
 from truncgauss.eta import eta_combinatorial
-from truncgauss.moments import correlation_set
+from truncgauss.moments import MomentBatch, correlation_set
 
 
 class TestQPolynomial:
@@ -233,8 +233,18 @@ class TestCancellationCheck:
         report = gamma_nm_cancellation_check(0, 1, 30.0, spec)
         assert report.all_ok
         names = [c.name for c in report.checks]
-        assert "order-0-cancellation" in names
         assert "covariance-below-first-order" in names
+
+    def test_fails_on_an_inflated_covariance(self, monkeypatch):
+        # |cov|/rho^2 is 1.2e-5 against an envelope of 2.2e-4 here, so a
+        # covariance 1e3 times too large must fail the check
+        real = MomentBatch.cov
+        monkeypatch.setattr(MomentBatch, "cov", lambda self, n, m: tuple(
+            1e3 * x for x in real(self, n, m)))
+        report = gamma_nm_cancellation_check(0, 1, 30.0,
+                                             Spectrum((1.0, 2.0, 3.0)))
+        assert [c.name for c in report.failures] == [
+            "covariance-below-first-order"]
 
     def test_needs_distinct_dimensions(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from truncgauss import xi
 from truncgauss.errors import DomainError
 from truncgauss.special import double_factorial
 from truncgauss.xi import (
@@ -336,6 +337,28 @@ class TestScans:
         assert _dn_limit(1, (0, 1)) == 0
         assert _dd_limit(1, (1, 1)) == 0
         assert _dd_limit(1, (0, 1)) == -2
+
+    def test_route_equivalence_fails_on_a_wrong_inverse_mass(self, monkeypatch):
+        # doubling the order-1 inverse-mass coefficient breaks the convolved
+        # route wherever it meets the order-1 numerator
+        real = xi._dd_limit
+        monkeypatch.setattr(xi, "_dd_limit", lambda order, e: real(order, e)
+                            * (2 if order == 1 else 1))
+        report = gap_convolution_check(3)
+        assert {c.name for c in report.failures} == {
+            "route-equivalence[q=2,e=(2, 0)]",
+            "route-equivalence[q=3,e=(1, 1, 0)]"}
+
+    def test_weight_checks_fail_on_swapped_weights(self, monkeypatch):
+        # swapping omega0 and omega1 must fail every omega0<omega1 and
+        # sign-law entry, while the pointwise inequality does not read omega
+        real = xi.omega
+        monkeypatch.setattr(xi, "omega",
+                            lambda which, q, tail: real(1 - which, q, tail))
+        report = omega_inequality_scan(4)
+        assert {c.name for c in report.failures} == (
+            {f"omega0<omega1[q={q}]" for q in range(1, 5)}
+            | {f"sign-law[q={q}]" for q in range(1, 5)})
 
     def test_inverse_mass_identity(self):
         report = inverse_mass_identity_check(4)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .ball import (IntegralValue, MultiIndex, Spectrum, _check_rho, _dimension,
                    _index_family, ball_integral, ball_integrals, ball_integrals_mc)
 from .errors import DomainError, NumericError
-from .report import Report
+from .report import NOISE_FACTOR, Report
 
 __all__ = [
     "MomentBatch",
@@ -35,11 +35,6 @@ __all__ = [
 REGION_STRONG = "strong"
 REGION_WEAK = "weak"
 REGION_CROSSOVER = "crossover"
-
-# An inequality is only flagged when its violation exceeds this multiple of
-# the propagated integration error, so quadrature noise near zero crossings
-# does not create false findings.
-NOISE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -92,25 +87,22 @@ class MomentBatch:
     Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals, read
     from ``family``: a mapping from each multi-index of the order-2 family
     ``{0, e_n, e_n + e_m}`` to its :class:`IntegralValue`.  By default the
-    first moment read evaluates that family in one :func:`ball_integrals`
-    pass.  A ratio is kept, on first use, with its relative error (the sum
-    of the two integrals' relative errors).  Every accessor returns
-    ``(value, err)``, with ``err`` propagated to first order from those
-    relative errors.
+    batch evaluates that family in one :func:`ball_integrals` pass when it
+    is built, and reads alpha_0 then; every other member is read, and
+    checked, only when a moment needs it.  A ratio is kept, on first use,
+    with its relative error (the sum of the two integrals' relative
+    errors).  Every accessor returns ``(value, err)``, with ``err``
+    propagated to first order from those relative errors.
     """
 
     def __init__(self, rho: float, spectrum: Spectrum, family=None):
         self.rho = rho
         self.spectrum = spectrum
+        if family is None:
+            family = ball_integrals(_index_family(spectrum.v, 2), rho, spectrum)
         self._family = family
-        self._base: IntegralValue | None = None
+        self._base = family[MultiIndex.zero(spectrum.v)]
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
-
-    def _alpha(self, index: MultiIndex) -> IntegralValue:
-        if self._family is None:
-            self._family = ball_integrals(_index_family(self.spectrum.v, 2),
-                                          self.rho, self.spectrum)
-        return self._family[index]
 
     def _ratio(self, *dims: int) -> tuple[float, float]:
         """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims,
@@ -118,13 +110,10 @@ class MomentBatch:
         key = tuple(sorted(dims))
         hit = self._ratios.get(key)
         if hit is None:
-            v = self.spectrum.v
-            ks = [0] * v
+            ks = [0] * self.spectrum.v
             for d in dims:
                 ks[d] += 1
-            if self._base is None:
-                self._base = self._alpha(MultiIndex.zero(v))
-            num = self._alpha(MultiIndex(tuple(ks)))
+            num = self._family[MultiIndex(tuple(ks))]
             hit = (num.value / self._base.value,
                    num.rel_error + self._base.rel_error)
             self._ratios[key] = hit

@@ -17,6 +17,11 @@ VIOLATED_CLAIM = "violated-claim"
 
 SCHEMA_VERSION = "1"
 
+# A check that compares numerical values fails only when its violation
+# exceeds this multiple of their propagated error, so quadrature noise near
+# a zero crossing does not create false findings.
+NOISE_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class Check:

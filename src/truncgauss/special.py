@@ -140,16 +140,16 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
 
 
 def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
-    """Lower incomplete gamma at fixed s over an array of x >= 0.
+    """Lower incomplete gamma at fixed s over one vector of ascending x >= 0.
 
     Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
     take Gamma(s) minus a modified-Lentz continued fraction for the upper
-    tail, and x = inf gives Gamma(s).  The lanes run in ascending x, sorted
-    only when the input is not already ascending, so the zero, series,
-    continued-fraction and infinite lanes are contiguous ranges.  The
-    result keeps the input's shape and lane order, and each lane takes the
-    same operations wherever it sits, so its bits do not depend on its
-    neighbours.  Iteration caps and overflow raise :class:`NumericError`.
+    tail, and x = inf gives Gamma(s).  The caller orders the lanes, so the
+    zero, series, continued-fraction and infinite lanes are contiguous
+    ranges; lanes that are not one ascending vector are a
+    :class:`DomainError`.  Each lane takes the same operations wherever it
+    sits, so its bits do not depend on its neighbours.  Iteration caps and
+    overflow raise :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     if not s > 0.0:
@@ -157,29 +157,27 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     if not np.all(x >= 0.0):
         raise DomainError("lower_incomplete_gamma requires x >= 0, "
                           f"got x = {x[~(x >= 0.0)][0]}")
+    if x.ndim != 1 or np.any(x[1:] < x[:-1]):
+        raise DomainError("lower_incomplete_gamma takes one vector of lanes in "
+                          f"ascending order, got shape {x.shape}")
     try:
         whole = math.gamma(s)
     except OverflowError as exc:
         raise NumericError(f"Gamma({s}) overflows float64") from exc
 
-    flat = x.ravel()
-    order = np.argsort(flat) if np.any(flat[1:] < flat[:-1]) else slice(None)
-    lanes = flat[order]
-    out = np.zeros_like(lanes)
-    first = np.searchsorted(lanes, 0.0, side="right")
-    cut, inf = np.searchsorted(lanes, (s + _SERIES_CUTOFF_OFFSET, math.inf))
+    out = np.zeros_like(x)
+    first = np.searchsorted(x, 0.0, side="right")
+    cut, inf = np.searchsorted(x, (s + _SERIES_CUTOFF_OFFSET, math.inf))
     if cut > first:
-        xs = lanes[first:cut]
+        xs = x[first:cut]
         out[first:cut] = np.exp(s * np.log(xs) - xs) / s * _kummer_sum(s, xs)
     if inf > cut:
-        xc = lanes[cut:inf]
+        xc = x[cut:inf]
         out[cut:inf] = whole - np.exp(s * np.log(xc) - xc) * _upper_fraction(s, xc)
     out[inf:] = whole
     if not np.all(np.isfinite(out)):
         raise NumericError(f"vectorized lower_incomplete_gamma overflow at s={s}")
-    result = np.empty_like(out)
-    result[order] = out
-    return result.reshape(x.shape)
+    return out
 
 
 def _kummer_sum(s: float, x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from truncgauss.ball import (
     MultiIndex,
@@ -179,11 +180,38 @@ def test_criterion_7_variance_gap_sweep():
              "nonpositive variance gap holds across both sweeps", detail)
 
 
+# Criterion 8's suite false-alarm rate: a correct quadrature and sampler
+# fail the 20 Monte Carlo comparisons together with probability at most
+# ORACLE_ALPHA (Bonferroni: each two-sided |z| within the normal quantile
+# of ORACLE_ALPHA / 20, 4.06).
+ORACLE_ALPHA = 1e-3
+
+
+def _oracle_z_bound(count: int) -> float:
+    return float(norm.isf(ORACLE_ALPHA / (2 * count)))
+
+
+def _oracle_agrees(zs) -> bool:
+    """Criterion 8's decision rule over the instances' signed z scores."""
+    return max(abs(z) for z in zs) <= _oracle_z_bound(len(zs))
+
+
+def test_criterion_8_decision_rule():
+    # the rule passes a typical draw of 20 z scores, and fails it once any
+    # one instance moves 6 standard errors away from the quadrature
+    zs = np.random.default_rng(8).standard_normal(20)
+    assert _oracle_agrees(zs)
+    assert 4.05 < _oracle_z_bound(20) < 4.06
+    for i in range(zs.size):
+        shifted = zs.copy()
+        shifted[i] += math.copysign(6.0, zs[i])
+        assert not _oracle_agrees(shifted)
+
+
 def test_criterion_8_quadrature_against_oracle():
     master = 20260810
     rng = np.random.default_rng(np.random.Philox(key=master))
-    ok = True
-    worst_z = 0.0
+    zs = []
     for i in range(20):
         v = int(rng.integers(1, 5))
         lams = tuple(float(x) for x in np.exp(rng.uniform(np.log(0.3), np.log(3.0), v)))
@@ -195,9 +223,8 @@ def test_criterion_8_quadrature_against_oracle():
         idx = MultiIndex(tuple(ks))
         quad = ball_integral(idx, rho, spec)
         mc = ball_integral_mc(idx, rho, spec, 400_000, seed=master ^ i)
-        z = abs(quad.value - mc.mean) / mc.std_error
-        worst_z = max(worst_z, z)
-        ok &= z <= 3.0
+        zs.append((quad.value - mc.mean) / mc.std_error)
+    ok = _oracle_agrees(zs)
 
     chi_err = 0.0
     for rho in (0.5, 2.0, 7.0):
@@ -206,8 +233,9 @@ def test_criterion_8_quadrature_against_oracle():
     ok &= chi_err < 1e-8
     _verdict(8, ok, "quadrature consistent with the sampling oracle and the "
              "equal-variance closed form",
-             f"20 seeded instances, worst z {worst_z:.2f}, "
-             f"closed-form error {chi_err:.1e}")
+             f"20 seeded instances, worst |z| {max(map(abs, zs)):.2f} <= "
+             f"{_oracle_z_bound(len(zs)):.2f} (Bonferroni, suite false-alarm "
+             f"rate {ORACLE_ALPHA:g}), closed-form error {chi_err:.1e}")
 
 
 def test_criterion_9_expansion_order():

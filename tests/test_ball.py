@@ -374,6 +374,30 @@ class TestFamily:
         finally:
             ball._alpha_quad.cache_clear()
 
+    def test_leaf_lanes_arrive_ascending(self, monkeypatch):
+        # the quadrature orders each leaf block once, so every incomplete
+        # gamma it calls gets one ascending vector; at v >= 4 the leaf spans
+        # several blocks, and each block is its own call
+        calls = []
+        real = ball._lower_incomplete_gamma_vec
+
+        def recorded(s, x):
+            calls.append(x.ndim == 1 and bool(np.all(x[1:] >= x[:-1])))
+            return real(s, x)
+
+        monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", recorded)
+        ball._alpha_quad.cache_clear()
+        lams = (1.0, 2.0, 0.3, 1.4, 0.7, 0.9)
+        for v in range(1, 7):
+            family = [MultiIndex.zero(v)] if v == 6 else (
+                _index_family(v, 2) + [MultiIndex.single(v, 0, 3)])
+            calls.clear()
+            ball_integrals(family, 3.0, Spectrum(lams[:v]))
+            assert calls and all(calls)
+            if v >= 4:  # each leaf multiplicity spans several blocks
+                assert len(calls) > len({index.multiplicities[0] for index in family})
+        ball._alpha_quad.cache_clear()
+
     def test_threads_match_serial(self):
         # the blocked pass shares no buffer between calls, so four threads
         # over eight geometries give the serial bytes
@@ -619,6 +643,37 @@ class TestStructuralReport:
         assert len(families) == reads
         assert all(len(family) > 1 for family in families)
         assert ball._alpha_quad.cache_info().hits == 0
+
+    @pytest.mark.parametrize("rho", [1e4, 1e5])
+    def test_hierarchy_reads_error_bars(self, rho):
+        # every slice is capped at sqrt(760 lambda), so alpha_(0,1) sits
+        # 3.2e-11 above alpha_0 at both radii, inside error bars of 1.4e-7
+        # and 3.6e-6: the check passes, and still reports that margin
+        report = verify_structural(rho, Spectrum((1.0, 2.0)), order_cap=2)
+        assert report.passed
+        margins = {check.name: check.margin for check in report.checks}
+        assert margins["hierarchy[dim1,k=1]"] == -3.237343726425479e-11
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_hierarchy_fails_member_raised_by_its_error_bars(self, monkeypatch, k):
+        # the base read is the one family that holds order-3 members; raise
+        # member (0, k) there by 100 of its error bars
+        spec, target = Spectrum((1.0, 2.0)), MultiIndex.single(2, 1, k)
+        real = ball.ball_integrals
+
+        def raised(indices, rho, spectrum):
+            got = real(indices, rho, spectrum)
+            if max(index.order for index in got) < 3:
+                return got
+            out = {index: got[index] for index in got}
+            value, err = out[target].value, out[target].est_abs_error
+            out[target] = ball.IntegralValue(value + 100.0 * err, err)
+            return out
+
+        monkeypatch.setattr(ball, "ball_integrals", raised)
+        report = verify_structural(1e5, spec, order_cap=2)
+        status = {check.name: check.ok for check in report.checks}
+        assert not status[f"hierarchy[dim1,k={k}]"]
 
     def test_margins_are_pinned(self):
         # family reads and the shared difference rule must move no margin

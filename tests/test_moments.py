@@ -11,6 +11,7 @@ from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_m
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.moments import (
     NOISE_FACTOR,
+    MomentBatch,
     REGION_CROSSOVER,
     REGION_STRONG,
     REGION_WEAK,
@@ -298,6 +299,19 @@ class TestIntegralCounts:
         assert families and families == [[(0, 0, 0), (0, 1, 0)]] * len(families)
         # both indices have k_1 = 0, so one leaf serves both outer rules
         assert len(gammas) <= 2 * len(families)
+
+
+class TestMomentBatchRead:
+    def test_family_read_once_at_construction(self, monkeypatch):
+        families, _, _ = _count_passes(monkeypatch)
+        batch = MomentBatch(5.0, SPEC3)
+        assert families == [_order_two_family(3)]
+        for n in range(3):
+            batch.gap(n)
+            for m in range(3):
+                batch.cov(n, m)
+                batch.product(n, m)
+        assert len(families) == 1
 
 
 class TestFamilyFailure:

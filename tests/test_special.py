@@ -141,16 +141,17 @@ class TestRaisingFactorial:
 
 
 @st.composite
-def _shuffled_lanes(draw):
-    """An s and lanes mixing 0, series-range, continued-fraction-range and
-    inf, with a permutation of them."""
+def _lanes(draw):
+    """An s, ascending lanes mixing 0, series-range, continued-fraction-range
+    and inf, a subset mask and a permutation of them."""
     s = draw(st.sampled_from([0.5, 1.5, 2.5, 3.7, 9.5]))
     cut = s + special._SERIES_CUTOFF_OFFSET
     lane = st.one_of(st.just(0.0), st.just(math.inf),
                      st.floats(0.0, cut, exclude_max=True), st.just(cut),
                      st.floats(cut, 1e4))
-    x = draw(st.lists(lane, min_size=2, max_size=64))
-    return s, np.array(x), np.array(draw(st.permutations(range(len(x)))))
+    x = np.sort(draw(st.lists(lane, min_size=2, max_size=64)))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    return s, x, keep, np.array(draw(st.permutations(range(x.size))))
 
 
 class TestLowerIncompleteGamma:
@@ -217,24 +218,38 @@ class TestLowerIncompleteGamma:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
         for s in (0.5, 1.5, 4.5, 9.5):
-            x = rng.uniform(0.0, 90.0, size=500)
+            x = np.sort(rng.uniform(0.0, 90.0, size=500))
             vec = _lower_incomplete_gamma_vec(s, x)
             ref = gammainc(s, x) * math.gamma(s)
             np.testing.assert_allclose(vec, ref, rtol=1e-13, atol=1e-300)
 
-    @given(_shuffled_lanes())
+    @given(_lanes())
     @settings(max_examples=80, deadline=None)
     def test_lane_order_and_shape_change_no_bits(self, case):
-        # the lanes run in ascending x whatever order they come in, so
-        # every order, and a 2-D view of them, gives each lane its bits
-        s, x, perm = case
+        # the lanes arrive ascending: any ascending subset of them keeps
+        # each lane's bits, and an order or a shape that is not one
+        # ascending vector is refused, never silently re-sorted
+        s, x, keep, perm = case
         got = _lower_incomplete_gamma_vec(s, x)
-        assert _lower_incomplete_gamma_vec(s, x[perm]).tobytes() == got[perm].tobytes()
+        assert _lower_incomplete_gamma_vec(s, x[keep]).tobytes() == got[keep].tobytes()
+        shuffled = x[perm]
+        if np.any(shuffled[1:] < shuffled[:-1]):
+            with pytest.raises(DomainError):
+                _lower_incomplete_gamma_vec(s, shuffled)
+        else:  # ties: the permutation left the lanes ascending
+            assert _lower_incomplete_gamma_vec(s, shuffled).tobytes() == got.tobytes()
         half = x.size // 2
-        grid = x[:2 * half].reshape(2, half).T  # not C-contiguous
-        out = _lower_incomplete_gamma_vec(s, grid)
-        assert out.shape == (half, 2)
-        assert out.tobytes() == got[:2 * half].reshape(2, half).T.tobytes()
+        with pytest.raises(DomainError):
+            _lower_incomplete_gamma_vec(s, x[:2 * half].reshape(2, half).T)
+
+    def test_unordered_lanes_are_domain_errors(self):
+        for lanes in ([2.0, 1.0], [0.0, 5.0, 30.0, 20.0], [[1.0, 2.0]], 1.0):
+            with pytest.raises(DomainError, match="ascending"):
+                _lower_incomplete_gamma_vec(1.5, np.array(lanes))
+        # ties are ascending, and a negative lane is refused as such first
+        assert _lower_incomplete_gamma_vec(1.5, np.array([1.0, 1.0])).size == 2
+        with pytest.raises(DomainError, match="x >= 0"):
+            _lower_incomplete_gamma_vec(1.5, np.array([2.0, -1.0]))
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 2.5, 9.5])
     def test_lanes_converge_independently(self, s):
@@ -247,7 +262,7 @@ class TestLowerIncompleteGamma:
              math.inf, 1e4],
             np.exp(rng.uniform(-30.0, math.log(s + 20.0), 300)),
         ])
-        rng.shuffle(x)
+        x.sort()
         together = _lower_incomplete_gamma_vec(s, x)
         alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
         assert together.tobytes() == np.array(alone).tobytes()

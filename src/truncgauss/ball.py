@@ -2,11 +2,12 @@
 
 The basic object is the normalized integral of an even monomial
 ``prod_j (x_j^2 / lambda_j)^(k_j)`` against a zero-mean diagonal Gaussian
-density, restricted to the ball ``x.x < rho``.  Three evaluation routes are
+density, restricted to the ball ``x.x < rho``.  Four evaluation routes are
 provided: a closed form in one dimension (via the lower incomplete gamma),
-nested Gauss-Legendre quadrature up to six dimensions, and a seeded
-rejection-sampling Monte Carlo estimate in any dimension, which serves as
-the independent oracle for the other two.
+nested Gauss-Legendre quadrature in two to four dimensions, Ruben's
+chi-square mixture from five dimensions up, and a seeded rejection-sampling
+Monte Carlo estimate in any dimension, which serves as the independent
+oracle for the other three.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
 
 # Quadrature node counts (fixed so outputs are bit-stable).  The coarse
 # count is only used on the outermost level, to price the error estimate.
-_NODES_LOW_DIM = (48, 32)   # v <= 4
-_NODES_HIGH_DIM = (24, 16)  # v in {5, 6}
-_QUAD_MAX_DIM = 6
+_NODES_LOW_DIM = (48, 32)
 # Leaf lanes per quadrature block: 128 KB of float64, so the incomplete-gamma
 # series and every member's fold run in a 2 MB L2 cache.  Of 8k, 16k, 32k
 # and 64k lanes, 16k was fastest on moments-v4.
@@ -55,6 +54,12 @@ _LEAF_BLOCK = 1 << 14
 # block stays in cache while every member reads it.
 _MC_BLOCK = 1 << 13
 _MC_MIN_SAMPLES = 10_000
+
+# Mixture terms a member may need before the route gives way to Monte Carlo.
+# A v = 5 family near it takes about 0.3 s; it binds once both
+# lambda_max / lambda_min and rho / lambda_min are large (see CHANGES.md).
+_MIXTURE_MAX_TERMS = 1 << 12
+_EPS = float(np.finfo(float).eps)
 
 
 # The two input types are slotted: a sweep's caller keeps one Spectrum per
@@ -217,24 +222,22 @@ def _slice_range(rho, lam: float):
     return np.minimum(np.sqrt(rho), math.sqrt(_SUPPORT_WIDTH_SQ * lam))
 
 
-def _levels(lams, rho_arr, outer, inner):
-    """Slice nodes of each dimension in ``lams``, the last one first.
+def _levels(lams, rho_arr, rule):
+    """Slice nodes of each dimension in ``lams`` under ``rule``, the last
+    one first.
 
-    The last dimension takes the ``outer`` rule, every other the ``inner``
-    rule.  Returns the levels, outermost first, each as (half-range, x^2 /
-    lambda at the nodes, Gaussian density at the nodes, weights), and the
-    leftover square radii under them.  None of it depends on the
-    multi-index, so every member of a family shares it.
+    Returns the levels, outermost first, each as (half-range, x^2 / lambda
+    at the nodes, Gaussian density at the nodes, weights), and the leftover
+    square radii under them.  None of it depends on the multi-index, so
+    every member of a family shares it.
     """
     levels = []
-    rule = outer
+    sin_t, weights = rule
     for lam in reversed(lams):
-        sin_t, weights = rule
         half = _slice_range(rho_arr, lam)
         x = half[..., None] * sin_t
         rho_arr = np.maximum(rho_arr[..., None] - x * x, 0.0)
         levels.append((half, x * x / lam, _gauss_density(x, lam), weights))
-        rule = inner
     return levels, rho_arr
 
 
@@ -262,43 +265,37 @@ def _fold(ks, levels, values):
 # errors, about 0.5 KB at v = 2, so a larger bound mostly grows memory:
 # `figure delta-grid` leaves 1.9 MB in 4096 entries, 0.13 MB in 256.
 @functools.lru_cache(maxsize=256)
-def _alpha_quad(family: tuple, lams: tuple, rho: float, n_nodes: int,
-                n_check: int) -> np.ndarray:
-    """Nested quadrature for v >= 2 of every multi-index in ``family``.
+def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
+    """Nested quadrature for 2 <= v <= 4 of every multi-index in ``family``.
 
-    Slices the last dimension first, every level with ``n_nodes`` nodes.
-    The outermost level carries the ``n_check`` nodes of the reduced rule
-    beside them, so one sweep serves both rules, and only the outermost
-    fold splits them into each member's value and the check that prices
-    its ``est_abs_error``.  The outermost "head" levels, as few as leave
-    each head node at most ``_LEAF_BLOCK`` leaf lanes, are built once.  The
-    levels under them, the leaf incomplete gamma of each leaf multiplicity
-    and each member's inner fold run in blocks of whole head nodes, filling
-    a (members, heads) table that each member then folds through the head
-    levels.  Blocks depend only on the rules and restart at the reduced
-    rule's first head, so a member gets the arithmetic of its one-member
-    family under each rule alone.  At v <= 3 the whole leaf is one block.
-    Each block sorts its leaf radii once into the ascending lanes that
-    every leaf incomplete gamma requires.
+    Slices the last dimension first, every level with the full node count
+    of ``_NODES_LOW_DIM``.  The outermost level carries the reduced count's
+    nodes beside them, so one sweep serves both rules, and only the
+    outermost fold splits them into each member's value and the check that
+    prices its ``est_abs_error``.  The inner levels, the leaf incomplete
+    gamma of each leaf multiplicity and each member's inner fold run in
+    blocks of whole outer nodes, at most ``_LEAF_BLOCK`` leaf lanes each
+    (at least one node), filling a (members, outer nodes) table that each
+    member then folds through the outer level.  Blocks depend only on the
+    rules and restart at the reduced rule's first node, so a member gets
+    the arithmetic of its one-member family under each rule alone.  At
+    v <= 3 the whole leaf is one block.  Each block sorts its leaf radii
+    once into the ascending lanes that every leaf incomplete gamma requires.
     Returns a (2, members) array: the values, then their errors.
     """
+    n_nodes, n_check = _NODES_LOW_DIM
     inner = _gl_nodes(n_nodes)
     outer = [np.concatenate(parts)  # the value's nodes, then the check's
              for parts in zip(inner, _gl_nodes(n_check))]
-    depth = len(lams) - 2  # inner levels under the head levels
-    while depth and n_nodes ** depth > _LEAF_BLOCK:
-        depth -= 1
-    heads, rho_heads = _levels(lams[depth + 1:], np.asarray(rho), outer, inner)
-    shape, rho_heads = rho_heads.shape, rho_heads.reshape(-1)
+    (top,), rho_heads = _levels(lams[-1:], np.asarray(rho), outer)
     size = rho_heads.size
     table = np.empty((len(family), size))
-    step = _LEAF_BLOCK // n_nodes ** depth  # whole head nodes per block
-    edges = (0, size) if size <= step else (0, size // shape[0] * n_nodes, size)
+    step = max(1, _LEAF_BLOCK // n_nodes ** (len(lams) - 2))  # nodes per block
+    edges = (0, size) if size <= step else (0, n_nodes, size)
     for first, stop in zip(edges, edges[1:]):
         for start in range(first, stop, step):
             block = slice(start, min(start + step, stop))
-            levels, rho_leaf = _levels(lams[1:depth + 1], rho_heads[block],
-                                       inner, inner)
+            levels, rho_leaf = _levels(lams[1:-1], rho_heads[block], inner)
             # the incomplete gamma takes its lanes in ascending radius: sort
             # the block once, and scatter each leaf back for the folds
             order = np.argsort(rho_leaf, axis=None)
@@ -308,17 +305,88 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float, n_nodes: int,
                 leaf.reshape(-1)[order] = _alpha_1d_array(k, ascending, lams[0])
                 for i, ks in enumerate(family):
                     if ks[0] == k:
-                        table[i, block] = _fold(ks[1:depth + 1], levels, leaf)
-    half, scaled_sq, density, weights = heads[0]
+                        table[i, block] = _fold(ks[1:-1], levels, leaf)
+    half, scaled_sq, density, weights = top
     rules = [(part, [(half, scaled_sq[part], density[part], weights[part])])
              for part in (slice(None, n_nodes), slice(n_nodes, None))]
     out = np.empty((2, len(family)))
     for i, (ks, row) in enumerate(zip(family, table)):
-        under = _fold(ks[depth + 1:-1], heads[1:], row.reshape(shape))
-        value, check = (float(_fold(ks[-1:], top, under[part]))
-                        for part, top in rules)
+        value, check = (float(_fold(ks[-1:], rule, row[part]))
+                        for part, rule in rules)
         out[:, i] = value, abs(value - check) + 1e-15 * abs(value)
     out.flags.writeable = False  # shared by every reader of the cache entry
+    return out
+
+
+def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
+    """Ruben's (1962) chi-square mixture for each multi-index in ``family``.
+
+    alpha_k = prod_j (2k_j - 1)!! P(Q < rho), where Q = sum_j lambda_j
+    chi^2(nu_j) with nu_j = 2k_j + 1.  With beta = lambda_min and x = rho /
+    (2 beta), P(Q < rho) = sum_i w_i P(n/2 + i, x), n = sum_j nu_j, where
+    w holds the power-series coefficients of prod_j (beta / lambda_j)^(nu_j
+    / 2) (1 - c_j z)^(-nu_j / 2), c_j = 1 - beta / lambda_j.  Each member
+    convolves its own per-coordinate series.  The weights are positive and
+    sum to 1, so stopping after K terms leaves at most (1 - sum_{i<K} w_i)
+    P(n/2 + K, x), the bound AS 106 (Sheil and O'Muircheartaigh 1977) uses.
+    The term count doubles until that bound is below the member's rounding
+    term, which counts one rounding per series step, product and addition;
+    the error is the bound plus that term (twice: the weights' sum rounds
+    too), plus the ladder's.
+
+    The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2),
+    and a bound on each entry's rounding.  P(s, x) is the sum of the
+    positive terms x^t e^-x / Gamma(t + 1) over t = s, s + 1, ..., so the
+    ladder is their reverse cumulative sum.  The terms are formed as ratios
+    to the one at the mode, and normalised by their whole sum, P(s0, x): 1,
+    or erf(sqrt x).  Terms more than 40 sqrt(x) below the mode, or 40
+    sqrt(x) + 760 above it, lie below exp(-745) and underflow, so entries
+    below that window equal P(s0, x).  Every entry depends on (v, x) alone,
+    so a member gets the bits of its one-member family.  Returns a (2,
+    members) array: the values, then their errors.
+    """
+    v, beta, lam = len(lams), min(lams), np.asarray(lams)
+    x = min(rho / (2.0 * beta), 1e300)  # an infinite x is the whole space
+    s0, half_width = v / 2 % 1.0, 40.0 * math.sqrt(x)
+    total = math.erf(math.sqrt(x)) if s0 else 1.0
+    top = v // 2 + 2 * _MIXTURE_MAX_TERMS  # the last entry a member may read
+    lo = max(0, math.ceil(x - s0 - half_width))
+    ladder = np.outer([total, _EPS * total], np.ones(top + 1))
+    if lo <= top:
+        s = s0 + np.arange(lo, max(top + 1, math.ceil(x + half_width + 760.0)))
+        mode = int(x - s0) - lo
+        terms = np.concatenate([np.cumprod(s[mode:0:-1] / x)[::-1], [1.0],
+                                np.cumprod(x / s[mode + 1:])])
+        # a term rounds once a step from the mode, and once in each partial sum
+        # it enters; erf, the normalisation and its product take 3 eps more
+        steps = _EPS * (np.abs(np.arange(s.size) - mode) + np.arange(1, s.size + 1) / 2)
+        tail, bound = np.cumsum(np.stack([terms, terms * steps])[:, ::-1], 1)[:, ::-1]
+        ladder[:, lo:] = total / tail[0] * np.stack([tail, bound + tail * (
+            bound[0] / tail[0] + 3.0 * _EPS)])[:, :top + 1 - lo]
+    ratio, c = beta / lam, (lam - beta) / lam
+    out = np.empty((2, len(family)))
+    for col, ks in enumerate(family):
+        half, first = np.asarray(ks) + 0.5, v // 2 + sum(ks)  # P(n/2, x)'s entry
+        for size in (1 << n for n in range(5, _MIXTURE_MAX_TERMS.bit_length())
+                     if sum(ks) <= _MIXTURE_MAX_TERMS):
+            i, w = np.arange(size), np.eye(1, size)[0]
+            step = c[:, None] * (half[:, None] + i[1:] - 1) / i[1:]  # term m / term m-1
+            for row in np.cumprod(np.c_[ratio ** half, step], axis=1)[c > 0]:
+                w = np.convolve(w, row)[:size]  # lambda_min rows are 1, 0, 0, ...
+            terms = w * ladder[0, first:first + size]
+            rounding = _EPS * (np.cumsum(terms * (first + 5 * v + (v + 4) * i))
+                               + (i + 1) * np.cumsum(terms))
+            tails = (1.0 - np.cumsum(w)) * ladder[0, first + 1:first + size + 1]
+            if (tails <= rounding).any():
+                break
+        else:
+            raise CapabilityError(
+                f"mixture route needs over {_MIXTURE_MAX_TERMS} terms at rho = {rho}, "
+                f"lambda = {lams}; use ball_integrals_mc")
+        K = int(np.argmax(tails <= rounding)) + 1
+        scale = math.prod(float(j) for k in ks for j in range(1, 2 * k, 2))
+        out[:, col] = scale * float(terms[:K].sum()), scale * float(abs(
+            tails[K - 1]) + 2.0 * rounding[K - 1] + w[:K] @ ladder[1, first:first + K])
     return out
 
 
@@ -360,13 +428,16 @@ class BallIntegrals(Mapping):
 
 
 def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
-    """Quadrature evaluation of several multi-indices for 1 <= v <= 6.
+    """Evaluation of several multi-indices at one geometry, any v.
 
-    At v = 1 each member is the incomplete-gamma closed form.  Above, all
-    members share one pass over the geometry in cache-sized blocks, whose
-    memory is bounded at every v.  The reduced outer node count rides in
-    the same pass, and its difference from the full count prices each
-    ``est_abs_error``.
+    At v = 1 each member is the incomplete-gamma closed form.  At v = 2..4
+    all members share one quadrature pass over the geometry in cache-sized
+    blocks; the reduced outer node count rides in the same pass, and its
+    difference from the full count prices each ``est_abs_error``.  From
+    v = 5 up each member is its own chi-square mixture, whose
+    ``est_abs_error`` bounds the truncation and the rounding; a member that
+    needs more than ``_MIXTURE_MAX_TERMS`` terms is a
+    :class:`CapabilityError`.
     """
     indices = tuple(indices)
     for index in indices:
@@ -380,20 +451,15 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
                                             np.array([rho]), lams[0])[0])
                       for index in indices]
         ests = [1e-13 * abs(value) for value in values]
-    elif v > _QUAD_MAX_DIM:
-        raise CapabilityError(
-            f"quadrature path supports v <= {_QUAD_MAX_DIM}, got v = {v}; "
-            "use ball_integral_mc for higher dimensions"
-        )
     else:
         family = tuple(index.multiplicities for index in indices)
-        values, ests = _alpha_quad(family, lams, rho, *(
-            _NODES_LOW_DIM if v <= 4 else _NODES_HIGH_DIM)).tolist()
+        route = _alpha_quad if v <= 4 else _alpha_mixture
+        values, ests = route(family, lams, rho).tolist()
     return BallIntegrals(dict(zip(indices, zip(values, ests))))
 
 
 def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
-    """Quadrature evaluation for 1 <= v <= 6: the one-member family."""
+    """Evaluation of one multi-index: the one-member family, any v."""
     return ball_integrals((index,), rho, spectrum)[index]
 
 

@@ -422,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default="",
                    help="multi-index as dim:mult[,dim:mult...], 1-based dims")
     p.add_argument("--mc", action="store_true",
-                   help="use the seeded sampling oracle instead of quadrature")
+                   help="use the seeded sampling oracle, not quadrature or mixture")
     p.add_argument("--samples", type=int, default=None,
                    help="sample budget for --mc (default 1000000)")
     p.add_argument("--seed", type=int, default=None,

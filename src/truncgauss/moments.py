@@ -161,8 +161,9 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
                         seed: int = 0) -> MomentSet:
     """Second/fourth/cross conditional moments as integral ratios.
 
-    The default quadrature route covers v <= 6 and enforces the moment
-    bounds strictly.  ``method="mc"`` estimates every ratio from one shared
+    The default route reads the ball integrals (quadrature at v <= 4, the
+    chi-square mixture above, any v) and enforces the moment bounds
+    strictly.  ``method="mc"`` estimates every ratio from one shared
     sample stream, one :func:`ball_integrals_mc` call over the order-2
     family (any dimension); its plug-in estimates carry sampling noise, so
     the bounds are only enforced up to that noise.
@@ -203,7 +204,7 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
 
 def variance_gap_with_error(n: int, rho: float, spectrum: Spectrum) -> tuple[float, float]:
     """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2 and its
-    propagated quadrature error."""
+    propagated ball-integral error."""
     return MomentBatch(rho, spectrum).gap(n)
 
 

@@ -315,20 +315,27 @@ class TestMomentBatchRead:
 
 
 class TestFamilyFailure:
-    # A v = 5 geometry where the 24/16-node rule overshoots the bound of
-    # (0, 0, 0, 0, 2): the family holds that member, but only a reader of
-    # it may fail.
-    SPEC = Spectrum((1.9636184801131922, 2.687901997421187, 0.19853898423447447,
-                     0.5663099241805805, 0.0694934091695928))
+    # At rho = 1e-110 the order-2 members of a v = 2 family underflow to 0.0
+    # and the others do not: the batch holds every member, but only a
+    # reader of a failing one may fail.
+    SPEC = Spectrum((1.0, 2.0))
+    RHO = 1e-110
 
     def test_unread_member_does_not_fail(self):
-        gap, err = variance_gap_with_error(0, 60.0, self.SPEC)
-        assert gap == float.fromhex("-0x1.075cd97c369d0p-22")
-        assert err == float.fromhex("0x1.07221c8c1c28cp-14")
+        batch = MomentBatch(self.RHO, self.SPEC)
+        for n in range(2):
+            second, err = batch.second(n)
+            assert 0.0 < second < self.RHO and err < 1e-12 * second
 
     def test_reader_of_the_bad_member_fails(self):
-        with pytest.raises(NumericError, match="exceeds its factorized bound"):
-            variance_gap_with_error(4, 60.0, self.SPEC)
+        batch = MomentBatch(self.RHO, self.SPEC)
+        for n in range(2):
+            with pytest.raises(NumericError, match="evaluated to 0.0"):
+                batch.gap(n)
+            with pytest.raises(NumericError, match="evaluated to 0.0"):
+                variance_gap_with_error(n, self.RHO, self.SPEC)
+        with pytest.raises(NumericError, match="evaluated to 0.0"):
+            batch.product(0, 1)
 
 
 class TestMarginalDensity:

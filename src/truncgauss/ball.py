@@ -56,9 +56,13 @@ _MC_BLOCK = 1 << 13
 _MC_MIN_SAMPLES = 10_000
 
 # Mixture terms a member may need before the route gives way to Monte Carlo.
-# A v = 5 family near it takes about 0.3 s; it binds once both
+# A v = 5 family near it takes 0.3-1 s; it binds once both
 # lambda_max / lambda_min and rho / lambda_min are large (see CHANGES.md).
 _MIXTURE_MAX_TERMS = 1 << 12
+# A member stops adding terms once its truncation bound is below this share
+# of its rounding term.  That term bounds the rounding 10-30x above what
+# happens, so a share of 1 would let truncation dominate the error.
+_MIXTURE_STOP = 1.0 / 16.0
 _EPS = float(np.finfo(float).eps)
 
 
@@ -329,10 +333,10 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     convolves its own per-coordinate series.  The weights are positive and
     sum to 1, so stopping after K terms leaves at most (1 - sum_{i<K} w_i)
     P(n/2 + K, x), the bound AS 106 (Sheil and O'Muircheartaigh 1977) uses.
-    The term count doubles until that bound is below the member's rounding
-    term, which counts one rounding per series step, product and addition;
-    the error is the bound plus that term (twice: the weights' sum rounds
-    too), plus the ladder's.
+    The term count doubles until that bound is below ``_MIXTURE_STOP`` times
+    the member's rounding term, which counts one rounding per series step,
+    product and addition; the error is the bound plus that term (twice: the
+    weights' sum rounds too), plus the ladder's.
 
     The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2),
     and a bound on each entry's rounding.  P(s, x) is the sum of the
@@ -377,13 +381,14 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
             rounding = _EPS * (np.cumsum(terms * (first + 5 * v + (v + 4) * i))
                                + (i + 1) * np.cumsum(terms))
             tails = (1.0 - np.cumsum(w)) * ladder[0, first + 1:first + size + 1]
-            if (tails <= rounding).any():
+            done = tails <= _MIXTURE_STOP * rounding
+            if done.any():
                 break
         else:
             raise CapabilityError(
                 f"mixture route needs over {_MIXTURE_MAX_TERMS} terms at rho = {rho}, "
                 f"lambda = {lams}; use ball_integrals_mc")
-        K = int(np.argmax(tails <= rounding)) + 1
+        K = int(np.argmax(done)) + 1
         scale = math.prod(float(j) for k in ks for j in range(1, 2 * k, 2))
         out[:, col] = scale * float(terms[:K].sum()), scale * float(abs(
             tails[K - 1]) + 2.0 * rounding[K - 1] + w[:K] @ ladder[1, first:first + K])
@@ -567,6 +572,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
     """Finite-difference checks of the scaling/derivative identities plus
     the one-index hierarchy and power-dominance inequalities.  Each geometry
     is one family read; the differences act on arrays of member values."""
+    order_cap = _integer(order_cap, "order_cap")
     if not 0 <= order_cap <= 4:
         raise DomainError(f"order_cap must be in 0..4, got {order_cap}")
     rho = _check_rho(rho)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,27 +29,6 @@ EXIT_NUMERIC = 3
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
-
-
-def _threads() -> int:
-    """The TG_THREADS worker count, at least 1; a non-integer is a usage error."""
-    raw = os.environ.get("TG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"TG_THREADS must be an integer, got {raw!r}") from None
-
-
-def _map_grid(fn, items):
-    """Apply fn over grid cells, ordered by cell index regardless of workers.
-
-    TG_THREADS is clamped to the number of cells and of CPUs.
-    """
-    workers = min(_threads(), len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_lambdas(raw: str) -> tuple[float, ...]:
@@ -150,7 +127,7 @@ def _query(args: argparse.Namespace, head: list[str], record, rows) -> int:
         rhos = [args.rho]
     else:
         raise DomainError(f"{args.command} needs --rho or --rho-range")
-    return _write(args, head, _map_grid(record, rhos), rows,
+    return _write(args, head, [record(rho) for rho in rhos], rows,
                   single=args.rho_range is None)
 
 
@@ -229,16 +206,11 @@ def _figure_delta_grid(quick: bool = False) -> list[str]:
     rho = 1.0
     lams = np.geomspace(rho / 50.0, rho / 0.1, points)
     lines = ["lambda1,lambda2,delta_1,delta_2"]
-
-    def cell(pair):
-        l1, l2 = pair
-        spec = Spectrum((l1, l2))
-        cors = moments_mod.correlation_set(rho, spec)
-        return (f"{_fmt(l1)},{_fmt(l2)},"
-                f"{_fmt(cors.delta[0])},{_fmt(cors.delta[1])}")
-
-    cells = [(l1, l2) for l1 in lams for l2 in lams]
-    lines.extend(_map_grid(cell, cells))
+    for l1 in lams:
+        for l2 in lams:
+            cors = moments_mod.correlation_set(rho, Spectrum((l1, l2)))
+            lines.append(f"{_fmt(l1)},{_fmt(l2)},"
+                         f"{_fmt(cors.delta[0])},{_fmt(cors.delta[1])}")
     return lines
 
 
@@ -250,13 +222,10 @@ def _figure_gamma_curves(quick: bool = False) -> list[str]:
     head = "rho_over_lambda3," + ",".join(
         f"abs_gamma_{n + 1}{m + 1}" for n, m in pairs)
     lines = [head]
-
-    def cell(rho):
+    for rho in rhos:
         cors = moments_mod.correlation_set(float(rho), spec)
         vals = [abs(cors.gamma[n][m]) for n, m in pairs]
-        return ",".join([_fmt(rho / 3.0)] + [_fmt(x) for x in vals])
-
-    lines.extend(_map_grid(cell, list(rhos)))
+        lines.append(",".join([_fmt(rho / 3.0)] + [_fmt(x) for x in vals]))
     return lines
 
 
@@ -268,17 +237,13 @@ def _figure_gamma_convergence(quick: bool = False) -> list[str]:
     for n in range(3):
         head += [f"gamma3_{n + 1}{n + 1}", f"gamma1_{n + 1}{n + 1}"]
     lines = [",".join(head)]
-
-    def cell(rho):
-        rho = float(rho)
+    for rho in map(float, rhos):
         cors = moments_mod.correlation_set(rho, spec)
         row = [_fmt(rho / 3.0)]
         for n in range(3):
             one = moments_mod.correlation_set(rho, Spectrum((spec.lambdas[n],)))
             row += [_fmt(cors.gamma[n][n]), _fmt(one.gamma[0][0])]
-        return ",".join(row)
-
-    lines.extend(_map_grid(cell, list(rhos)))
+        lines.append(",".join(row))
     return lines
 
 

@@ -20,8 +20,8 @@ from .ball import (MultiIndex, Spectrum, _fd_derivative, ball_integral,
                    ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import (_compositions, _multinomial, raising_factorial,
-                      stirling_second)
+from .special import (_compositions, _integer, _multinomial,
+                      raising_factorial, stirling_second)
 
 __all__ = [
     "CoefficientTable",
@@ -56,6 +56,7 @@ class CoefficientTable:
 
 @functools.lru_cache(maxsize=256)
 def coefficient_table(v: int, k_max: int) -> CoefficientTable:
+    v, k_max = _integer(v, "dimension"), _integer(k_max, "k_max")
     if v < 1:
         raise DomainError(f"dimension must be >= 1, got {v}")
     if not 0 <= k_max <= _K_MAX_TABLE:
@@ -132,6 +133,7 @@ def _etas(k_max: int, rho: float,
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
     """The k-th coefficient function through the exact reduction."""
+    k = _integer(k, "order")
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -145,6 +147,7 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     Step rho * 10^(-2/k), one Richardson extrapolation; independent of the
     combinatorial route (it only ever evaluates the plain ball mass).
     """
+    k = _integer(k, "order")
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -169,6 +172,7 @@ def q_polynomial(k: int, x: float, a: float) -> float:
     Degree k in x with unit leading coefficient; the l-th coefficient is
     C(k, l) times the l-th raising factorial of a.
     """
+    k = _integer(k, "degree")
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     return float(sum(
@@ -207,6 +211,7 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
     schedule = tuple(float(r) for r in rho_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("rho schedule must be non-empty and strictly increasing")
+    k_max = _integer(k_max, "k_max")
     if k_max < 1:
         raise DomainError(f"need k_max >= 1 for any check, got {k_max}")
     report = Report("asymptotic")

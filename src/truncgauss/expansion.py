@@ -87,6 +87,7 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     prod_d (lambda_d / rho)^(a_d) alpha_1d(k_d + a_d).  The returned terms
     list carries one contribution per order.
     """
+    order = _integer(order, "order")
     if order < 0 or order > _MAX_ORDER:
         raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
     v = spectrum.v

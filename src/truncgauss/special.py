@@ -85,6 +85,7 @@ def _table_row(rows: list[list[int]], k: int, factor) -> list[int]:
 
 def stirling_second(k: int, t: int) -> int:
     """Stirling number of the second kind {k brace t}; 0 when t > k."""
+    k, t = _integers((k, t), "Stirling argument")
     if k < 0 or t < 0:
         return 0
     if t > k:
@@ -94,6 +95,7 @@ def stirling_second(k: int, t: int) -> int:
 
 def stirling_first_unsigned(k: int, j: int) -> int:
     """Unsigned Stirling number of the first kind [k brack j]; 0 when j > k."""
+    k, j = _integers((k, j), "Stirling argument")
     if k < 0 or j < 0:
         return 0
     if j > k:
@@ -107,6 +109,7 @@ def raising_factorial(x, n: int):
     Works for any numeric type (int, float, Fraction), staying exact for
     exact inputs.
     """
+    n = _integer(n, "raising factorial length")
     if n < 0:
         raise DomainError(f"raising factorial needs n >= 0, got {n}")
     out = 1

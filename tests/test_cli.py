@@ -2,13 +2,12 @@
 
 import json
 import math
-import os
 import shlex
 from pathlib import Path
 
 import pytest
 
-from truncgauss import ball, cli
+from truncgauss import ball
 from truncgauss.cli import _build_parser, main
 
 
@@ -319,23 +318,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
 
-    @pytest.mark.parametrize("threads", ["2.5", "four"])
-    def test_malformed_thread_count_exits_two(self, capsys, monkeypatch,
-                                              threads):
-        # used to run every grid serially without a word
-        monkeypatch.setenv("TG_THREADS", threads)
-        code, out, err = run(["figure", "gamma-curves", "--quick"], capsys)
-        assert code == 2 and not out
-        assert "TG_THREADS" in err and repr(threads) in err
-
-    def test_thread_count_does_not_change_output(self, capsys, tmp_path,
-                                                 monkeypatch):
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("TG_THREADS", "1")
-        assert main(["figure", "gamma-curves", "--quick", "--out", str(f1)]) == 0
-        monkeypatch.setenv("TG_THREADS", "4")
-        assert main(["figure", "gamma-curves", "--quick", "--out", str(f2)]) == 0
-        assert f1.read_bytes() == f2.read_bytes()
+    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
+        # grids run in order in the calling thread; TG_THREADS is not read
+        for argv in (["figure", "gamma-curves", "--quick"],
+                     ["moments", "--lambda", "1,2", "--rho-range", "1:5:6:log"]):
+            outputs = set()
+            for threads in (None, "4", "four"):
+                if threads is None:
+                    monkeypatch.delenv("TG_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("TG_THREADS", threads)
+                code, out, err = run(argv, capsys)
+                assert code == 0 and out and not err, (argv, threads)
+                outputs.add(out)
+            assert len(outputs) == 1, argv
 
 
 # a valid invocation of each subcommand, and the options none of them reads
@@ -433,32 +429,3 @@ class TestSurface:
         parser = _build_parser()
         for tokens in commands:
             parser.parse_args(tokens[1:])
-
-    @pytest.mark.parametrize("threads,cpus,expected", [
-        ("1000000", 64, [3]),
-        ("1000000", 2, [2]),
-        ("1000000", None, []),
-        ("2", 64, [2]),
-    ])
-    def test_map_grid_clamps_workers(self, monkeypatch, threads, cpus,
-                                     expected):
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv("TG_THREADS", threads)
-        assert cli._map_grid(lambda x: 2 * x, [1, 2, 3]) == [2, 4, 6]
-        assert seen == expected

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from truncgauss import special
+from truncgauss.ball import Spectrum, verify_structural
 from truncgauss.errors import DomainError, NumericError
+from truncgauss.eta import (asymptotic_checks, coefficient_table,
+                            eta_combinatorial, eta_fd_oracle, q_polynomial)
+from truncgauss.expansion import expand_alpha
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
     double_factorial,
@@ -266,3 +270,30 @@ class TestLowerIncompleteGamma:
         together = _lower_incomplete_gamma_vec(s, x)
         alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
         assert together.tobytes() == np.array(alone).tobytes()
+
+
+_SPEC = Spectrum((1.0, 2.0, 3.0))
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call", [
+        lambda n: verify_structural(3.0, _SPEC, order_cap=n),
+        lambda n: eta_combinatorial(n, 5.0, _SPEC),
+        lambda n: eta_fd_oracle(n, 5.0, _SPEC),
+        lambda n: expand_alpha("alpha", 0, n, 5.0, _SPEC),
+        lambda n: coefficient_table(n, 2),
+        lambda n: coefficient_table(3, n),
+        lambda n: q_polynomial(n, 1.0, 0.5),
+        lambda n: asymptotic_checks(3, _SPEC, n, (20.0, 40.0, 80.0)),
+        lambda n: raising_factorial(0.5, n),
+        lambda n: stirling_second(n, 1),
+        lambda n: stirling_first_unsigned(3, n),
+    ], ids=["verify_structural", "eta_combinatorial", "eta_fd_oracle",
+            "expand_alpha", "coefficient_table_v", "coefficient_table_k_max",
+            "q_polynomial", "asymptotic_checks", "raising_factorial",
+            "stirling_second", "stirling_first_unsigned"])
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_non_integral_order_is_domain_error(self, call, bad):
+        # each leaked TypeError or a Fraction error, or ran on the bad value
+        with pytest.raises(DomainError):
+            call(bad)

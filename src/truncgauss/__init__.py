@@ -1,7 +1,7 @@
 """Moments of diagonal Gaussians truncated to a centered Euclidean ball.
 
-The package evaluates Gaussian ball integrals (closed form, nested
-quadrature at v <= 4, a chi-square mixture at v >= 5, Monte Carlo), the
+The package evaluates Gaussian ball integrals (nested quadrature at
+v = 2..4, a chi-square mixture at v = 1 and v >= 5, Monte Carlo), the
 conditional moments and sign structure of the squared components, the
 large-radius expansion with its coefficient functions, and the exact
 combinatorial algebra governing the expansion's asymptotic signs.

@@ -2,19 +2,19 @@
 
 The basic object is the normalized integral of an even monomial
 ``prod_j (x_j^2 / lambda_j)^(k_j)`` against a zero-mean diagonal Gaussian
-density, restricted to the ball ``x.x < rho``.  Four evaluation routes are
-provided: a closed form in one dimension (via the lower incomplete gamma),
-nested Gauss-Legendre quadrature in two to four dimensions, Ruben's
-chi-square mixture from five dimensions up, and a seeded rejection-sampling
-Monte Carlo estimate in any dimension, which serves as the independent
-oracle for the other three.
+density, restricted to the ball ``x.x < rho``.  Three evaluation routes
+are provided: nested Gauss-Legendre quadrature in two to four dimensions,
+Ruben's chi-square mixture in one dimension and from five up, and a seeded
+rejection-sampling Monte Carlo estimate in any dimension, which serves as
+the independent oracle for the other two.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,11 @@ class Spectrum:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        lams = tuple(float(x) for x in self.lambdas)
+        # a string's characters and a non-sequence (as None) are not reals
+        lams = tuple(self.lambdas) if isinstance(self.lambdas, Iterable) else (None,)
+        if not all(isinstance(x, numbers.Real) for x in lams):
+            raise DomainError(f"variances must be reals, got {self.lambdas!r}")
+        lams = tuple(map(float, lams))
         if len(lams) < 1:
             raise DomainError("spectrum needs at least one variance")
         for lam in lams:
@@ -182,11 +186,15 @@ def _dimension(n, v: int) -> int:
     return n
 
 
-def _check_pair(index: MultiIndex, spectrum: Spectrum) -> None:
-    if index.v != spectrum.v:
-        raise DomainError(
-            f"index has {index.v} entries but spectrum has {spectrum.v}"
-        )
+def _checked(indices, spectrum: Spectrum) -> tuple:
+    """``indices`` as a tuple of MultiIndex of the spectrum's dimension."""
+    if not isinstance(spectrum, Spectrum):
+        raise DomainError(f"spectrum must be a Spectrum, got {spectrum!r}")
+    indices = tuple(indices)
+    for index in indices:
+        if not isinstance(index, MultiIndex) or index.v != spectrum.v:
+            raise DomainError(f"{index!r} is not a MultiIndex of v = {spectrum.v}")
+    return indices
 
 
 @functools.lru_cache(maxsize=64)
@@ -212,18 +220,10 @@ def _alpha_1d_array(k: int, rho: np.ndarray, lam: float) -> np.ndarray:
     )
 
 
-def _gauss_density(x: np.ndarray, lam: float) -> np.ndarray:
-    return np.exp(-(x * x) / (2.0 * lam)) / math.sqrt(2.0 * math.pi * lam)
-
-
 # Square half-width of the numerical support of the Gaussian factor, in
 # units of the variance: the discarded tail is below exp(-380).  Capping
 # the slice range here keeps the nodes inside the bulk at huge radii.
 _SUPPORT_WIDTH_SQ = 760.0
-
-
-def _slice_range(rho, lam: float):
-    return np.minimum(np.sqrt(rho), math.sqrt(_SUPPORT_WIDTH_SQ * lam))
 
 
 def _levels(lams, rho_arr, rule):
@@ -238,10 +238,11 @@ def _levels(lams, rho_arr, rule):
     levels = []
     sin_t, weights = rule
     for lam in reversed(lams):
-        half = _slice_range(rho_arr, lam)
+        half = np.minimum(np.sqrt(rho_arr), math.sqrt(_SUPPORT_WIDTH_SQ * lam))
         x = half[..., None] * sin_t
         rho_arr = np.maximum(rho_arr[..., None] - x * x, 0.0)
-        levels.append((half, x * x / lam, _gauss_density(x, lam), weights))
+        density = np.exp(-(x * x) / (2.0 * lam)) / math.sqrt(2.0 * math.pi * lam)
+        levels.append((half, x * x / lam, density, weights))
     return levels, rho_arr
 
 
@@ -338,22 +339,25 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     product and addition; the error is the bound plus that term (twice: the
     weights' sum rounds too), plus the ladder's.
 
-    The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2),
-    and a bound on each entry's rounding.  P(s, x) is the sum of the
-    positive terms x^t e^-x / Gamma(t + 1) over t = s, s + 1, ..., so the
-    ladder is their reverse cumulative sum.  The terms are formed as ratios
-    to the one at the mode, and normalised by their whole sum, P(s0, x): 1,
-    or erf(sqrt x).  Terms more than 40 sqrt(x) below the mode, or 40
-    sqrt(x) + 760 above it, lie below exp(-745) and underflow, so entries
-    below that window equal P(s0, x).  Every entry depends on (v, x) alone,
-    so a member gets the bits of its one-member family.  Returns a (2,
-    members) array: the values, then their errors.
+    The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2), and
+    a bound on each entry's rounding.  P(s, x) is the sum of the positive
+    terms x^t e^-x / Gamma(t + 1) over t = s, s + 1, ..., so the ladder is
+    their reverse cumulative sum.  The terms are formed as ratios to the one
+    at the mode, and normalised by their whole sum, P(s0, x): 1, or erf(sqrt
+    x).  Terms more than 40 sqrt(x) below the mode, or 40 sqrt(x) + 760
+    above it, lie below exp(-745) and underflow, so entries below that
+    window equal P(s0, x), and those above it are 0.  So ending the ladder
+    at the last entry the family reads (P(n/2 + K, x) at the term budget K;
+    a higher order raises first) moves no bits: every entry depends on (v,
+    x) alone, and a member gets the bits of its one-member family.  Returns
+    a (2, members) array: the values, then their errors.
     """
     v, beta, lam = len(lams), min(lams), np.asarray(lams)
     x = min(rho / (2.0 * beta), 1e300)  # an infinite x is the whole space
     s0, half_width = v / 2 % 1.0, 40.0 * math.sqrt(x)
     total = math.erf(math.sqrt(x)) if s0 else 1.0
-    top = v // 2 + 2 * _MIXTURE_MAX_TERMS  # the last entry a member may read
+    order = min(max(map(sum, family), default=0), _MIXTURE_MAX_TERMS)
+    top = v // 2 + order + _MIXTURE_MAX_TERMS
     lo = max(0, math.ceil(x - s0 - half_width))
     ladder = np.outer([total, _EPS * total], np.ones(top + 1))
     if lo <= top:
@@ -395,21 +399,6 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     return out
 
 
-def _validated(value: float, est: float, index: MultiIndex) -> IntegralValue:
-    bound = index.factorized_bound()
-    if not math.isfinite(value) or value <= 0.0:
-        raise NumericError(
-            f"ball integral evaluated to {value} for index "
-            f"{index.multiplicities} (underflow or quadrature breakdown)"
-        )
-    if value > bound * (1.0 + 1e-9):
-        raise NumericError(
-            f"ball integral {value} exceeds its factorized bound {bound} "
-            f"for index {index.multiplicities}"
-        )
-    return IntegralValue(value, est)
-
-
 class BallIntegrals(Mapping):
     """Ball integrals of a family of multi-indices at one geometry.
 
@@ -423,7 +412,18 @@ class BallIntegrals(Mapping):
 
     def __getitem__(self, index: MultiIndex) -> IntegralValue:
         value, est = self._raw[index]
-        return _validated(value, est, index)
+        bound = index.factorized_bound()
+        if not math.isfinite(value) or value <= 0.0:
+            raise NumericError(
+                f"ball integral evaluated to {value} for index "
+                f"{index.multiplicities} (underflow, overflow or route breakdown)"
+            )
+        if value > bound * (1.0 + 1e-9):
+            raise NumericError(
+                f"ball integral {value} exceeds its factorized bound {bound} "
+                f"for index {index.multiplicities}"
+            )
+        return IntegralValue(value, est)
 
     def __iter__(self):
         return iter(self._raw)
@@ -435,31 +435,19 @@ class BallIntegrals(Mapping):
 def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
     """Evaluation of several multi-indices at one geometry, any v.
 
-    At v = 1 each member is the incomplete-gamma closed form.  At v = 2..4
-    all members share one quadrature pass over the geometry in cache-sized
-    blocks; the reduced outer node count rides in the same pass, and its
-    difference from the full count prices each ``est_abs_error``.  From
-    v = 5 up each member is its own chi-square mixture, whose
-    ``est_abs_error`` bounds the truncation and the rounding; a member that
-    needs more than ``_MIXTURE_MAX_TERMS`` terms is a
-    :class:`CapabilityError`.
+    At v = 2..4 all members share one quadrature pass over the geometry in
+    cache-sized blocks; the reduced outer node count rides in the same
+    pass, and its difference from the full count prices each
+    ``est_abs_error``.  At every other v each member is its own chi-square
+    mixture (one term at v = 1), whose ``est_abs_error`` bounds the
+    truncation and the rounding; a member that needs more than
+    ``_MIXTURE_MAX_TERMS`` terms is a :class:`CapabilityError`.
     """
-    indices = tuple(indices)
-    for index in indices:
-        _check_pair(index, spectrum)
+    indices = _checked(indices, spectrum)
     rho = _check_rho(rho)
-    v = spectrum.v
-    lams = spectrum.lambdas
-    if v == 1:
-        with np.errstate(over="ignore"):  # rho / (2 lam) = inf is the whole line
-            values = [float(_alpha_1d_array(index.multiplicities[0],
-                                            np.array([rho]), lams[0])[0])
-                      for index in indices]
-        ests = [1e-13 * abs(value) for value in values]
-    else:
-        family = tuple(index.multiplicities for index in indices)
-        route = _alpha_quad if v <= 4 else _alpha_mixture
-        values, ests = route(family, lams, rho).tolist()
+    family = tuple(index.multiplicities for index in indices)
+    route = _alpha_quad if 2 <= spectrum.v <= 4 else _alpha_mixture
+    values, ests = route(family, spectrum.lambdas, rho).tolist()
     return BallIntegrals(dict(zip(indices, zip(values, ests))))
 
 
@@ -485,9 +473,7 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     rows, so the estimates are reproducible per ``(seed, n_total)``.
     Returns a dict mapping each multi-index to its :class:`MCEstimate`.
     """
-    indices = tuple(indices)
-    for index in indices:
-        _check_pair(index, spectrum)
+    indices = _checked(indices, spectrum)
     rho = _check_rho(rho)
     n_total = _integer(n_total, "n_total")
     if n_total < _MC_MIN_SAMPLES:

@@ -11,7 +11,6 @@ limiting sign pattern, and the exponential envelope at large radius.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from .ball import (MultiIndex, Spectrum, _fd_derivative, ball_integral,
                    ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import (_compositions, _integer, _multinomial,
+from .special import (_compositions, _integer, _integer_cache, _multinomial,
                       raising_factorial, stirling_second)
 
 __all__ = [
@@ -54,9 +53,8 @@ class CoefficientTable:
     phi: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=256)
+@_integer_cache(maxsize=256)
 def coefficient_table(v: int, k_max: int) -> CoefficientTable:
-    v, k_max = _integer(v, "dimension"), _integer(k_max, "k_max")
     if v < 1:
         raise DomainError(f"dimension must be >= 1, got {v}")
     if not 0 <= k_max <= _K_MAX_TABLE:

@@ -161,8 +161,8 @@ def conditional_moments(rho: float, spectrum: Spectrum, *,
                         seed: int = 0) -> MomentSet:
     """Second/fourth/cross conditional moments as integral ratios.
 
-    The default route reads the ball integrals (quadrature at v <= 4, the
-    chi-square mixture above, any v) and enforces the moment bounds
+    The default route reads the ball integrals (quadrature at v = 2..4, the
+    chi-square mixture at every other v) and enforces the moment bounds
     strictly.  ``method="mc"`` estimates every ratio from one shared
     sample stream, one :func:`ball_integrals_mc` call over the order-2
     family (any dimension); its plug-in estimates carry sampling noise, so

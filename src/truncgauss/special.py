@@ -8,6 +8,8 @@ caps and overflow raise :class:`NumericError` instead.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import threading
 
@@ -52,8 +54,25 @@ def _integer(x, what: str) -> int:
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """Every entry through :func:`_integer`."""
-    return tuple(_integer(x, what) for x in values)
+    """Every entry through :func:`_integer`; a non-sequence is a DomainError."""
+    try:
+        return tuple(_integer(x, what) for x in values)
+    except TypeError:  # _integer raises none, so ``values`` is not iterable
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
+
+
+def _integer_cache(maxsize: int):
+    """``lru_cache`` over :func:`_integer` of each argument: no unhashable key."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+        signature = inspect.signature(fn)
+
+        def call(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments.items()
+            return cached(*(_integer(x, name) for name, x in bound))
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return functools.update_wrapper(call, fn)
+    return decorate
 
 
 def double_factorial(n: int) -> int:
@@ -86,9 +105,7 @@ def _table_row(rows: list[list[int]], k: int, factor) -> list[int]:
 def stirling_second(k: int, t: int) -> int:
     """Stirling number of the second kind {k brace t}; 0 when t > k."""
     k, t = _integers((k, t), "Stirling argument")
-    if k < 0 or t < 0:
-        return 0
-    if t > k:
+    if not 0 <= t <= k:
         return 0
     return _table_row(_S2_ROWS, k, lambda n, m: m)[t]
 
@@ -96,9 +113,7 @@ def stirling_second(k: int, t: int) -> int:
 def stirling_first_unsigned(k: int, j: int) -> int:
     """Unsigned Stirling number of the first kind [k brack j]; 0 when j > k."""
     k, j = _integers((k, j), "Stirling argument")
-    if k < 0 or j < 0:
-        return 0
-    if j > k:
+    if not 0 <= j <= k:
         return 0
     return _table_row(_C1_ROWS, k, lambda n, m: n - 1)[j]
 
@@ -137,7 +152,7 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 
     The one-lane case of :func:`_lower_incomplete_gamma_vec`, which checks
-    the domain and holds the only series.
+    the domain and holds the series and continued fraction.
     """
     return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 

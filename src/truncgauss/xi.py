@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import DomainError
 from .report import Report
-from .special import _integer, _integers, _multinomial, double_factorial
+from .special import (_integer, _integer_cache, _integers, _multinomial,
+                      double_factorial)
 
 __all__ = [
     "power_count",
@@ -44,14 +45,13 @@ def power_count(tail: tuple[int, ...]) -> int:
     return sum((k + 1) * e for k, e in enumerate(tail))
 
 
-@lru_cache(maxsize=4096)
+@_integer_cache(maxsize=4096)
 def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All tails (e_1, ..., e_q) with power count m, lexicographically.
 
     Entries above index m are forced to zero by the power count, so the
     result is independent of q beyond padding.
     """
-    q, m = _integer(q, "q"), _integer(m, "m")
     if q < 0 or m < 0 or q > _Q_MAX or m > _Q_MAX:
         raise DomainError(f"need 0 <= q, m <= {_Q_MAX}, got q={q}, m={m}")
     out: list[tuple[int, ...]] = []

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import gammainc
 from test_acceptance import _oracle_agrees
 
-from truncgauss import ball
+from truncgauss import ball, conditional_moments
 from truncgauss.ball import (
     MultiIndex,
     Spectrum,
@@ -206,6 +206,34 @@ class TestOneDimensional:
         assert ball_integral_1d(3, 1e9, 2.0).value == pytest.approx(15.0, rel=1e-12)
         # rho / (2 lambda) overflows to inf: the whole-line limit
         assert ball_integral_1d(2, 1e308, 1e-10).value == pytest.approx(3.0, rel=1e-12)
+
+    def test_members_within_error_bars_of_50_digits(self):
+        # x = rho / (2 lambda) log-uniform on [1e-30, 1e6], plus 1e100 and
+        # 1e300: every member k = 0..6 lies within its est_abs_error of
+        # (2k - 1)!! P(k + 1/2, x) at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        family = [MultiIndex((k,)) for k in range(7)]
+        xs = np.exp(rng.uniform(math.log(1e-30), math.log(1e6), 403))
+        for x in [*xs, 1e100, 1e300]:
+            lam = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+            rho = 2.0 * lam * float(x)
+            got = ball_integrals(family, rho, Spectrum((lam,)))
+            with mpmath.workdps(50):
+                for index in family:
+                    k = index.multiplicities[0]
+                    exact = index.factorized_bound() * mpmath.gammainc(
+                        k + 0.5, 0, mpmath.mpf(rho) / (2 * mpmath.mpf(lam)),
+                        regularized=True)
+                    miss = abs(mpmath.mpf(got[index].value) - exact)
+                    assert miss <= got[index].est_abs_error, (rho, lam, k)
+        # far out P(k + 1/2, x) rounds to 1, so the moments take their
+        # whole-line values to the bit
+        for rho, lam in itertools.product((1e6, 1e100, 1e300), (1.0, 2.5)):
+            moments = conditional_moments(rho, Spectrum((lam,)))
+            assert moments.second == (lam,)
+            assert moments.fourth == (3.0 * lam * lam,)
+            assert ball_integral_1d(2, rho, lam).value == 3.0
 
 
 class TestQuadrature:
@@ -466,9 +494,16 @@ class TestMixture:
         with pytest.raises(CapabilityError, match="ball_integrals_mc"):
             ball_integral(MultiIndex.zero(spec.v), rho, spec)
 
+    @pytest.mark.parametrize("v", [1, 5])
+    def test_order_beyond_term_budget(self, v):
+        # a member above the term budget raises before it reads the ladder
+        index = MultiIndex.single(v, 0, ball._MIXTURE_MAX_TERMS + 1)
+        with pytest.raises(CapabilityError, match="ball_integrals_mc"):
+            ball_integral(index, 5.0, Spectrum(tuple(range(1, v + 1))))
+
 
 class TestFamily:
-    @pytest.mark.parametrize("v", range(2, 9))
+    @pytest.mark.parametrize("v", range(1, 9))
     def test_members_equal_one_member_evaluations(self, v):
         rng = np.random.default_rng(100 + v)
         family = _index_family(v, 2) + [MultiIndex.single(v, v - 1, 3)]
@@ -520,7 +555,8 @@ class TestFamily:
     def test_leaf_lanes_arrive_ascending(self, monkeypatch):
         # the quadrature orders each leaf block once, so every incomplete
         # gamma it calls gets one ascending vector; at v = 4 the leaf spans
-        # several blocks, and each block is its own call
+        # several blocks, and each block is its own call.  v = 1 runs the
+        # chi-square mixture, which calls none
         calls = []
         real = ball._lower_incomplete_gamma_vec
 
@@ -535,7 +571,7 @@ class TestFamily:
             family = _index_family(v, 2) + [MultiIndex.single(v, 0, 3)]
             calls.clear()
             ball_integrals(family, 3.0, Spectrum(lams[:v]))
-            assert calls and all(calls)
+            assert (calls and all(calls)) if v > 1 else calls == []
             if v == 4:  # each leaf multiplicity spans several blocks
                 assert len(calls) > len({index.multiplicities[0] for index in family})
         ball._alpha_quad.cache_clear()

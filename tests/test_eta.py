@@ -130,10 +130,11 @@ class TestEtaValues:
         ball._alpha_quad.cache_clear()
         eta_combinatorial(3, 5.0, SPEC3)
         assert sorted(gammas) == [0.5, 1.5, 2.5, 3.5]
-        # at v = 1 each member is one closed form; the zero index is read once
+        # at v = 1 each member is its own chi-square mixture, with no
+        # incomplete gamma call
         gammas.clear()
         eta_combinatorial(2, 5.0, Spectrum((1.3,)))
-        assert sorted(gammas) == [0.5, 1.5, 2.5]
+        assert gammas == []
 
     def test_index_sum_ratio_multiplicity_grouping(self):
         # grouped compositions equal the naive sum over ordered insertions

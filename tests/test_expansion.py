@@ -75,7 +75,8 @@ class TestExpandAlpha:
 
     def test_one_family_per_geometry(self, monkeypatch):
         # the reduced (2, 3) spectrum is one family: 5 leaf multiplicities,
-        # each shared by both outer rules, plus alpha_0..alpha_4 at lambda = 1
+        # each shared by both outer rules; alpha_0..alpha_4 at lambda = 1
+        # take the chi-square mixture, with no incomplete gamma call
         gammas = []
         real = ball._lower_incomplete_gamma_vec
 
@@ -86,7 +87,7 @@ class TestExpandAlpha:
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
         expand_alpha("alpha", 0, 4, 30.0, Spectrum((1, 2, 3)))
-        assert sorted(gammas) == [k + 0.5 for k in range(5) for _ in range(2)]
+        assert sorted(gammas) == [k + 0.5 for k in range(5)]
 
     def test_higher_order_tightens(self):
         rho = 40.0

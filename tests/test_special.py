@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from truncgauss import special
-from truncgauss.ball import Spectrum, verify_structural
+from truncgauss.ball import MultiIndex, Spectrum, ball_integrals, verify_structural
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
                             eta_combinatorial, eta_fd_oracle, q_polynomial)
 from truncgauss.expansion import expand_alpha
+from truncgauss.xi import enumerate_exponents
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
     double_factorial,
@@ -297,3 +298,30 @@ class TestIntegerArguments:
         # each leaked TypeError or a Fraction error, or ran on the bad value
         with pytest.raises(DomainError):
             call(bad)
+
+    @pytest.mark.parametrize("call", [
+        lambda: Spectrum("12"),
+        lambda: Spectrum(3),
+        lambda: Spectrum(None),
+        lambda: Spectrum((1, "a")),
+        lambda: MultiIndex(3),
+        lambda: ball_integrals([(0, 0)], 1.0, Spectrum((1, 2))),
+        lambda: coefficient_table([3], 2),
+        lambda: enumerate_exponents([2], 2),
+    ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
+            "spectrum_string_entry", "multiindex_int", "tuple_index",
+            "coefficient_table_list", "enumerate_exponents_list"])
+    def test_malformed_input_is_domain_error(self, call):
+        # a string or non-sequence spectrum, a non-real variance, a
+        # non-sequence multiplicity, a bare tuple index and unhashable cache
+        # keys are each a DomainError, not a coerced value or a bare error
+        with pytest.raises(DomainError):
+            call()
+
+    def test_integer_caches_keep_their_handles(self):
+        # the wrappers keep the handles a sweep clears, and 3.0 keys as 3
+        for cached in (coefficient_table, enumerate_exponents):
+            cached.cache_clear()
+            cached(3, 2)
+            cached(3.0, 2)
+            assert cached.cache_info().hits == 1

@@ -190,6 +190,8 @@ def _checked(indices, spectrum: Spectrum) -> tuple:
     """``indices`` as a tuple of MultiIndex of the spectrum's dimension."""
     if not isinstance(spectrum, Spectrum):
         raise DomainError(f"spectrum must be a Spectrum, got {spectrum!r}")
+    if not isinstance(indices, Iterable):  # a bare MultiIndex, or None
+        raise DomainError(f"indices must be an iterable of MultiIndex, got {indices!r}")
     indices = tuple(indices)
     for index in indices:
         if not isinstance(index, MultiIndex) or index.v != spectrum.v:
@@ -270,6 +272,7 @@ def _fold(ks, levels, values):
 # errors, about 0.5 KB at v = 2, so a larger bound mostly grows memory:
 # `figure delta-grid` leaves 1.9 MB in 4096 entries, 0.13 MB in 256.
 @functools.lru_cache(maxsize=256)
+@np.errstate(over="ignore")  # an overflowing member raises when it is read
 def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     """Nested quadrature for 2 <= v <= 4 of every multi-index in ``family``.
 
@@ -330,14 +333,32 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     chi^2(nu_j) with nu_j = 2k_j + 1.  With beta = lambda_min and x = rho /
     (2 beta), P(Q < rho) = sum_i w_i P(n/2 + i, x), n = sum_j nu_j, where
     w holds the power-series coefficients of prod_j (beta / lambda_j)^(nu_j
-    / 2) (1 - c_j z)^(-nu_j / 2), c_j = 1 - beta / lambda_j.  Each member
-    convolves its own per-coordinate series.  The weights are positive and
-    sum to 1, so stopping after K terms leaves at most (1 - sum_{i<K} w_i)
-    P(n/2 + K, x), the bound AS 106 (Sheil and O'Muircheartaigh 1977) uses.
-    The term count doubles until that bound is below ``_MIXTURE_STOP`` times
-    the member's rounding term, which counts one rounding per series step,
-    product and addition; the error is the bound plus that term (twice: the
-    weights' sum rounds too), plus the ladder's.
+    / 2) (1 - c_j z)^(-nu_j / 2), c_j = 1 - beta / lambda_j.  The weights are
+    positive and sum to 1, so stopping after K terms leaves at most (1 -
+    sum_{i<K} w_i) P(n/2 + K, x), the bound AS 106 (Sheil and
+    O'Muircheartaigh 1977) uses.
+
+    One pass per family: at each term count (32, 64, ..., doubling until
+    every member has stopped) the zero index's weights, prod_j (beta /
+    lambda_j)^(1/2) (1 - c_j z)^(-1/2), are convolved once from the
+    coordinate series, and each member still open takes them through one
+    bump per unit of k_j, in coordinate order: a convolution with (beta /
+    lambda_j) c_j^i, the series of (beta / lambda_j) (1 - c_j z)^(-1).
+    Coordinates of lambda_min (c_j = 0) take no row and no bump, and a chain
+    prefix that members share (e_n within e_n + e_m) is built once.  A
+    member keeps the first count at which its truncation bound is below
+    ``_MIXTURE_STOP`` times its rounding term.  Its weights depend on
+    (lambda, count, k) alone, so it gets the bits of its one-member family.
+
+    Rounding: term i of a member with b bumps counts first + 5v + (v + 4) i
+    + 3b (i + 1) roundings, first = floor(v/2) + |k| >= b.  The base's rows
+    take 2 for sqrt(beta / lambda_j) and 5 a series step, and each of its
+    convolutions 1 + i (one product, i additions): (v + 4) i + 3v.  A bump's
+    row entry m takes 2m + 3 (c_j rounds twice) and its convolution 1 + i,
+    at most 3i + 4; the product with the ladder takes 1.  The constants
+    first + 5v + 3b cover 3v + 4b + 1.  The partial sums of the terms add
+    i + 1 for term i.  The error is the truncation bound plus the rounding
+    term (twice: the weights' sum rounds too), plus the ladder's.
 
     The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2), and
     a bound on each entry's rounding.  P(s, x) is the sum of the positive
@@ -349,14 +370,17 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     window equal P(s0, x), and those above it are 0.  So ending the ladder
     at the last entry the family reads (P(n/2 + K, x) at the term budget K;
     a higher order raises first) moves no bits: every entry depends on (v,
-    x) alone, and a member gets the bits of its one-member family.  Returns
-    a (2, members) array: the values, then their errors.
+    x) alone.  Returns a (2, members) array: the values, then their errors.
     """
     v, beta, lam = len(lams), min(lams), np.asarray(lams)
+    order = max(map(sum, family), default=0)
+    over_budget = CapabilityError(f"mixture route needs over {_MIXTURE_MAX_TERMS} terms at "
+                                  f"rho = {rho}, lambda = {lams}; use ball_integrals_mc")
+    if order > _MIXTURE_MAX_TERMS:
+        raise over_budget
     x = min(rho / (2.0 * beta), 1e300)  # an infinite x is the whole space
     s0, half_width = v / 2 % 1.0, 40.0 * math.sqrt(x)
     total = math.erf(math.sqrt(x)) if s0 else 1.0
-    order = min(max(map(sum, family), default=0), _MIXTURE_MAX_TERMS)
     top = v // 2 + order + _MIXTURE_MAX_TERMS
     lo = max(0, math.ceil(x - s0 - half_width))
     ladder = np.outer([total, _EPS * total], np.ones(top + 1))
@@ -373,30 +397,35 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
             bound[0] / tail[0] + 3.0 * _EPS)])[:, :top + 1 - lo]
     ratio, c = beta / lam, (lam - beta) / lam
     out = np.empty((2, len(family)))
-    for col, ks in enumerate(family):
-        half, first = np.asarray(ks) + 0.5, v // 2 + sum(ks)  # P(n/2, x)'s entry
-        for size in (1 << n for n in range(5, _MIXTURE_MAX_TERMS.bit_length())
-                     if sum(ks) <= _MIXTURE_MAX_TERMS):
-            i, w = np.arange(size), np.eye(1, size)[0]
-            step = c[:, None] * (half[:, None] + i[1:] - 1) / i[1:]  # term m / term m-1
-            for row in np.cumprod(np.c_[ratio ** half, step], axis=1)[c > 0]:
-                w = np.convolve(w, row)[:size]  # lambda_min rows are 1, 0, 0, ...
+    pending = dict(enumerate(family))
+    for size in (1 << n for n in range(5, _MIXTURE_MAX_TERMS.bit_length())):
+        i, base = np.arange(size), np.eye(1, size)[0]
+        step = c[c > 0, None] * (i[1:] - 0.5) / i[1:]  # term m / term m-1
+        for row in np.cumprod(np.c_[np.sqrt(ratio[c > 0]), step], axis=1):
+            base = np.convolve(base, row)[:size]  # lambda_min rows are 1, 0, 0, ...
+        bump = ratio[:, None] * c[:, None] ** i  # (beta / lambda_j) / (1 - c_j z)
+        weights = {(): base}
+        for col, ks in list(pending.items()):
+            first = v // 2 + sum(ks)  # P(n/2, x)'s entry
+            bumps = tuple(j for j, k in enumerate(ks) if c[j] > 0 for _ in range(k))
+            for n in range(len(bumps)):  # each chain prefix once per family and count
+                if bumps[:n + 1] not in weights:
+                    weights[bumps[:n + 1]] = np.convolve(weights[bumps[:n]], bump[bumps[n]])[:size]
+            w = weights[bumps]
             terms = w * ladder[0, first:first + size]
-            rounding = _EPS * (np.cumsum(terms * (first + 5 * v + (v + 4) * i))
-                               + (i + 1) * np.cumsum(terms))
+            count = first + 5 * v + (v + 4) * i + 3 * len(bumps) * (i + 1)  # per term
+            rounding = _EPS * (np.cumsum(terms * count) + (i + 1) * np.cumsum(terms))
             tails = (1.0 - np.cumsum(w)) * ladder[0, first + 1:first + size + 1]
             done = tails <= _MIXTURE_STOP * rounding
             if done.any():
-                break
-        else:
-            raise CapabilityError(
-                f"mixture route needs over {_MIXTURE_MAX_TERMS} terms at rho = {rho}, "
-                f"lambda = {lams}; use ball_integrals_mc")
-        K = int(np.argmax(done)) + 1
-        scale = math.prod(float(j) for k in ks for j in range(1, 2 * k, 2))
-        out[:, col] = scale * float(terms[:K].sum()), scale * float(abs(
-            tails[K - 1]) + 2.0 * rounding[K - 1] + w[:K] @ ladder[1, first:first + K])
-    return out
+                K = int(np.argmax(done)) + 1
+                scale = math.prod(float(j) for k in ks for j in range(1, 2 * k, 2))
+                out[:, col] = scale * float(terms[:K].sum()), scale * float(abs(
+                    tails[K - 1]) + 2.0 * rounding[K - 1] + w[:K] @ ladder[1, first:first + K])
+                del pending[col]
+        if not pending:
+            return out
+    raise over_budget
 
 
 class BallIntegrals(Mapping):
@@ -438,9 +467,9 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
     At v = 2..4 all members share one quadrature pass over the geometry in
     cache-sized blocks; the reduced outer node count rides in the same
     pass, and its difference from the full count prices each
-    ``est_abs_error``.  At every other v each member is its own chi-square
-    mixture (one term at v = 1), whose ``est_abs_error`` bounds the
-    truncation and the rounding; a member that needs more than
+    ``est_abs_error``.  At every other v the family shares one chi-square
+    mixture pass (one term at v = 1), whose ``est_abs_error`` bounds each
+    member's truncation and rounding; a member that needs more than
     ``_MIXTURE_MAX_TERMS`` terms is a :class:`CapabilityError`.
     """
     indices = _checked(indices, spectrum)

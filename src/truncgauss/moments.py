@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (IntegralValue, MultiIndex, Spectrum, _check_rho, _dimension,
-                   _index_family, ball_integral, ball_integrals, ball_integrals_mc)
+from .ball import (MultiIndex, Spectrum, _check_rho, _dimension, _index_family,
+                   ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
 
@@ -92,7 +92,10 @@ class MomentBatch:
     checked, only when a moment needs it.  A ratio is kept, on first use,
     with its relative error (the sum of the two integrals' relative
     errors).  Every accessor returns ``(value, err)``, with ``err``
-    propagated to first order from those relative errors.
+    propagated to first order from those relative errors.  Beyond the
+    mixture's term budget, pass a Monte Carlo family:
+    ``{i: IntegralValue(e.mean, e.std_error) for i, e in
+    ball_integrals_mc(...).items()}``.
     """
 
     def __init__(self, rho: float, spectrum: Spectrum, family=None):
@@ -155,46 +158,27 @@ class MomentBatch:
                 (var_err + 2.0 * lam * sec_err) / rho2)
 
 
-def conditional_moments(rho: float, spectrum: Spectrum, *,
-                        method: str = "quadrature",
-                        n_total: int = 1_000_000,
-                        seed: int = 0) -> MomentSet:
+def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
     """Second/fourth/cross conditional moments as integral ratios.
 
-    The default route reads the ball integrals (quadrature at v = 2..4, the
-    chi-square mixture at every other v) and enforces the moment bounds
-    strictly.  ``method="mc"`` estimates every ratio from one shared
-    sample stream, one :func:`ball_integrals_mc` call over the order-2
-    family (any dimension); its plug-in estimates carry sampling noise, so
-    the bounds are only enforced up to that noise.
+    Reads the ball integrals (quadrature at v = 2..4, the chi-square mixture
+    at every other v) and enforces the moment bounds strictly.
     """
     v = spectrum.v
     lams = spectrum.lambdas
-    if method == "quadrature":
-        batch = MomentBatch(rho, spectrum)
-        slack = 1e-9
-    elif method == "mc":
-        sampled = ball_integrals_mc(_index_family(v, 2), rho, spectrum,
-                                    n_total, seed)
-        batch = MomentBatch(rho, spectrum, {
-            index: IntegralValue(est.mean, est.std_error)
-            for index, est in sampled.items()})
-        slack = 20.0 / math.sqrt(n_total)
-    else:
-        raise DomainError(f"unknown moments method {method!r}")
-
+    batch = MomentBatch(rho, spectrum)
     second = tuple(batch.second(n)[0] for n in range(v))
     cross = tuple(tuple(batch.product(n, m)[0] for m in range(v))
                   for n in range(v))
     fourth = tuple(cross[n][n] for n in range(v))
     for n in range(v):
         lam = lams[n]
-        if not (0.0 < second[n] <= lam * (1.0 + slack) and second[n] < rho):
+        if not (0.0 < second[n] <= lam * (1.0 + 1e-9) and second[n] < rho):
             raise NumericError(
                 f"second moment {second[n]} outside (0, min(lambda, rho)] "
                 f"at n={n}, rho={rho}"
             )
-        if not (0.0 < fourth[n] <= 3.0 * lam * lam * (1.0 + slack)
+        if not (0.0 < fourth[n] <= 3.0 * lam * lam * (1.0 + 1e-9)
                 and fourth[n] < rho * rho):
             raise NumericError(
                 f"fourth moment {fourth[n]} outside its bounds at n={n}, rho={rho}"

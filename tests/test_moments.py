@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 
 from truncgauss import ball, moments
-from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_mc
+from truncgauss.ball import (IntegralValue, MultiIndex, Spectrum, ball_integral,
+                             ball_integral_mc, ball_integrals_mc)
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.moments import (
     NOISE_FACTOR,
@@ -84,37 +86,26 @@ class TestConditionalMoments:
                 assert 0.0 < m.fourth[n] <= min(3.0 * lam * lam, rho * rho)
 
     def test_mc_fallback_matches_quadrature(self):
+        # the route past the mixture's term budget: a moment batch read from
+        # one Monte Carlo pass over the order-2 family
         rho = 8.0
         quad = conditional_moments(rho, SPEC3)
-        sampled = conditional_moments(rho, SPEC3, method="mc",
-                                      n_total=400_000, seed=91)
+        sampled = MomentBatch(rho, SPEC3, {
+            index: IntegralValue(est.mean, est.std_error)
+            for index, est in ball_integrals_mc(
+                ball._index_family(3, 2), rho, SPEC3, 400_000, seed=91).items()})
         for n in range(3):
-            assert sampled.second[n] == pytest.approx(quad.second[n], rel=2e-2)
-            assert sampled.fourth[n] == pytest.approx(quad.fourth[n], rel=5e-2)
+            assert sampled.second(n)[0] == pytest.approx(quad.second[n], rel=2e-2)
+            assert sampled.product(n, n)[0] == pytest.approx(quad.fourth[n], rel=5e-2)
 
-    def test_mc_fallback_beyond_quadrature_dimensions(self):
-        # eight equal-variance dimensions: the route must exist and the
-        # second moments must agree across coordinates by symmetry
+    def test_default_route_beyond_quadrature_dimensions(self):
+        # eight equal-variance dimensions: the mixture gives every coordinate
+        # the isotropic closed form lambda P(v/2 + 1, x) / P(v/2, x)
         spec = Spectrum((1.0,) * 8)
-        m = conditional_moments(6.0, spec, method="mc",
-                                n_total=300_000, seed=7)
-        mean = sum(m.second) / 8.0
+        m = conditional_moments(6.0, spec)
         for n in range(8):
-            assert m.second[n] == pytest.approx(mean, rel=5e-2)
-
-    def test_mc_non_integral_budget_and_seed_raise(self):
-        # 50000.5 draws used to run as 50000, and seed 3.5 as seed 3
-        with pytest.raises(DomainError):
-            conditional_moments(8.0, SPEC3, method="mc", n_total=50_000.5, seed=3)
-        with pytest.raises(DomainError):
-            conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3.5)
-        assert conditional_moments(8.0, SPEC3, method="mc", n_total=50_000.0,
-                                   seed=3.0) == conditional_moments(
-            8.0, SPEC3, method="mc", n_total=50_000, seed=3)
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            conditional_moments(1.0, SPEC3, method="magic")
+            assert m.second[n] == pytest.approx(gammainc(5, 3.0) / gammainc(4, 3.0),
+                                                rel=1e-13)
 
 
 class TestVarianceGap:
@@ -268,20 +259,6 @@ class TestIntegralCounts:
             # leaf of each outer rule once
             assert lanes == {s: 48 ** 3 + 32 * 48 ** 2 for s in (0.5, 1.5, 2.5)}
         assert ball._alpha_quad.cache_info().misses == (1 if v > 1 else 0)
-
-    def test_mc_estimates_each_index_once(self, monkeypatch):
-        # one sampling pass: every index of the order-2 family reads the
-        # same draws
-        families = []
-        real = moments.ball_integrals_mc
-
-        def family(indices, *args):
-            families.append(list(indices))
-            return real(indices, *args)
-
-        monkeypatch.setattr(moments, "ball_integrals_mc", family)
-        conditional_moments(8.0, SPEC3, method="mc", n_total=50_000, seed=3)
-        assert families == [ball._index_family(3, 2)]
 
     @pytest.mark.parametrize("n, leaves", [(0, [0.5, 1.5]), (1, [0.5])])
     def test_second_moment_reads_two_indices(self, monkeypatch, n, leaves):

@@ -50,8 +50,8 @@ _NODES_LOW_DIM = (48, 32)
 # and 64k lanes, 16k was fastest on moments-v4.
 _LEAF_BLOCK = 1 << 14
 
-# Rows of Monte Carlo draws per block: 640 KB of float64 at v = 10, so a
-# block stays in cache while every member reads it.
+# Monte Carlo draws (points of R^v) per block: 640 KB of float64 at v = 10,
+# so a block stays in cache while every member reads it.
 _MC_BLOCK = 1 << 13
 _MC_MIN_SAMPLES = 10_000
 
@@ -498,8 +498,14 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     averages each member's monomial weight over the full budget (rejected
     draws contribute zero), which estimates the same normalized integral
     as the quadrature route.  Every member reads the same draws: ziggurat
-    normals from ``Philox(key=seed)``, taken in blocks of ``_MC_BLOCK``
-    rows, so the estimates are reproducible per ``(seed, n_total)``.
+    normals from ``SFC64(seed)`` in blocks of ``_MC_BLOCK`` draws, each
+    block filled coordinate-major (every draw's first coordinate, then
+    every draw's second, ...).  The draws, and so the estimates, are
+    reproducible per ``(seed, n_total)``, depend on ``_MC_BLOCK``, and
+    differ from those of versions that drew point by point from
+    ``Philox(key=seed)`` at the same seed.  SFC64 replaced Philox because
+    the sampler is one sequential stream that needs none of Philox's
+    counter-based keying, and SFC64 makes normals about 1.5x as fast.
     Returns a dict mapping each multi-index to its :class:`MCEstimate`.
     """
     indices = _checked(indices, spectrum)
@@ -508,7 +514,7 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     if n_total < _MC_MIN_SAMPLES:
         raise DomainError(f"need n_total >= {_MC_MIN_SAMPLES}, got {n_total}")
     seed = _integer(seed, "seed") & 0xFFFFFFFFFFFFFFFF
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     lams = np.asarray(spectrum.lambdas)
     # the (dimension, multiplicity) factors of each member's weight
     factors = [[(j, k) for j, k in enumerate(index.multiplicities) if k]
@@ -516,12 +522,16 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     totals = [0.0] * len(indices)
     totals_sq = [0.0] * len(indices)
     n_kept = 0
-    block = np.empty((min(_MC_BLOCK, n_total), spectrum.v))
+    v = spectrum.v
+    buffer = np.empty(v * min(_MC_BLOCK, n_total))
     for start in range(0, n_total, _MC_BLOCK):
-        zz = block[:n_total - start]  # z_j^2 = x_j^2 / lambda_j, in place
+        size = min(_MC_BLOCK, n_total - start)
+        # coordinate-major: zz[j] holds the z_j^2 = x_j^2 / lambda_j of
+        # every draw, in place, so a member reads contiguous rows
+        zz = buffer[:v * size].reshape(v, size)
         rng.standard_normal(out=zz)
         np.square(zz, out=zz)
-        kept = np.compress(zz @ lams < rho, zz.T, axis=1)
+        kept = np.compress(lams @ zz < rho, zz, axis=1)
         n_kept += kept.shape[1]
         for i, members in enumerate(factors):
             y = np.ones(kept.shape[1])

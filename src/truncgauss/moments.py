@@ -15,6 +15,7 @@ from .ball import (MultiIndex, Spectrum, _check_rho, _dimension, _index_family,
                    ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
+from .special import _real
 
 __all__ = [
     "MomentBatch",
@@ -211,12 +212,14 @@ def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
 def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
     """Density of the n-th coordinate under the ball-conditioned law.
 
-    Zero outside (-sqrt(rho), sqrt(rho)); the interior value is the reduced
-    ball mass at the leftover square radius times the Gaussian factor.
+    Zero outside (-sqrt(rho), sqrt(rho)), infinite x included; the interior
+    value is the reduced ball mass at the leftover square radius times the
+    Gaussian factor.  A NaN or non-real x is a :class:`DomainError`.
     """
     v = spectrum.v
     n = _dimension(n, v)
     rho = _check_rho(rho)
+    x = _real(x, "x")
     if x * x >= rho:
         return 0.0
     lam = spectrum.lambdas[n]
@@ -270,8 +273,9 @@ def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
     4 lambda_n].  Only below this radius does the essential-supremum
     argument keep the variance bound tight.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    tol = _real(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     n = _dimension(n, spectrum.v)
     lam = spectrum.lambdas[n]
     rho = 3.0 * lam

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -51,6 +52,20 @@ def _integer(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{what} must be an integer, got {x!r}")
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float: a real that is not NaN passes, any other (a string,
+    None, NaN, an int beyond float range) is a :class:`DomainError`."""
+    if isinstance(x, numbers.Real):
+        try:
+            value = float(x)
+        except OverflowError:
+            pass
+        else:
+            if not math.isnan(value):
+                return value
+    raise DomainError(f"{what} must be a real number, got {x!r}")
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -154,6 +169,7 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     The one-lane case of :func:`_lower_incomplete_gamma_vec`, which checks
     the domain and holds the series and continued fraction.
     """
+    s, x = _real(s, "s"), _real(x, "x")
     return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 
 

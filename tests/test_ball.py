@@ -766,6 +766,23 @@ class TestMonteCarlo:
         c = ball_integral_mc(MultiIndex((1, 0)), 4.0, spec, 100_000, seed=43)
         assert c.mean != a.mean
 
+    def test_stream_is_sfc64_coordinate_major(self):
+        # pins the draws: each block takes v * size normals of SFC64(seed),
+        # all of coordinate 0 first, then coordinate 1, ...; a full block
+        # and a partial one
+        lams, rho, seed = (0.5, 1.0, 2.0), 3.0, 91
+        n_total = 2 * ball._MC_BLOCK - 1234
+        est = ball_integral_mc(MultiIndex((0, 1, 0)), rho, Spectrum(lams),
+                               n_total, seed)
+        rng = np.random.Generator(np.random.SFC64(seed))
+        n_kept, total = 0, 0.0
+        for size in (ball._MC_BLOCK, n_total - ball._MC_BLOCK):
+            zz = rng.standard_normal(len(lams) * size).reshape(len(lams), size) ** 2
+            inside = sum(lam * row for lam, row in zip(lams, zz)) < rho
+            n_kept += int(inside.sum())
+            total += float(zz[1][inside].sum())
+        assert (est.n_kept, est.mean) == (n_kept, total / n_total)
+
     def test_degenerate_acceptance(self):
         spec = Spectrum((1.0, 1.0, 1.0))
         with pytest.raises(DegenerateAcceptanceError):

@@ -335,6 +335,18 @@ class TestMarginalDensity:
         with pytest.raises(DomainError):
             marginal_density(0, 0.5, rho, Spectrum((1.0, 2.0)))
 
+    @pytest.mark.parametrize("spec", [Spectrum((1.0,)), SPEC3], ids=["v1", "v3"])
+    @pytest.mark.parametrize("x", [math.nan, "a", None, "0.5"])
+    def test_non_real_or_nan_point_is_domain_error(self, spec, x):
+        # a NaN x returned NaN at v = 1, and a string or None leaked TypeError
+        with pytest.raises(DomainError):
+            marginal_density(0, x, 2.0, spec)
+
+    @pytest.mark.parametrize("spec", [Spectrum((1.0,)), SPEC3], ids=["v1", "v3"])
+    def test_infinite_point_has_zero_density(self, spec):
+        for x in (math.inf, -math.inf):
+            assert marginal_density(0, x, 2.0, spec) == 0.0
+
     def test_even_symmetry(self):
         for x in (0.1, 0.9, 1.7):
             assert marginal_density(2, x, 5.0, SPEC3) == marginal_density(
@@ -424,6 +436,13 @@ class TestRhoStar:
     def test_bad_tolerance(self):
         with pytest.raises(DomainError):
             rho_star(0, SPEC3, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1e-10, math.nan, math.inf, "x", None])
+    def test_non_finite_or_non_real_tolerance(self, tol):
+        # NaN ran 200 steps into NumericError, inf returned the starting
+        # guess, and a string leaked TypeError
+        with pytest.raises(DomainError):
+            rho_star(0, SPEC3, tol=tol)
 
     @pytest.mark.parametrize("n", [-1, 3])
     def test_dimension_out_of_range(self, n):

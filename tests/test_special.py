@@ -308,13 +308,20 @@ class TestIntegerArguments:
         lambda: ball_integrals([(0, 0)], 1.0, Spectrum((1, 2))),
         lambda: coefficient_table([3], 2),
         lambda: enumerate_exponents([2], 2),
+        lambda: lower_incomplete_gamma("a", 1.0),
+        lambda: lower_incomplete_gamma(None, 1.0),
+        lambda: lower_incomplete_gamma(1.5, "a"),
+        lambda: lower_incomplete_gamma(1.5, None),
     ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
             "spectrum_string_entry", "multiindex_int", "tuple_index",
-            "coefficient_table_list", "enumerate_exponents_list"])
+            "coefficient_table_list", "enumerate_exponents_list",
+            "igamma_string_s", "igamma_none_s", "igamma_string_x",
+            "igamma_none_x"])
     def test_malformed_input_is_domain_error(self, call):
         # a string or non-sequence spectrum, a non-real variance, a
-        # non-sequence multiplicity, a bare tuple index and unhashable cache
-        # keys are each a DomainError, not a coerced value or a bare error
+        # non-sequence multiplicity, a bare tuple index, unhashable cache
+        # keys and a non-real incomplete-gamma argument are each a
+        # DomainError, not a coerced value or a bare error
         with pytest.raises(DomainError):
             call()
 

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .report import NOISE_FACTOR, Report
 from .special import (_compositions, _integer, _integers,
-                      _lower_incomplete_gamma_vec, double_factorial)
+                      _lower_incomplete_gamma_vec, _real, double_factorial)
 
 __all__ = [
     "Spectrum",
@@ -171,7 +171,10 @@ class MCEstimate:
 
 
 def _check_rho(rho: float) -> float:
-    rho = float(rho)
+    """``rho`` as a float through :func:`_real`: a string, None or NaN is a
+    :class:`DomainError`, never coerced, and so is a radius that is not
+    positive and finite."""
+    rho = _real(rho, "square radius")
     if not (math.isfinite(rho) and rho > 0.0):
         raise DomainError(f"square radius must be positive and finite, got {rho}")
     return rho

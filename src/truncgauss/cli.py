@@ -320,14 +320,12 @@ def _suite_asymptotic(args: argparse.Namespace) -> Report:
 
 
 def _suite_xi(args: argparse.Namespace) -> Report:
-    """Each check runs to its own ceiling; its name prefix states that q."""
+    """Every check runs to --qmax; its name prefix states that q."""
     report = Report("xi")
-    for check, ceiling in ((xi_mod.omega_inequality_scan, 8),
-                           (xi_mod.gap_convolution_check, 6),
-                           (xi_mod.inverse_mass_identity_check, 6)):
-        q = min(args.qmax, ceiling)
-        sub = check(q)
-        report.extend(sub, prefix=f"{sub.suite}[qmax={q}]|")
+    for check in (xi_mod.omega_inequality_scan, xi_mod.gap_convolution_check,
+                  xi_mod.inverse_mass_identity_check):
+        sub = check(args.qmax)
+        report.extend(sub, prefix=f"{sub.suite}[qmax={args.qmax}]|")
     return report
 
 
@@ -418,8 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if "rho" in reads:
             rho(p)
         if "qmax" in reads:
-            p.add_argument("--qmax", type=int, default=6, choices=range(1, 9),
-                           metavar="{1..8}", help="highest order of the xi suite")
+            q_max = xi_mod._Q_MAX
+            p.add_argument("--qmax", type=int, default=6, choices=range(1, q_max + 1),
+                           metavar=f"{{1..{q_max}}}", help="highest order of the xi suite")
         if "quick" in reads:
             p.add_argument("--quick", action="store_true")
     return parser

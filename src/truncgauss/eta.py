@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import (MultiIndex, Spectrum, _fd_derivative, ball_integral,
-                   ball_integrals)
+from .ball import (MultiIndex, Spectrum, _check_rho, _fd_derivative,
+                   ball_integral, ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
 from .special import (_compositions, _integer, _integer_cache, _multinomial,
@@ -131,7 +131,7 @@ def _etas(k_max: int, rho: float,
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
     """The k-th coefficient function through the exact reduction."""
-    k = _integer(k, "order")
+    k, rho = _integer(k, "order"), _check_rho(rho)
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -145,7 +145,7 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     Step rho * 10^(-2/k), one Richardson extrapolation; independent of the
     combinatorial route (it only ever evaluates the plain ball mass).
     """
-    k = _integer(k, "order")
+    k, rho = _integer(k, "order"), _check_rho(rho)
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -187,7 +187,7 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     of the quadratic form, which keeps the bound valid without any
     integration over the sphere.
     """
-    v = spectrum.v
+    rho, v = _check_rho(rho), spectrum.v
     det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
     pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
     if k == 1:
@@ -206,7 +206,11 @@ def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
     """Vanishing, limiting signs, and exponential envelope along a schedule."""
     if v != spectrum.v:
         raise DomainError(f"v={v} does not match spectrum dimension {spectrum.v}")
-    schedule = tuple(float(r) for r in rho_schedule)
+    try:
+        schedule = tuple(_check_rho(r) for r in rho_schedule)
+    except TypeError:  # _check_rho raises none, so the schedule is not iterable
+        raise DomainError(
+            f"rho schedule must be an iterable of radii, got {rho_schedule!r}") from None
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("rho schedule must be non-empty and strictly increasing")
     k_max = _integer(k_max, "k_max")

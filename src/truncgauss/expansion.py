@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MultiIndex, Spectrum, _dimension, ball_integrals
+from .ball import MultiIndex, Spectrum, _check_rho, _dimension, ball_integrals
 from .errors import DomainError, NumericError
 from .eta import _etas, q_polynomial
 from .moments import MomentBatch
@@ -87,7 +87,7 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     prod_d (lambda_d / rho)^(a_d) alpha_1d(k_d + a_d).  The returned terms
     list carries one contribution per order.
     """
-    order = _integer(order, "order")
+    order, rho = _integer(order, "order"), _check_rho(rho)
     if order < 0 or order > _MAX_ORDER:
         raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
     v = spectrum.v
@@ -129,7 +129,7 @@ def gamma_nn_expansion_coeff(rho_limit: bool, n: int, rho: float,
     dimension n; at infinite radius the ratios reach their semifactorial
     limits and the bracket equals 15 - 9 + 2 = 8.
     """
-    n = _dimension(n, spectrum.v)
+    n, rho = _dimension(n, spectrum.v), _check_rho(rho)
     if rho_limit:
         return 8.0
     alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])

@@ -100,7 +100,7 @@ class MomentBatch:
     """
 
     def __init__(self, rho: float, spectrum: Spectrum, family=None):
-        self.rho = rho
+        self.rho = rho = _check_rho(rho)
         self.spectrum = spectrum
         if family is None:
             family = ball_integrals(_index_family(spectrum.v, 2), rho, spectrum)
@@ -200,7 +200,7 @@ def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
 def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
     batch = MomentBatch(rho, spectrum)
     v = spectrum.v
-    rho2 = rho * rho
+    rho2 = batch.rho * batch.rho
     gamma = [[0.0] * v for _ in range(v)]
     for n in range(v):
         for m in range(n, v):

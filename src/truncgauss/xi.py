@@ -5,9 +5,14 @@ indexed by exponent vectors e = (e_0, ..., e_q) whose weighted tail sum
 (the power count) must equal q.  This module enumerates those vectors,
 convolves coefficient maps of products, and evaluates the infinite-radius
 limits in exact rational arithmetic, culminating in the sign law for the
-variance-gap coefficients: each limit is 4 (-1)^(sum e) [semifactorial
-weights] (Omega0 - Omega1), and Omega0 < Omega1 makes the sign
-(-1)^(sum e - 1) without exception.
+variance-gap coefficients: each limit is 4 (-1)^n W (omega0 - omega1), with
+n = sum e, semifactorial weight W and the split weights of :func:`omega`.
+
+The law holds at every order q.  With M = n! / prod e_k!, the closed forms
+give omega1 = M sum l^2 e_l and omega0 = (M / n) sum_{r>s} (r - s)^2 e_r e_s.
+Lagrange's identity sum_{r>s} (r - s)^2 e_r e_s = n sum l^2 e_l - q^2 then
+gives omega1 - omega0 = M q^2 / n > 0, so each limit is
+4 (-1)^(n-1) q^2 (n-1)! / prod e_k! * W, of sign (-1)^(n-1).
 
 Everything here is integer/rational; no floating-point value ever enters a
 sign determination.
@@ -37,12 +42,43 @@ __all__ = [
     "gap_convolution_check",
 ]
 
-_Q_MAX = 12
+# the highest order that enumeration and every exhaustive check reach
+_Q_MAX = 24
 
 
 def power_count(tail: tuple[int, ...]) -> int:
     """Weighted sum k * e_k over the tail (e_1, ..., e_q)."""
     return sum((k + 1) * e for k, e in enumerate(tail))
+
+
+def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
+    return entries + (0,) * (length - len(entries))
+
+
+def _q_max(q_max, low: int = 1) -> int:
+    """``q_max`` as an int in low.._Q_MAX, or a DomainError."""
+    q_max = _integer(q_max, "q_max")
+    if not low <= q_max <= _Q_MAX:
+        raise DomainError(f"need {low} <= q_max <= {_Q_MAX}, got {q_max}")
+    return q_max
+
+
+def _checked(q, tail, name: str = "q", counted: bool = False):
+    """``(q, tail)`` as ints, or a DomainError: q >= 0 and no negative
+    entry.  A ``counted`` tail must also fit in q entries and have power
+    count q; it comes back padded to length q."""
+    q, tail = _integer(q, name), _integers(tail, "tail entries")
+    if q < 0 or any(e < 0 for e in tail):
+        raise DomainError(
+            f"need {name} >= 0 and nonnegative entries, got {name}={q}, tail {tail}")
+    if counted:
+        if len(tail) > q:
+            raise DomainError(f"tail {tail} longer than {name}={q}")
+        tail = _pad(tail, q)
+        if power_count(tail) != q:
+            raise DomainError(
+                f"tail {tail} has power count {power_count(tail)}, expected {name}={q}")
+    return q, tail
 
 
 @_integer_cache(maxsize=4096)
@@ -67,10 +103,6 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
     rec(1, m, ())
     return tuple(out)
-
-
-def _pad(entries: tuple[int, ...], length: int) -> tuple[int, ...]:
-    return entries + (0,) * (length - len(entries))
 
 
 def xi_product(f_coeffs: dict, g_coeffs: dict, q: int,
@@ -112,10 +144,9 @@ def xi_alpha_limit(q: int, e, k: int) -> Fraction:
     summed over the zeroth exponent, hence depends only on the tail of the
     full vector e = (e_0, ..., e_q).
     """
-    q, k = _integer(q, "q"), _integer(k, "k")
-    if q < 0 or k < 0:
-        raise DomainError(f"need q >= 0 and k >= 0, got q={q}, k={k}")
-    entries = _integers(e, "exponents")
+    (q, entries), k = _checked(q, e), _integer(k, "k")
+    if k < 0:
+        raise DomainError(f"need k >= 0, got k={k}")
     if len(entries) != q + 1:
         raise DomainError(
             f"exponent vector must have length q+1={q + 1}, got {entries}")
@@ -135,11 +166,7 @@ def psi(p: int, tail: tuple[int, ...]) -> int:
     sum_j C(n, j) j! (n - j)! / prod e_k! = (n + 1) n! / prod e_k!.
     ``psi_grouped`` enumerates the splits instead.
     """
-    p, tail = _integer(p, "p"), _integers(tail, "tail entries")
-    if p < 0:
-        raise DomainError(f"need p >= 0, got {p}")
-    if any(e < 0 for e in tail):
-        raise DomainError(f"tail entries must be nonnegative, got {tail}")
+    p, tail = _checked(p, tail, "p")
     if power_count(tail) != p:
         return 0
     return (sum(tail) + 1) * _multinomial(tail)
@@ -148,11 +175,7 @@ def psi(p: int, tail: tuple[int, ...]) -> int:
 def psi_grouped(p: int, tail: tuple[int, ...]) -> int:
     """Alternative route to the split weight: group by the first part's
     power count and walk componentwise sub-tails directly."""
-    p, tail = _integer(p, "p"), _integers(tail, "tail entries")
-    if p < 0:
-        raise DomainError(f"need p >= 0, got {p}")
-    if any(e < 0 for e in tail):
-        raise DomainError(f"tail entries must be nonnegative, got {tail}")
+    p, tail = _checked(p, tail, "p")
     if power_count(tail) != p:
         return 0
     total = 0
@@ -189,16 +212,7 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     """
     if which not in (0, 1):
         raise DomainError(f"which must be 0 or 1, got {which}")
-    q, tail = _integer(q, "q"), _integers(tail, "tail entries")
-    if len(tail) > q:
-        raise DomainError(f"tail {tail} longer than q={q}")
-    if any(e < 0 for e in tail):
-        raise DomainError(f"tail entries must be nonnegative, got {tail}")
-    tail = _pad(tail, q)
-    if power_count(tail) != q:
-        raise DomainError(
-            f"tail {tail} has power count {power_count(tail)}, expected q={q}"
-        )
+    q, tail = _checked(q, tail, counted=True)
     entries = list(enumerate(tail, start=1))
     if which == 1:
         return _multinomial(tail) * sum(ell * ell * e for ell, e in entries)
@@ -220,70 +234,61 @@ def _semifactorial_weight(tail: tuple[int, ...]) -> Fraction:
 
 def gap_limit_coefficient(q: int, tail: tuple[int, ...]) -> Fraction:
     """Radius limit of the variance-gap coefficient at order q, summed over
-    the zeroth exponent; exact rational."""
-    tail = _integers(tail, "tail entries")
-    if power_count(tail) != q:
-        raise DomainError(
-            f"tail {tail} has power count {power_count(tail)}, expected {q}"
-        )
-    sign = (-1) ** sum(tail)
-    return 4 * sign * _semifactorial_weight(tail) \
-        * (omega(0, q, tail) - omega(1, q, tail))
+    the zeroth exponent; exact rational.
+
+    The limit is 4 (-1)^n W (omega0 - omega1), with n = sum e and W the
+    semifactorial weight.  The closed forms of :func:`omega` and Lagrange's
+    identity sum_{r>s} (r - s)^2 e_r e_s = n sum l^2 e_l - q^2 give
+    omega1 - omega0 = M q^2 / n with M = n! / prod e_k!, so the limit is
+    4 (-1)^(n-1) q^2 (n-1)! / prod e_k! * W, and 0 at q = 0.
+    """
+    q, tail = _checked(q, tail, counted=True)
+    if not q:
+        return Fraction(0)
+    n = sum(tail)
+    return 4 * (-1) ** (n - 1) * q * q * _semifactorial_weight(tail) \
+        * Fraction(_multinomial(tail), n)
 
 
 def omega_inequality_scan(q_max: int) -> Report:
-    """Exhaustive exact verification of the weight inequalities and sign law.
+    """Exact checks of the weight inequalities and the sign law through q_max.
 
-    Scans every admissible tail through q_max: the pointwise inequality
-    between the paired and single weights (strict whenever the splitting
-    tail has at least two parts), omega0 < omega1, and the resulting sign
-    of each gap coefficient.
+    The pointwise margin (parts - 1) sum l^2 c_l - sum_{r>s} (r - s)^2 c_r c_s
+    over every splitting tail c of power count t is t^2 - sum l^2 c_l, by
+    Lagrange's identity: positive from two parts on, zero for one.  On every
+    tail of each order q, omega1 - omega0 must equal M q^2 / n, and the
+    closed-form gap coefficient must equal 4 (-1)^n W (omega0 - omega1) and
+    carry the sign (-1)^(n-1).
     """
-    q_max = _integer(q_max, "q_max")
-    if not 1 <= q_max <= 8:
-        raise DomainError(f"need 1 <= q_max <= 8, got {q_max}")
+    q_max = _q_max(q_max)
     report = Report("omega-scan")
 
-    # Pointwise weight inequality over all splitting tails.
-    worst = None
-    checked = 0
-    violations = 0
-    for t in range(1, q_max + 1):
-        for c in enumerate_exponents(q_max, t):
-            lhs = sum(
-                (r - s) ** 2 * c[s - 1] * c[r - 1]
-                for r in range(1, q_max + 1)
-                for s in range(1, r)
-                if r + s <= q_max
-            )
-            parts = sum(c)
-            rhs = sum(ell * ell * c[ell - 1] for ell in range(1, q_max + 1)) \
-                * (parts - 1)
-            checked += 1
-            margin = rhs - lhs
-            ok = margin > 0 if parts >= 2 else margin >= 0
-            if not ok:
-                violations += 1
-            if worst is None or margin < worst:
-                worst = margin
+    margins = [(t * t - sum(ell * ell * c_l for ell, c_l in enumerate(c, start=1)),
+                sum(c))
+               for t in range(1, q_max + 1) for c in enumerate_exponents(q_max, t)]
+    violations = sum(1 for margin, parts in margins
+                     if not (margin > 0 if parts >= 2 else margin >= 0))
     report.add("pointwise-weight-inequality", violations == 0,
-               float(worst if worst is not None else 0),
-               detail=f"{checked} splitting tails scanned, {violations} violations")
+               float(min(margin for margin, _ in margins)),
+               detail=f"{len(margins)} splitting tails scanned, {violations} violations")
 
     for q in range(1, q_max + 1):
         tails = enumerate_exponents(q, q)
-        bad = [t for t in tails if not omega(0, q, t) < omega(1, q, t)]
-        min_gap = min(omega(1, q, t) - omega(0, q, t) for t in tails)
+        gaps = [omega(1, q, t) - omega(0, q, t) for t in tails]
+        bad = [t for t, gap in zip(tails, gaps)
+               if gap * sum(t) != _multinomial(t) * q * q]
+        min_gap = min(gaps)
         report.add(f"omega0<omega1[q={q}]", not bad, float(min_gap),
                    detail=f"{len(tails)} tails, min gap {min_gap}")
 
-    for q in range(1, min(q_max, 6) + 1):
+    for q in range(1, q_max + 1):
         tails = enumerate_exponents(q, q)
         bad_sign = []
         for t in tails:
-            value = gap_limit_coefficient(q, t)
-            want = (-1) ** (sum(t) - 1)
-            if value == 0 or (1 if value > 0 else -1) != want:
+            value, n = gap_limit_coefficient(q, t), sum(t)
+            weighted = 4 * (-1) ** n * _semifactorial_weight(t) \
+                * (omega(0, q, t) - omega(1, q, t))
+            if value != weighted or value * (-1) ** (n - 1) <= 0:
                 bad_sign.append(t)
         report.add(f"sign-law[q={q}]", not bad_sign, float(len(tails)),
                    detail=f"{len(tails)} tails checked")
@@ -343,21 +348,18 @@ def _coefficient_map(q: int, limit, zeroth=(0,)) -> dict:
 def gap_convolution_check(q_max: int) -> Report:
     """Two independent routes to the variance-gap limit coefficients.
 
-    Route one is the closed form (semifactorial weights times the omega
-    difference); route two convolves the numerator and inverse-mass
-    coefficient maps explicitly over order and exponent splits, then sums
-    the zeroth exponent.  Both are exact, so the comparison is equality.
+    Route one is the closed form of :func:`gap_limit_coefficient`; route two
+    convolves the numerator and inverse-mass coefficient maps explicitly
+    over order and exponent splits, then sums the zeroth exponent, and never
+    reads :func:`omega`.  Both are exact, so the comparison is equality.
     """
-    q_max = _integer(q_max, "q_max")
-    if not 1 <= q_max <= 6:
-        raise DomainError(f"need 1 <= q_max <= 6, got {q_max}")
+    q_max = _q_max(q_max)
     report = Report("gap-convolution")
-
+    # coefficient maps through order q_max, on full exponent vectors; a
+    # product at order q reads only their entries of order <= q
+    dn_map = _coefficient_map(q_max, _dn_limit, range(3))
+    dd_map = _coefficient_map(q_max, _dd_limit)
     for q in range(1, q_max + 1):
-        # Coefficient maps through order q, on full exponent vectors.
-        dn_map = _coefficient_map(q, _dn_limit, range(3))
-        dd_map = _coefficient_map(q, _dd_limit)
-
         for tail in enumerate_exponents(q, q):
             closed = gap_limit_coefficient(q, tail)
             convolved = Fraction(0)
@@ -379,14 +381,11 @@ def inverse_mass_identity_check(q_max: int = 4) -> Report:
     weights.  Their product must be 1 at order zero and vanish at every
     higher order, in exact arithmetic.
     """
-    q_max = _integer(q_max, "q_max")
-    if not 0 <= q_max <= _Q_MAX:
-        raise DomainError(f"need 0 <= q_max <= {_Q_MAX}, got {q_max}")
+    q_max = _q_max(q_max, low=0)
     report = Report("inverse-mass-identity")
+    alpha_map = _coefficient_map(q_max, partial(xi_alpha_limit, k=0))
+    inv_map = _coefficient_map(q_max, _inverse_mass_limit)
     for q in range(0, q_max + 1):
-        alpha_map = _coefficient_map(q, partial(xi_alpha_limit, k=0))
-        inv_map = _coefficient_map(q, _inverse_mass_limit)
-
         for tail in enumerate_exponents(q, q):
             product = xi_product(alpha_map, inv_map, q, (0,) + tail)
             expected = Fraction(1) if q == 0 else Fraction(0)

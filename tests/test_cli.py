@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from truncgauss import ball
+from truncgauss import ball, xi
 from truncgauss.cli import _build_parser, main
 
 
@@ -263,22 +263,21 @@ class TestVerify:
         assert all(c["status"] == "pass" for c in payload["checks"])
 
     def test_xi_checks_run_to_their_ceilings(self, capsys):
-        # the convolution checks run through q = 6, not 4, and each check's
-        # name prefix states the q it ran at
-        code, out, _ = run(["verify", "xi", "--qmax", "8"], capsys)
-        assert code == 0
-        names = [c["name"] for c in json.loads(out)["checks"]]
-        prefixes = {name.split("|")[0] for name in names}
-        assert prefixes == {"omega-scan[qmax=8]", "gap-convolution[qmax=6]",
-                            "inverse-mass-identity[qmax=6]"}
-        assert any(name.startswith("gap-convolution[qmax=6]|route-equivalence[q=6,")
-                   for name in names)
-        assert any(name.startswith("inverse-mass-identity[qmax=6]|identity[q=6,")
-                   for name in names)
-        code, out, _ = run(["verify", "xi", "--qmax", "3"], capsys)
-        prefixes = {c["name"].split("|")[0] for c in json.loads(out)["checks"]}
-        assert prefixes == {"omega-scan[qmax=3]", "gap-convolution[qmax=3]",
-                            "inverse-mass-identity[qmax=3]"}
+        # every check runs to --qmax, which reaches xi._Q_MAX, and each
+        # check's name prefix states the q it ran at
+        args = _build_parser().parse_args(["verify", "xi", "--qmax", str(xi._Q_MAX)])
+        assert args.qmax == xi._Q_MAX
+        for q_max in (3, 8):
+            code, out, _ = run(["verify", "xi", "--qmax", str(q_max)], capsys)
+            assert code == 0
+            names = [c["name"] for c in json.loads(out)["checks"]]
+            assert {name.split("|")[0] for name in names} == {
+                f"{suite}[qmax={q_max}]" for suite in
+                ("omega-scan", "gap-convolution", "inverse-mass-identity")}
+            for head in (f"omega-scan[qmax={q_max}]|sign-law[q={q_max}]",
+                         f"gap-convolution[qmax={q_max}]|route-equivalence[q={q_max},",
+                         f"inverse-mass-identity[qmax={q_max}]|identity[q={q_max},"):
+                assert any(name.startswith(head) for name in names), head
 
     def test_structural_suite(self, capsys):
         code, out, _ = run(
@@ -292,12 +291,12 @@ class TestVerify:
         assert code == 0
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "xi", "--qmax", "9"],
-        ["verify", "all", "--quick", "--qmax", "12"],
+        ["verify", "xi", "--qmax", str(xi._Q_MAX + 1)],
+        ["verify", "all", "--quick", "--qmax", str(xi._Q_MAX + 1)],
         ["verify", "xi", "--qmax", "0"],
-    ], ids=["xi-9", "all-12", "xi-0"])
+    ], ids=["xi-over-cap", "all-over-cap", "xi-0"])
     def test_qmax_outside_scan_range_exit_two(self, argv, capsys):
-        # the omega scan covers q <= 8; a larger request must not be capped
+        # the xi checks cover q <= xi._Q_MAX; a larger request must not be capped
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc
 
-from truncgauss import ball, moments
+from truncgauss import ball, eta, expansion, moments
 from truncgauss.ball import (IntegralValue, MultiIndex, Spectrum, ball_integral,
                              ball_integral_mc, ball_integrals_mc)
 from truncgauss.errors import DomainError, NumericError
@@ -463,6 +463,54 @@ class TestDimensionArgument:
         with pytest.raises(DomainError):
             call(1.5)
         assert call(1.0) == call(1)
+
+
+SPEC2 = Spectrum((1.0, 2.0))
+ZERO2 = MultiIndex.zero(2)
+
+# every public route that takes a radius, called with the radius under test
+RADIUS_ROUTES = {
+    "ball_integral": lambda rho: ball_integral(ZERO2, rho, SPEC2),
+    "ball_integrals": lambda rho: ball.ball_integrals([ZERO2], rho, SPEC2),
+    "ball_integral_1d": lambda rho: ball.ball_integral_1d(0, rho, 1.0),
+    "ball_integral_mc": lambda rho: ball_integral_mc(ZERO2, rho, SPEC2, 10_000, 0),
+    "ball_integrals_mc": lambda rho: ball_integrals_mc([ZERO2], rho, SPEC2, 10_000, 0),
+    "verify_structural": lambda rho: ball.verify_structural(rho, SPEC2),
+    "MomentBatch": lambda rho: MomentBatch(rho, SPEC2),
+    "MomentBatch-family": lambda rho: MomentBatch(
+        rho, SPEC2, family=ball.ball_integrals(ball._index_family(2, 2), 5.0, SPEC2)).gap(0),
+    "conditional_moments": lambda rho: conditional_moments(rho, SPEC2),
+    "variance_gap": lambda rho: variance_gap(0, rho, SPEC2),
+    "variance_gap_with_error": lambda rho: variance_gap_with_error(0, rho, SPEC2),
+    "correlation_set": lambda rho: correlation_set(rho, SPEC2),
+    "marginal_density": lambda rho: marginal_density(0, 0.1, rho, SPEC2),
+    "holder_report": lambda rho: holder_report(0, rho, SPEC2),
+    "loose_bound_check": lambda rho: loose_bound_check(0, rho, SPEC2),
+    "inequality_battery": lambda rho: inequality_battery(rho, SPEC2),
+    "eta_combinatorial": lambda rho: eta.eta_combinatorial(1, rho, SPEC2),
+    "eta_combinatorial-order-0": lambda rho: eta.eta_combinatorial(0, rho, SPEC2),
+    "eta_fd_oracle": lambda rho: eta.eta_fd_oracle(1, rho, SPEC2),
+    "index_sum_ratio": lambda rho: eta.index_sum_ratio(1, rho, SPEC2),
+    "radial_derivative_envelope": lambda rho: eta.radial_derivative_envelope(1, rho, SPEC2),
+    "asymptotic_checks": lambda rho: eta.asymptotic_checks(2, SPEC2, 1, (rho, 40.0, 80.0)),
+    "asymptotic_checks-schedule": lambda rho: eta.asymptotic_checks(2, SPEC2, 1, rho),
+    "expand_alpha": lambda rho: expansion.expand_alpha("alpha", 0, 1, rho, SPEC2),
+    "gamma_nn_expansion_coeff": lambda rho: expansion.gamma_nn_expansion_coeff(
+        True, 0, rho, SPEC2),
+    "gamma_nm_cancellation_check": lambda rho: expansion.gamma_nm_cancellation_check(
+        0, 1, rho, SPEC2),
+}
+
+
+class TestRadiusArgument:
+    @pytest.mark.parametrize("rho", ["5", None, "a", -1.0, math.nan],
+                             ids=["numeric-string", "none", "letters", "negative", "nan"])
+    @pytest.mark.parametrize("route", RADIUS_ROUTES.values(), ids=RADIUS_ROUTES.keys())
+    def test_invalid_radius_is_domain_error(self, route, rho):
+        # "5" used to run as 5.0 or leak a TypeError, None and "a" leaked
+        # TypeError or ValueError, and a caller's family skipped every check
+        with pytest.raises(DomainError):
+            route(rho)
 
 
 class TestInequalityBattery:

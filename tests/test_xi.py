@@ -52,7 +52,7 @@ class TestEnumeration:
 
     def test_bounds(self):
         with pytest.raises(DomainError):
-            enumerate_exponents(13, 1)
+            enumerate_exponents(xi._Q_MAX + 1, 1)
 
     def test_non_integral_arguments_raise(self):
         # q = 2.5 used to give the q = 2 tails, m = 2.5 a TypeError
@@ -303,6 +303,22 @@ class TestGapLimit:
         with pytest.raises(DomainError):
             gap_limit_coefficient(1, (1.5,))
 
+    def test_order_is_checked_as_an_integer(self):
+        # a string order used to reach the power-count message
+        with pytest.raises(DomainError, match="q must be an integer"):
+            gap_limit_coefficient("2", (0, 1))
+        value = gap_limit_coefficient(2.0, (0, 1))
+        assert type(value) is Fraction and value == Fraction(24)
+
+    @pytest.mark.parametrize("q, tail", [(3, (-1, 2)), (1, (1, 0)), (2, (1, 0))])
+    def test_tail_outside_the_order_raises(self, q, tail):
+        # a negative entry, a tail longer than q, a wrong power count
+        with pytest.raises(DomainError):
+            gap_limit_coefficient(q, tail)
+
+    def test_order_zero_vanishes(self):
+        assert gap_limit_coefficient(0, ()) == 0
+
     def test_magnitude_when_no_pairings(self):
         for q in range(1, 7):
             for tail in enumerate_exponents(q, q):
@@ -313,6 +329,36 @@ class TestGapLimit:
                                            math.factorial(k)) ** e
                     assert abs(gap_limit_coefficient(q, tail)) == (
                         4 * weight * omega(1, q, tail))
+
+
+def _identity_failures(q_max):
+    """Tails through q_max where omega1 - omega0 != M q^2 / n, with
+    M = n! / prod e_k! written out from factorials."""
+    bad = []
+    for q in range(1, q_max + 1):
+        for tail in enumerate_exponents(q, q):
+            n = sum(tail)
+            mass = Fraction(math.factorial(n),
+                            math.prod(math.factorial(e) for e in tail))
+            if xi.omega(1, q, tail) - xi.omega(0, q, tail) != mass * q * q / n:
+                bad.append(tail)
+    return bad
+
+
+class TestSignLawIdentity:
+    def test_identity_and_closed_form_through_sixteen(self):
+        # Lagrange's identity on the closed omegas, and the closed-form gap
+        # coefficient against the convolution route, which never reads omega
+        assert _identity_failures(16) == []
+        assert gap_convolution_check(16).all_ok
+
+    def test_a_wrong_omega_fails_the_identity(self, monkeypatch):
+        real = xi.omega
+        monkeypatch.setattr(xi, "omega", lambda which, q, tail: real(which, q, tail)
+                            + (which == 0 and tuple(tail) == (1, 1, 0)))
+        assert _identity_failures(4) == [(1, 1, 0)]
+        assert {c.name for c in omega_inequality_scan(4).failures} == {
+            "omega0<omega1[q=3]", "sign-law[q=3]"}
 
 
 class TestScans:
@@ -372,7 +418,7 @@ class TestScans:
         with pytest.raises(DomainError):
             check(2.5)
 
-    @pytest.mark.parametrize("q_max", [-3, -1, 13])
+    @pytest.mark.parametrize("q_max", [-3, -1, xi._Q_MAX + 1])
     def test_inverse_mass_identity_order_range(self, q_max):
         # a negative order would pass with no checks at all
         with pytest.raises(DomainError):

@@ -61,6 +61,7 @@ from .xi import (
     enumerate_exponents,
     gap_convolution_check,
     gap_limit_coefficient,
+    inverse_mass_identity_check,
     omega,
     omega_inequality_scan,
     psi,

@@ -180,6 +180,13 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
+def _check_spectrum(spectrum) -> Spectrum:
+    """``spectrum`` itself if it is a :class:`Spectrum`, else a DomainError."""
+    if not isinstance(spectrum, Spectrum):
+        raise DomainError(f"spectrum must be a Spectrum, got {spectrum!r}")
+    return spectrum
+
+
 def _dimension(n, v: int) -> int:
     """``n`` as a 0-based dimension of a v-dimensional spectrum; a
     non-integral or out-of-range ``n`` is a :class:`DomainError`."""
@@ -191,8 +198,7 @@ def _dimension(n, v: int) -> int:
 
 def _checked(indices, spectrum: Spectrum) -> tuple:
     """``indices`` as a tuple of MultiIndex of the spectrum's dimension."""
-    if not isinstance(spectrum, Spectrum):
-        raise DomainError(f"spectrum must be a Spectrum, got {spectrum!r}")
+    _check_spectrum(spectrum)
     if not isinstance(indices, Iterable):  # a bare MultiIndex, or None
         raise DomainError(f"indices must be an iterable of MultiIndex, got {indices!r}")
     indices = tuple(indices)
@@ -603,8 +609,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
     order_cap = _integer(order_cap, "order_cap")
     if not 0 <= order_cap <= 4:
         raise DomainError(f"order_cap must be in 0..4, got {order_cap}")
-    rho = _check_rho(rho)
-    v = spectrum.v
+    rho, v = _check_rho(rho), _check_spectrum(spectrum).v
     report = Report("structural")
     tol = 1e-6
     family = _index_family(v, order_cap)

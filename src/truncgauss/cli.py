@@ -316,7 +316,7 @@ def _suite_asymptotic(args: argparse.Namespace) -> Report:
     spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0, 3.0))
     schedule = (20.0, 40.0, 80.0)
     k_max = 2 if args.quick else 4
-    return eta_mod.asymptotic_checks(spec.v, spec, k_max, schedule)
+    return eta_mod.asymptotic_checks(spec, k_max, schedule)
 
 
 def _suite_xi(args: argparse.Namespace) -> Report:

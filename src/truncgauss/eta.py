@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import (MultiIndex, Spectrum, _check_rho, _fd_derivative,
+from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _fd_derivative,
                    ball_integral, ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
@@ -94,7 +94,7 @@ def _index_sum_ratios(ells, rho: float,
     distinct pattern instead of v^ell.  The zero index and the patterns of
     every ell in ``ells`` share one :func:`ball_integrals` pass.
     """
-    v = spectrum.v
+    v = _check_spectrum(spectrum).v
     # each pattern with its multinomial count of index orderings
     terms = {ell: [(_multinomial(combo), MultiIndex(combo))
                    for combo in _compositions(ell, v)]
@@ -132,6 +132,7 @@ def _etas(k_max: int, rho: float,
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
     """The k-th coefficient function through the exact reduction."""
     k, rho = _integer(k, "order"), _check_rho(rho)
+    _check_spectrum(spectrum)
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
@@ -146,13 +147,13 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     combinatorial route (it only ever evaluates the plain ball mass).
     """
     k, rho = _integer(k, "order"), _check_rho(rho)
+    v = _check_spectrum(spectrum).v
     if k < 0:
         raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
         return 1.0
     if k > _K_MAX_FD:
         raise DomainError(f"finite differences support k <= {_K_MAX_FD}, got {k}")
-    v = spectrum.v
     zero = MultiIndex.zero(v)
 
     def alpha(r: float) -> float:
@@ -187,7 +188,7 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     of the quadratic form, which keeps the bound valid without any
     integration over the sphere.
     """
-    rho, v = _check_rho(rho), spectrum.v
+    rho, v = _check_rho(rho), _check_spectrum(spectrum).v
     det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
     pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
     if k == 1:
@@ -201,11 +202,10 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     return pref * poly_max * math.exp(-rho / (2.0 * spectrum.lambda_max))
 
 
-def asymptotic_checks(v: int, spectrum: Spectrum, k_max: int,
+def asymptotic_checks(spectrum: Spectrum, k_max: int,
                       rho_schedule: tuple[float, ...]) -> Report:
     """Vanishing, limiting signs, and exponential envelope along a schedule."""
-    if v != spectrum.v:
-        raise DomainError(f"v={v} does not match spectrum dimension {spectrum.v}")
+    _check_spectrum(spectrum)
     try:
         schedule = tuple(_check_rho(r) for r in rho_schedule)
     except TypeError:  # _check_rho raises none, so the schedule is not iterable

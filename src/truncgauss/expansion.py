@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import MultiIndex, Spectrum, _check_rho, _dimension, ball_integrals
+from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
+                   ball_integrals)
 from .errors import DomainError, NumericError
 from .eta import _etas, q_polynomial
 from .moments import MomentBatch
@@ -90,7 +91,7 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     order, rho = _integer(order, "order"), _check_rho(rho)
     if order < 0 or order > _MAX_ORDER:
         raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
-    v = spectrum.v
+    v = _check_spectrum(spectrum).v
     n = _dimension(n, v)
     if target == TARGET_ALPHA:
         base = {n: 0}
@@ -121,17 +122,14 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     return ExpansionPartialSum(target, order, float(sum(terms)), tuple(terms))
 
 
-def gamma_nn_expansion_coeff(rho_limit: bool, n: int, rho: float,
-                             spectrum: Spectrum) -> float:
+def gamma_nn_expansion_coeff(n: int, rho: float, spectrum: Spectrum) -> float:
     """Bracketed first-order coefficient of the scaled-variance expansion.
 
     The bracket combines three one-dimensional integral ratios along
     dimension n; at infinite radius the ratios reach their semifactorial
-    limits and the bracket equals 15 - 9 + 2 = 8.
+    limits and the bracket tends to 15 - 9 + 2 = 8.
     """
-    n, rho = _dimension(n, spectrum.v), _check_rho(rho)
-    if rho_limit:
-        return 8.0
+    n, rho = _dimension(n, _check_spectrum(spectrum).v), _check_rho(rho)
     alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])
     r1, r2, r3 = (alpha[k] / alpha[0] for k in (1, 2, 3))
     return r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3
@@ -148,7 +146,8 @@ def gamma_nm_cancellation_check(n: int, m: int, rho: float,
     shared terms agree by algebra, so the check reads the cancellation's
     outcome: the scaled covariance against that envelope.
     """
-    n, m = _dimension(n, spectrum.v), _dimension(m, spectrum.v)
+    v = _check_spectrum(spectrum).v
+    n, m = _dimension(n, v), _dimension(m, v)
     if n == m:
         raise DomainError("cancellation check needs two distinct dimensions, "
                           f"got {n} and {m}")

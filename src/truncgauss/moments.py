@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import (MultiIndex, Spectrum, _check_rho, _dimension, _index_family,
-                   ball_integral, ball_integrals)
+from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
+                   _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
 from .special import _real
@@ -101,12 +101,20 @@ class MomentBatch:
 
     def __init__(self, rho: float, spectrum: Spectrum, family=None):
         self.rho = rho = _check_rho(rho)
-        self.spectrum = spectrum
+        self.spectrum = spectrum = _check_spectrum(spectrum)
         if family is None:
             family = ball_integrals(_index_family(spectrum.v, 2), rho, spectrum)
         self._family = family
-        self._base = family[MultiIndex.zero(spectrum.v)]
+        self._base = self._member(MultiIndex.zero(spectrum.v))
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
+
+    def _member(self, index: MultiIndex):
+        """The family's integral at ``index``; a DomainError if it lacks one."""
+        try:
+            return self._family[index]
+        except KeyError:
+            raise DomainError(
+                f"family has no member at multi-index {index.multiplicities}") from None
 
     def _ratio(self, *dims: int) -> tuple[float, float]:
         """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims,
@@ -117,7 +125,7 @@ class MomentBatch:
             ks = [0] * self.spectrum.v
             for d in dims:
                 ks[d] += 1
-            num = self._family[MultiIndex(tuple(ks))]
+            num = self._member(MultiIndex(tuple(ks)))
             hit = (num.value / self._base.value,
                    num.rel_error + self._base.rel_error)
             self._ratios[key] = hit
@@ -165,9 +173,8 @@ def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
     Reads the ball integrals (quadrature at v = 2..4, the chi-square mixture
     at every other v) and enforces the moment bounds strictly.
     """
-    v = spectrum.v
-    lams = spectrum.lambdas
     batch = MomentBatch(rho, spectrum)
+    v, lams = spectrum.v, spectrum.lambdas
     second = tuple(batch.second(n)[0] for n in range(v))
     cross = tuple(tuple(batch.product(n, m)[0] for m in range(v))
                   for n in range(v))
@@ -216,10 +223,8 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
     value is the reduced ball mass at the leftover square radius times the
     Gaussian factor.  A NaN or non-real x is a :class:`DomainError`.
     """
-    v = spectrum.v
-    n = _dimension(n, v)
-    rho = _check_rho(rho)
-    x = _real(x, "x")
+    v = _check_spectrum(spectrum).v
+    n, rho, x = _dimension(n, v), _check_rho(rho), _real(x, "x")
     if x * x >= rho:
         return 0.0
     lam = spectrum.lambdas[n]
@@ -234,7 +239,7 @@ def marginal_density(n: int, x: float, rho: float, spectrum: Spectrum) -> float:
 
 def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
     """Essential-supremum bound on var(X_n^2), with the truncation regime."""
-    n = _dimension(n, spectrum.v)
+    n = _dimension(n, _check_spectrum(spectrum).v)
     batch = MomentBatch(rho, spectrum)
     e2 = batch.second(n)[0]
     lam = spectrum.lambdas[n]
@@ -253,7 +258,7 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
 
 def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
     """E[X_n^4] <= lambda_n (2 lambda_n + E[X_n^2]), valid at every radius."""
-    n = _dimension(n, spectrum.v)
+    n = _dimension(n, _check_spectrum(spectrum).v)
     moments = conditional_moments(rho, spectrum)
     lam = spectrum.lambdas[n]
     return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + 1e-12)
@@ -276,7 +281,7 @@ def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
     tol = _real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    n = _dimension(n, spectrum.v)
+    n = _dimension(n, _check_spectrum(spectrum).v)
     lam = spectrum.lambdas[n]
     rho = 3.0 * lam
     damping = 0.5

@@ -229,7 +229,7 @@ class TestEtaValues:
 
 class TestAsymptoticReport:
     def test_reference_schedule_passes(self):
-        report = asymptotic_checks(3, SPEC3, 4, (20.0, 40.0, 80.0))
+        report = asymptotic_checks(SPEC3, 4, (20.0, 40.0, 80.0))
         assert report.passed
         names = [c.name for c in report.checks]
         assert any(name.startswith("limit-sign[k=1]") for name in names)
@@ -254,23 +254,19 @@ class TestAsymptoticReport:
 
         for module in (ball, eta_mod):  # ball_integral reads ball's name
             monkeypatch.setattr(module, "ball_integrals", counted)
-        asymptotic_checks(3, SPEC3, 4, (20, 40, 80))
+        asymptotic_checks(SPEC3, 4, (20, 40, 80))
         assert calls == [20.0, 40.0, 80.0]
 
     def test_schedule_must_increase(self):
         with pytest.raises(DomainError):
-            asymptotic_checks(3, SPEC3, 2, (10.0, 10.0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            asymptotic_checks(2, SPEC3, 2, (5.0, 10.0))
+            asymptotic_checks(SPEC3, 2, (10.0, 10.0))
 
     def test_empty_schedule(self):
         with pytest.raises(DomainError):
-            asymptotic_checks(3, SPEC3, 2, ())
+            asymptotic_checks(SPEC3, 2, ())
 
     def test_needs_an_order(self):
         # k_max = 0 would pass with no checks at all
         spec = Spectrum((1.0, 2.0))
         with pytest.raises(DomainError):
-            asymptotic_checks(2, spec, 0, (20.0, 40.0))
+            asymptotic_checks(spec, 0, (20.0, 40.0))

@@ -180,17 +180,14 @@ class TestExpandAlpha:
 
 
 class TestGammaNNCoefficient:
-    def test_limit_value(self):
-        assert gamma_nn_expansion_coeff(True, 0, 1.0, SPEC2) == 8.0
-
-    @pytest.mark.parametrize("rho_limit", [False, True])
     @pytest.mark.parametrize("n", [-1, 2])
-    def test_dimension_out_of_range(self, rho_limit, n):
+    def test_dimension_out_of_range(self, n):
         with pytest.raises(DomainError):
-            gamma_nn_expansion_coeff(rho_limit, n, 5.0, SPEC2)
+            gamma_nn_expansion_coeff(n, 5.0, SPEC2)
 
     def test_finite_radius_approaches_limit(self):
-        vals = [gamma_nn_expansion_coeff(False, 0, rho, SPEC2)
+        # the bracket tends to its infinite-radius value 15 - 9 + 2 = 8
+        vals = [gamma_nn_expansion_coeff(0, rho, SPEC2)
                 for rho in (10.0, 30.0, 90.0)]
         gaps = [abs(v - 8.0) for v in vals]
         assert gaps[2] < gaps[1] < gaps[0]
@@ -212,7 +209,7 @@ class TestGammaNNCoefficient:
             one = correlation_set(rho, Spectrum((1.0,))).gamma[0][0]
             eta1 = eta_combinatorial(1, rho, spec.drop(0))
             measured = (one - full) / (1.0 / rho ** 3 * eta1)
-            bracket = gamma_nn_expansion_coeff(False, 0, rho, spec)
+            bracket = gamma_nn_expansion_coeff(0, rho, spec)
             excesses.append(measured / bracket - 1.0)
         assert abs(excesses[-1]) < 0.1
         for a, b in zip(excesses, excesses[1:]):

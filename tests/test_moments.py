@@ -1,6 +1,7 @@
 """Conditional moments, sign structure, crossover radius, inequality battery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -492,11 +493,11 @@ RADIUS_ROUTES = {
     "eta_fd_oracle": lambda rho: eta.eta_fd_oracle(1, rho, SPEC2),
     "index_sum_ratio": lambda rho: eta.index_sum_ratio(1, rho, SPEC2),
     "radial_derivative_envelope": lambda rho: eta.radial_derivative_envelope(1, rho, SPEC2),
-    "asymptotic_checks": lambda rho: eta.asymptotic_checks(2, SPEC2, 1, (rho, 40.0, 80.0)),
-    "asymptotic_checks-schedule": lambda rho: eta.asymptotic_checks(2, SPEC2, 1, rho),
+    "asymptotic_checks": lambda rho: eta.asymptotic_checks(SPEC2, 1, (rho, 40.0, 80.0)),
+    "asymptotic_checks-schedule": lambda rho: eta.asymptotic_checks(SPEC2, 1, rho),
     "expand_alpha": lambda rho: expansion.expand_alpha("alpha", 0, 1, rho, SPEC2),
     "gamma_nn_expansion_coeff": lambda rho: expansion.gamma_nn_expansion_coeff(
-        True, 0, rho, SPEC2),
+        0, rho, SPEC2),
     "gamma_nm_cancellation_check": lambda rho: expansion.gamma_nm_cancellation_check(
         0, 1, rho, SPEC2),
 }
@@ -511,6 +512,72 @@ class TestRadiusArgument:
         # TypeError or ValueError, and a caller's family skipped every check
         with pytest.raises(DomainError):
             route(rho)
+
+
+# every public route that takes a spectrum, called with the spectrum under test
+SPECTRUM_ROUTES = {
+    "ball_integral": lambda spec: ball_integral(ZERO2, 5.0, spec),
+    "ball_integrals": lambda spec: ball.ball_integrals([ZERO2], 5.0, spec),
+    "ball_integral_mc": lambda spec: ball_integral_mc(ZERO2, 5.0, spec, 10_000, 0),
+    "ball_integrals_mc": lambda spec: ball_integrals_mc([ZERO2], 5.0, spec, 10_000, 0),
+    "verify_structural": lambda spec: ball.verify_structural(5.0, spec),
+    "MomentBatch": lambda spec: MomentBatch(5.0, spec),
+    "conditional_moments": lambda spec: conditional_moments(5.0, spec),
+    "variance_gap": lambda spec: variance_gap(0, 5.0, spec),
+    "variance_gap_with_error": lambda spec: variance_gap_with_error(0, 5.0, spec),
+    "correlation_set": lambda spec: correlation_set(5.0, spec),
+    "marginal_density": lambda spec: marginal_density(0, 0.1, 5.0, spec),
+    "holder_report": lambda spec: holder_report(0, 5.0, spec),
+    "loose_bound_check": lambda spec: loose_bound_check(0, 5.0, spec),
+    "rho_star": lambda spec: rho_star(0, spec),
+    "inequality_battery": lambda spec: inequality_battery(5.0, spec),
+    "eta_combinatorial": lambda spec: eta.eta_combinatorial(1, 5.0, spec),
+    "eta_combinatorial-order-0": lambda spec: eta.eta_combinatorial(0, 5.0, spec),
+    "eta_fd_oracle": lambda spec: eta.eta_fd_oracle(1, 5.0, spec),
+    "index_sum_ratio": lambda spec: eta.index_sum_ratio(1, 5.0, spec),
+    "radial_derivative_envelope": lambda spec: eta.radial_derivative_envelope(1, 5.0, spec),
+    "asymptotic_checks": lambda spec: eta.asymptotic_checks(spec, 1, (20.0, 40.0, 80.0)),
+    "expand_alpha": lambda spec: expansion.expand_alpha("alpha", 0, 1, 5.0, spec),
+    "gamma_nn_expansion_coeff": lambda spec: expansion.gamma_nn_expansion_coeff(
+        0, 5.0, spec),
+    "gamma_nm_cancellation_check": lambda spec: expansion.gamma_nm_cancellation_check(
+        0, 1, 5.0, spec),
+}
+
+
+class TestSpectrumArgument:
+    @pytest.mark.parametrize("spec", [(1.0, 2.0), None, [1.0, 2.0]],
+                             ids=["tuple", "none", "list"])
+    @pytest.mark.parametrize("route", SPECTRUM_ROUTES.values(), ids=SPECTRUM_ROUTES.keys())
+    def test_non_spectrum_is_domain_error(self, route, spec):
+        # all but the ball_integral* routes leaked AttributeError on .v
+        with pytest.raises(DomainError, match="must be a Spectrum"):
+            route(spec)
+
+
+class TestCallerFamily:
+    def _family_without(self, *missing):
+        family = ball.ball_integrals(ball._index_family(2, 2), 5.0, SPEC2)
+        return {index: value for index, value in family.items()
+                if index.multiplicities not in missing}
+
+    def test_empty_family_is_domain_error(self):
+        # used to leak KeyError at construction
+        with pytest.raises(DomainError, match=r"\(0, 0\)"):
+            MomentBatch(5.0, SPEC2, family={})
+
+    @pytest.mark.parametrize("missing, read", [
+        ((1, 1), lambda batch: batch.cov(0, 1)),
+        ((2, 0), lambda batch: batch.gap(0)),
+        ((0, 1), lambda batch: batch.second(1)),
+    ], ids=["pair", "square", "single"])
+    def test_missing_member_is_domain_error_on_read(self, missing, read):
+        # built fine, then leaked KeyError on the first read of the member
+        batch = MomentBatch(5.0, SPEC2, family=self._family_without(missing))
+        with pytest.raises(DomainError, match=f"multi-index {re.escape(str(missing))}"):
+            read(batch)
+        # the members it has still read
+        assert batch.second(0) == MomentBatch(5.0, SPEC2).second(0)
 
 
 class TestInequalityBattery:

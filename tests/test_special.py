@@ -285,7 +285,7 @@ class TestIntegerArguments:
         lambda n: coefficient_table(n, 2),
         lambda n: coefficient_table(3, n),
         lambda n: q_polynomial(n, 1.0, 0.5),
-        lambda n: asymptotic_checks(3, _SPEC, n, (20.0, 40.0, 80.0)),
+        lambda n: asymptotic_checks(_SPEC, n, (20.0, 40.0, 80.0)),
         lambda n: raising_factorial(0.5, n),
         lambda n: stirling_second(n, 1),
         lambda n: stirling_first_unsigned(3, n),

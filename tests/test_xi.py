@@ -66,8 +66,9 @@ class TestEnumeration:
 class TestXiProduct:
     def test_identity_element(self):
         one = {(0, (0,)): Fraction(1)}
-        assert xi_product(one, one, 0, (0,)) == 1
-        assert xi_product(one, one, 2, (0, 0, 1)) == 0
+        assert xi_product(one, one, 2) == one
+        f = {(0, (1,)): Fraction(3), (2, (0, 0, 1)): Fraction(-1, 2)}
+        assert xi_product(one, f, 2) == f == xi_product(f, one, 2)
 
     def test_single_integral_product_grouping(self):
         # the product of two single-integral maps is supported exactly on
@@ -85,50 +86,77 @@ class TestXiProduct:
         f, g = single_map(r, 4), single_map(s, 4)
         q = 3
         # two distinct unit positions 1 and 2: contributions from both splits
-        got = xi_product(f, g, q, (0, 1, 1, 0))
+        product = xi_product(f, g, 4)
+        got = product[(q, (0, 1, 1, 0))]
         want = (Fraction(double_factorial(2 * (r + 1) - 1), 1)
                 * Fraction(double_factorial(2 * (s + 2) - 1), math.factorial(2))
                 + Fraction(double_factorial(2 * (r + 2) - 1), math.factorial(2))
                 * Fraction(double_factorial(2 * (s + 1) - 1), 1))
         assert got == want
         # doubled entry at position 2 needs an even order split 2 + 2
-        got = xi_product(f, g, 4, (0, 0, 2, 0, 0))
+        got = product[(4, (0, 0, 2, 0, 0))]
         want = (Fraction(double_factorial(2 * (r + 2) - 1), 2)
                 * Fraction(double_factorial(2 * (s + 2) - 1), 2))
         assert got == want
         # a pattern nobody can build vanishes
-        assert xi_product(f, g, 3, (1, 1, 1, 0)) == 0
+        assert (3, (1, 1, 1, 0)) not in product
+        # pairs whose orders sum past q_max are left out
+        assert max(order for order, _ in product) == 4
+        assert (5, (0, 0, 1, 1, 0, 0)) not in product
+
+    @staticmethod
+    def _random_map(rng, q_max, zeroth=3):
+        # small signed coefficients, so that some products cancel to zero
+        return {(q, (e0,) + tail): Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                for q in range(q_max + 1) for e0 in range(zeroth)
+                for tail in enumerate_exponents(q, q) if rng.random() < 0.6}
+
+    def test_matches_split_definition_on_random_maps(self):
+        # the coefficient at (q, e) is the sum over componentwise splits
+        # e = c + d and order splits q = ell + m of f(ell, c) g(m, d), where
+        # c is zero past position ell and d past position m
+        import itertools
+        import random
+
+        def terms(f, g, q, e):
+            out = []
+            for c in itertools.product(*(range(x + 1) for x in e)):
+                d = tuple(x - y for x, y in zip(e, c))
+                for ell in range(q + 1):
+                    m = q - ell
+                    if not (any(c[ell + 1:]) or any(d[m + 1:])):
+                        out.append(f.get((ell, c[:ell + 1]), 0)
+                                   * g.get((m, d[:m + 1]), 0))
+            return out
+
+        rng = random.Random(11)
+        q_max = 6
+        f, g = self._random_map(rng, q_max), self._random_map(rng, q_max)
+        product = xi_product(f, g, q_max)
+        targets = [(q, (e0,) + tail) for q in range(q_max + 1) for e0 in range(5)
+                   for tail in enumerate_exponents(q, q)]
+        want = {key: terms(f, g, *key) for key in targets}
+        assert product == {key: sum(t) for key, t in want.items() if sum(t)}
+        # some targets have nonzero terms that cancel, and are left out
+        assert any(any(t) and not sum(t) for t in want.values())
 
     def test_associativity_on_random_maps(self):
         import random
 
         rng = random.Random(7)
-
-        def random_map(q_max):
-            out = {}
-            for q in range(q_max + 1):
-                for e0 in range(2):
-                    for tail in enumerate_exponents(q, q):
-                        if rng.random() < 0.6:
-                            out[(q, (e0,) + tail)] = Fraction(
-                                rng.randint(-4, 4), rng.randint(1, 3))
-            return out
-
-        def full_product(f, g, q_max):
-            out = {}
-            for q in range(q_max + 1):
-                for e0 in range(3):
-                    for tail in enumerate_exponents(q, q):
-                        e = (e0,) + tail
-                        val = xi_product(f, g, q, e)
-                        if val:
-                            out[(q, e)] = val
-            return out
-
-        f, g, h = random_map(3), random_map(3), random_map(3)
-        left = full_product(full_product(f, g, 3), h, 3)
-        right = full_product(f, full_product(g, h, 3), 3)
+        f, g, h = (self._random_map(rng, 3, zeroth=2) for _ in range(3))
+        left = xi_product(xi_product(f, g, 3), h, 3)
+        right = xi_product(f, xi_product(g, h, 3), 3)
         assert left == right
+        assert left
+
+    @pytest.mark.parametrize("key", [(1, (0,)), (0, (0, 0)), (2, (0, 1))])
+    def test_vector_length_must_match_order(self, key):
+        one = {(0, (0,)): Fraction(1)}
+        with pytest.raises(DomainError, match="length"):
+            xi_product({key: Fraction(1)}, one, 3)
+        with pytest.raises(DomainError, match="length"):
+            xi_product(one, {key: Fraction(1)}, 3)
 
 
 def _decrement(tail, *positions):

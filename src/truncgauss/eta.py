@@ -12,14 +12,17 @@ limiting sign pattern, and the exponential envelope at large radius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _fd_derivative,
                    ball_integral, ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import (_compositions, _integer, _integer_cache, _multinomial,
+from .special import (_compositions, _integer, _integer_cache, _multinomial, _real,
                       raising_factorial, stirling_second)
 
 __all__ = [
@@ -111,18 +114,29 @@ def _index_sum_ratios(ells, rho: float,
 
 def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
     """Sum over all ell-fold index insertions of the integral ratio."""
+    ell = _integer(ell, "insertion count")
+    if ell < 0:
+        raise DomainError(f"insertion count must be >= 0, got {ell}")
     return _index_sum_ratios((ell,), rho, spectrum)[1][ell]
+
+
+def _order(k) -> int:
+    """``k`` as an order of the combinatorial route: a non-integral or
+    negative order is a DomainError, one past the route's cap a
+    CapabilityError."""
+    k = _integer(k, "order")
+    if k < 0:
+        raise DomainError(f"order must be >= 0, got {k}")
+    if k > _K_MAX_COMBINATORIAL:
+        raise CapabilityError(f"combinatorial route supports k <= {_K_MAX_COMBINATORIAL} "
+                              f"(cost grows with compositions), got {k}")
+    return k
 
 
 def _etas(k_max: int, rho: float,
           spectrum: Spectrum) -> tuple[float, tuple[float, ...]]:
     """The ball mass and eta_0, ..., eta_k_max from one family read."""
-    if k_max > _K_MAX_COMBINATORIAL:
-        raise CapabilityError(
-            f"combinatorial route supports k <= {_K_MAX_COMBINATORIAL} "
-            f"(cost grows with compositions), got {k_max}"
-        )
-    c = coefficient_table(spectrum.v, k_max).c
+    c = coefficient_table(spectrum.v, _order(k_max)).c
     mass, ratios = _index_sum_ratios(range(k_max + 1), rho, spectrum)
     return mass, tuple(
         float(sum(float(c[k][ell]) * ratios[ell] for ell in range(k + 1)))
@@ -131,10 +145,8 @@ def _etas(k_max: int, rho: float,
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
     """The k-th coefficient function through the exact reduction."""
-    k, rho = _integer(k, "order"), _check_rho(rho)
+    k, rho = _order(k), _check_rho(rho)
     _check_spectrum(spectrum)
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
         return 1.0
     return _etas(k, rho, spectrum)[1][k]
@@ -160,7 +172,8 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
         return ball_integral(zero, r, spectrum).value
 
     h = rho * 10.0 ** (-2.0 / k)
-    if h == 0.0 or rho - (k / 2.0) * h <= 0.0:
+    # the half step's k-th power divides the differences
+    if (h / 2.0) ** k < sys.float_info.min or rho - (k / 2.0) * h <= 0.0:
         raise DomainError(f"step {h} leaves the domain at rho={rho}")
     return rho ** k * _fd_derivative(alpha, rho, k, h) / alpha(rho)
 
@@ -171,7 +184,7 @@ def q_polynomial(k: int, x: float, a: float) -> float:
     Degree k in x with unit leading coefficient; the l-th coefficient is
     C(k, l) times the l-th raising factorial of a.
     """
-    k = _integer(k, "degree")
+    k, x, a = _integer(k, "degree"), _real(x, "x"), _real(a, "a")
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
     return float(sum(
@@ -183,22 +196,26 @@ def q_polynomial(k: int, x: float, a: float) -> float:
 def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     """Upper bound on |rho^k (d/drho)^k alpha| at large radius.
 
-    Exact for k = 1; for k >= 2 the angular average of the degree-(k-1)
-    polynomial factor is bounded by its maximum over the attainable range
-    of the quadratic form, which keeps the bound valid without any
-    integration over the sphere.
+    The angular average of the degree-(k-1) polynomial factor Q_{k-1} is
+    bounded by the maximum of |Q_{k-1}| over the attainable range
+    [rho / (2 lambda_max), rho / (2 lambda_min)] of the quadratic form,
+    which keeps the bound valid without any integration over the sphere.
+    Q is an Appell sequence, d/dx Q_j = j Q_{j-1}, so that maximum sits at
+    an end of the range or at a real root of Q_{k-2} inside it; those
+    points are all that is evaluated.  Exact for k = 1, where Q_0 = 1.
     """
     rho, v = _check_rho(rho), _check_spectrum(spectrum).v
     det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
     pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
-    if k == 1:
-        poly_max = 1.0
-    else:
-        a = -(v / 2.0 - 1.0)
-        lo = rho / (2.0 * spectrum.lambda_max)
-        hi = rho / (2.0 * spectrum.lambda_min)
-        grid = [lo + (hi - lo) * i / 256.0 for i in range(257)]
-        poly_max = max(abs(q_polynomial(k - 1, x, a)) for x in grid)
+    a = -(v / 2.0 - 1.0)
+    lo = rho / (2.0 * spectrum.lambda_max)
+    hi = rho / (2.0 * spectrum.lambda_min)
+    # every root's real part: that of a complex root is one more point of
+    # the range, which keeps the maximum a bound
+    roots = np.roots([math.comb(k - 2, ell) * raising_factorial(a, ell)
+                      for ell in range(k - 1)]).real if k >= 2 else ()
+    poly_max = max(abs(q_polynomial(k - 1, x, a))
+                   for x in (lo, hi, *(r for r in roots if lo < r < hi)))
     return pref * poly_max * math.exp(-rho / (2.0 * spectrum.lambda_max))
 
 

@@ -1,8 +1,10 @@
 """Partial sums of the large-radius expansion and its convergence-rate machinery.
 
 Each expansion order factorizes into one-dimensional integrals along the
-sliced direction(s) times a reduced-dimension coefficient function, with
-power counting carried by (lambda_n / rho)^q.  The convergence-rate
+sliced dimensions, given as one mapping from each to its base
+multiplicity, times the coefficient function eta_j of the spectrum without
+them, with power counting carried by (lambda_d / rho)^q.  The order is
+capped only by eta's combinatorial route.  The convergence-rate
 estimate prices the p-th term by maximizing the relevant polynomial-times-
 exponential profile over the positive axis, then fits the decay to a power
 law; the fitted pair (amplitude, exponent) is the reproducible summary.
@@ -11,6 +13,7 @@ law; the fitted pair (amplitude, exponent) is the reproducible summary.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
                    ball_integrals)
 from .errors import DomainError, NumericError
-from .eta import _etas, q_polynomial
+from .eta import _etas, _order, q_polynomial
 from .moments import MomentBatch
 from .report import Report
 from .special import _compositions, _integer, _multinomial
@@ -33,16 +36,9 @@ __all__ = [
     "convergence_estimate",
 ]
 
-_MAX_ORDER = 4
-
-TARGET_ALPHA = "alpha"
-TARGET_SINGLE = "alpha_nk"
-TARGET_PAIR = "alpha_nm"
-
-
 @dataclass(frozen=True)
 class ExpansionPartialSum:
-    target: str
+    sliced: tuple[tuple[int, int], ...]
     order: int
     value: float
     terms: tuple[float, ...]
@@ -74,41 +70,32 @@ def _alphas_1d(ks, rho: float, lam: float) -> list[float]:
     return [member.value for member in family.values()]
 
 
-def expand_alpha(target: str, n: int, order: int, rho: float,
-                 spectrum: Spectrum, *, k: int = 0,
-                 m: int | None = None) -> ExpansionPartialSum:
+def expand_alpha(sliced, order: int, rho: float,
+                 spectrum: Spectrum) -> ExpansionPartialSum:
     """Partial sum of the sliced expansion up to the given order.
 
-    ``target`` selects the integral: the plain mass ("alpha"), the k-fold
-    single-index integral ("alpha_nk", multiplicity via ``k``), or the
-    two-index pair integral ("alpha_nm", second dimension via ``m``).
-    Each is a set of sliced dimensions d with base multiplicities k_d, and
-    the order-j term is (-1)^j / j! times the reduced mass and eta_j,
-    times the sum over compositions a of j of multinomial(j; a) times
-    prod_d (lambda_d / rho)^(a_d) alpha_1d(k_d + a_d).  The returned terms
-    list carries one contribution per order.
+    ``sliced`` maps each sliced dimension d (0-based) to its base
+    multiplicity k_d, read in the mapping's order: ``{n: 0}`` expands the
+    plain mass, ``{n: k}`` the k-fold single-index integral and
+    ``{n: 1, m: 1}`` the two-index pair integral.  The order-j term is
+    (-1)^j / j! times the mass and eta_j of the spectrum without the sliced
+    dimensions, times the sum over compositions a of j of multinomial(j; a)
+    times prod_d (lambda_d / rho)^(a_d) alpha_1d(k_d + a_d).  The order is
+    capped by the combinatorial route of eta alone: past it, the same
+    :class:`CapabilityError` as :func:`eta_combinatorial`.  The returned
+    terms list carries one contribution per order.
     """
-    order, rho = _integer(order, "order"), _check_rho(rho)
-    if order < 0 or order > _MAX_ORDER:
-        raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order}")
+    order, rho = _order(order), _check_rho(rho)
     v = _check_spectrum(spectrum).v
-    n = _dimension(n, v)
-    if target == TARGET_ALPHA:
-        base = {n: 0}
-    elif target == TARGET_SINGLE:
-        base = {n: k}
-    elif target == TARGET_PAIR:
-        if m is None or _dimension(m, v) == n:
-            raise DomainError(
-                f"pair target needs a second dimension distinct from {n}, got {m}"
-            )
-        base = {n: 1, _dimension(m, v): 1}
-    else:
-        raise DomainError(f"unknown expansion target {target!r}")
+    if not isinstance(sliced, Mapping) or not sliced:
+        raise DomainError("sliced must be a non-empty mapping from dimension to "
+                          f"multiplicity, got {sliced!r}")
+    base = {_dimension(d, v): _integer(k_d, "multiplicity") for d, k_d in sliced.items()}
 
     lams = spectrum.lambdas
-    # per sliced dimension: lambda_d / rho and alpha_1d(k_d + a), a = 0..order
-    sliced = [(lams[d] / rho,
+    # per sliced dimension: lambda_d / rho and alpha_1d(k_d + a), a = 0..order;
+    # a negative k_d is the DomainError of its MultiIndex
+    slices = [(lams[d] / rho,
                _alphas_1d([k_d + a for a in range(order + 1)], rho, lams[d]))
               for d, k_d in base.items()]
     rest, etas = _reduced(order, rho, spectrum, *base)
@@ -116,10 +103,10 @@ def expand_alpha(target: str, n: int, order: int, rho: float,
     for j in range(order + 1):
         inner = sum(
             _multinomial(split) * math.prod(
-                ratio ** a * alphas[a] for (ratio, alphas), a in zip(sliced, split))
-            for split in _compositions(j, len(sliced)))
+                ratio ** a * alphas[a] for (ratio, alphas), a in zip(slices, split))
+            for split in _compositions(j, len(slices)))
         terms.append((-1.0) ** j / math.factorial(j) * inner * rest * etas[j])
-    return ExpansionPartialSum(target, order, float(sum(terms)), tuple(terms))
+    return ExpansionPartialSum(tuple(base.items()), order, float(sum(terms)), tuple(terms))
 
 
 def gamma_nn_expansion_coeff(n: int, rho: float, spectrum: Spectrum) -> float:

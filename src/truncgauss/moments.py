@@ -9,6 +9,7 @@ quantity being tested is itself tiny.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
@@ -104,6 +105,8 @@ class MomentBatch:
         self.spectrum = spectrum = _check_spectrum(spectrum)
         if family is None:
             family = ball_integrals(_index_family(spectrum.v, 2), rho, spectrum)
+        elif not isinstance(family, Mapping):
+            raise DomainError(f"family must be a mapping from MultiIndex, got {family!r}")
         self._family = family
         self._base = self._member(MultiIndex.zero(spectrum.v))
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}

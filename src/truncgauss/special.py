@@ -178,12 +178,14 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
 
     Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
     take Gamma(s) minus a modified-Lentz continued fraction for the upper
-    tail, and x = inf gives Gamma(s).  The caller orders the lanes, so the
-    zero, series, continued-fraction and infinite lanes are contiguous
-    ranges; lanes that are not one ascending vector are a
-    :class:`DomainError`.  Each lane takes the same operations wherever it
-    sits, so its bits do not depend on its neighbours.  Iteration caps and
-    overflow raise :class:`NumericError`.
+    tail, and x = inf gives Gamma(s).  Gamma(s) is computed only when one
+    of those lanes exists, so series lanes stay finite past Gamma's float
+    range.  The caller orders the lanes, so the zero, series,
+    continued-fraction and infinite lanes are contiguous ranges; lanes that
+    are not one ascending vector are a :class:`DomainError`.  Each lane
+    takes the same operations wherever it sits, so its bits do not depend
+    on its neighbours.  Iteration caps and overflow raise
+    :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     if not s > 0.0:
@@ -194,21 +196,21 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or np.any(x[1:] < x[:-1]):
         raise DomainError("lower_incomplete_gamma takes one vector of lanes in "
                           f"ascending order, got shape {x.shape}")
-    try:
-        whole = math.gamma(s)
-    except OverflowError as exc:
-        raise NumericError(f"Gamma({s}) overflows float64") from exc
-
     out = np.zeros_like(x)
     first = np.searchsorted(x, 0.0, side="right")
     cut, inf = np.searchsorted(x, (s + _SERIES_CUTOFF_OFFSET, math.inf))
     if cut > first:
         xs = x[first:cut]
         out[first:cut] = np.exp(s * np.log(xs) - xs) / s * _kummer_sum(s, xs)
-    if inf > cut:
-        xc = x[cut:inf]
-        out[cut:inf] = whole - np.exp(s * np.log(xc) - xc) * _upper_fraction(s, xc)
-    out[inf:] = whole
+    if x.size > cut:  # only continued-fraction and infinite lanes need Gamma(s)
+        try:
+            whole = math.gamma(s)
+        except OverflowError as exc:
+            raise NumericError(f"Gamma({s}) overflows float64") from exc
+        if inf > cut:
+            xc = x[cut:inf]
+            out[cut:inf] = whole - np.exp(s * np.log(xc) - xc) * _upper_fraction(s, xc)
+        out[inf:] = whole
     if not np.all(np.isfinite(out)):
         raise NumericError(f"vectorized lower_incomplete_gamma overflow at s={s}")
     return out

@@ -106,13 +106,18 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _by_order(coeffs: dict) -> list:
-    """The map's entries ((order, e), value) by ascending order, or a
-    DomainError for a vector e whose length is not order + 1."""
-    for order, e in coeffs:
+    """The map's entries ((order, e), value) by ascending order, each key
+    through :func:`_checked`; a key that is not an (order, vector) pair, or
+    a vector e whose length is not order + 1, is a DomainError."""
+    try:
+        items = [(_checked(q, e, "order"), value) for (q, e), value in coeffs.items()]
+    except (TypeError, ValueError):  # _checked raises neither: a key is no pair
+        raise DomainError("coefficient keys must be (order, vector) pairs") from None
+    for (order, e), _ in items:
         if len(e) != order + 1:
             raise DomainError(
                 f"exponent vector must have length order+1={order + 1}, got {e}")
-    return sorted(coeffs.items(), key=lambda item: item[0][0])
+    return sorted(items, key=lambda item: item[0][0])
 
 
 def xi_product(f_coeffs: dict, g_coeffs: dict, q_max: int) -> dict:
@@ -125,6 +130,7 @@ def xi_product(f_coeffs: dict, g_coeffs: dict, q_max: int) -> dict:
     nonzero sums are kept.  Sums of observables just add coefficient maps
     componentwise, so only the product needs machinery.
     """
+    q_max = _checked(q_max, (), "q_max")[0]
     g_items = _by_order(g_coeffs)
     out = {}
     for (ell, c), fc in _by_order(f_coeffs):

@@ -247,7 +247,7 @@ def test_criterion_9_expansion_order():
         resid = []
         for rho in rhos:
             exact = ball_integral(MultiIndex((0, 0)), rho, spec).value
-            part = expand_alpha("alpha", 0, order, rho, spec)
+            part = expand_alpha({0: 0}, order, rho, spec)
             resid.append(abs(part.value - exact) / exact)
         slope = float(-np.polyfit(np.log(rhos), np.log(resid), 1)[0])
         ok &= order + 0.7 <= slope <= order + 1.3

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from truncgauss import ball
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
-from truncgauss.errors import DomainError
+from truncgauss.errors import CapabilityError, DomainError
 from truncgauss.expansion import (
     _c_value,
     _term_profile_log,
@@ -57,7 +57,7 @@ SPEC2 = Spectrum((1.0, 4.0))
 class TestExpandAlpha:
     def test_order_zero_factorizes(self):
         rho = 7.0
-        part = expand_alpha("alpha_nk", 0, 0, rho, SPEC2, k=2)
+        part = expand_alpha({0: 2}, 0, rho, SPEC2)
         expected = (ball_integral_1d(2, rho, 1.0).value
                     * ball_integral_1d(0, rho, 4.0).value)
         assert part.value == pytest.approx(expected, rel=1e-13)
@@ -65,7 +65,7 @@ class TestExpandAlpha:
 
     def test_term_prefactor_structure(self):
         rho = 9.0
-        part = expand_alpha("alpha", 0, 2, rho, SPEC2)
+        part = expand_alpha({0: 0}, 2, rho, SPEC2)
         reduced = Spectrum((4.0,))
         rest = ball_integral_1d(0, rho, 4.0).value
         expected_t2 = (0.5 / rho ** 2
@@ -86,14 +86,14 @@ class TestExpandAlpha:
 
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
-        expand_alpha("alpha", 0, 4, 30.0, Spectrum((1, 2, 3)))
+        expand_alpha({0: 0}, 4, 30.0, Spectrum((1, 2, 3)))
         assert sorted(gammas) == [k + 0.5 for k in range(5)]
 
     def test_higher_order_tightens(self):
         rho = 40.0
         exact = ball_integral(MultiIndex((0, 0)), rho, SPEC2).value
-        p0 = expand_alpha("alpha", 0, 0, rho, SPEC2)
-        p2 = expand_alpha("alpha", 0, 2, rho, SPEC2)
+        p0 = expand_alpha({0: 0}, 0, rho, SPEC2)
+        p2 = expand_alpha({0: 0}, 2, rho, SPEC2)
         assert abs(p2.value - exact) < abs(p0.value - exact)
 
     def test_residual_order_scaling(self):
@@ -106,7 +106,7 @@ class TestExpandAlpha:
             resid = []
             for rho in rhos:
                 exact = ball_integral(MultiIndex((0, 0)), rho, spec).value
-                part = expand_alpha("alpha", 0, order, rho, spec)
+                part = expand_alpha({0: 0}, order, rho, spec)
                 resid.append(abs(part.value - exact) / exact)
             slope = -np.polyfit(np.log(rhos), np.log(resid), 1)[0]
             assert order + 0.7 <= slope <= order + 1.3, (
@@ -120,12 +120,12 @@ class TestExpandAlpha:
         rho = 60.0
         exact = ball_integral(MultiIndex((0, 0)), rho, SPEC2).value
         for order in (0, 1):
-            sums = expand_alpha("alpha", 0, order + 1, rho, SPEC2)
+            sums = expand_alpha({0: 0}, order + 1, rho, SPEC2)
             first_omitted = sums.terms[order + 1]
             err = exact - sum(sums.terms[: order + 1])
             assert math.copysign(1.0, err) == math.copysign(1.0, first_omitted)
-        s0 = expand_alpha("alpha", 0, 0, rho, SPEC2).value
-        s1 = expand_alpha("alpha", 0, 1, rho, SPEC2).value
+        s0 = expand_alpha({0: 0}, 0, rho, SPEC2).value
+        s1 = expand_alpha({0: 0}, 1, rho, SPEC2).value
         assert abs(s1 - exact) < abs(s0 - exact)
 
     def test_pair_expansion_consistency(self):
@@ -133,7 +133,7 @@ class TestExpandAlpha:
         spec = Spectrum((1.0, 2.0, 3.0))
         rho = 60.0
         exact = ball_integral(MultiIndex((1, 1, 0)), rho, spec).value
-        errs = [abs(expand_alpha("alpha_nm", 0, order, rho, spec, m=1).value
+        errs = [abs(expand_alpha({0: 1, 1: 1}, order, rho, spec).value
                     - exact) for order in (0, 1, 2)]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] / exact < 1e-3
@@ -142,7 +142,7 @@ class TestExpandAlpha:
         # with v = 2 the reduced spectrum is empty: order-zero term only
         spec = Spectrum((1.0, 2.0))
         rho = 12.0
-        part = expand_alpha("alpha_nm", 0, 2, rho, spec, m=1)
+        part = expand_alpha({0: 1, 1: 1}, 2, rho, spec)
         assert part.terms[1] == 0.0 and part.terms[2] == 0.0
         expected = (ball_integral_1d(1, rho, 1.0).value
                     * ball_integral_1d(1, rho, 2.0).value)
@@ -152,7 +152,7 @@ class TestExpandAlpha:
         # order 2 of the pair target: the binomial sum over the two slices
         rho = 9.0
         spec = Spectrum((1.0, 2.0, 3.0))
-        part = expand_alpha("alpha_nm", 0, 2, rho, spec, m=1)
+        part = expand_alpha({0: 1, 1: 1}, 2, rho, spec)
         a_n = [ball_integral_1d(k, rho, 1.0).value for k in range(4)]
         a_m = [ball_integral_1d(k, rho, 2.0).value for k in range(4)]
         x, y = 1.0 / rho, 2.0 / rho
@@ -162,21 +162,51 @@ class TestExpandAlpha:
                        * eta_combinatorial(2, rho, Spectrum((3.0,))))
         assert part.terms[2] == pytest.approx(expected_t2, rel=1e-12)
 
-    def test_non_integral_multiplicity_raises(self):
+    def test_orders_past_four_keep_converging(self):
+        # the combinatorial route of eta is the one order cap: orders 5 and
+        # 6 keep shrinking the mass residual, order 7 is past the cap
+        spec = Spectrum((1.0, 2.0, 3.0))
+        rho = 60.0
+        exact = ball_integral(MultiIndex((0, 0, 0)), rho, spec).value
+        resid = [abs(expand_alpha({0: 0}, order, rho, spec).value - exact) / exact
+                 for order in (4, 5, 6)]
+        assert resid[2] < resid[1] < resid[0]
+        assert resid[2] < 5e-9
+        with pytest.raises(CapabilityError, match="k <= 6"):
+            expand_alpha({0: 0}, 7, rho, spec)
+
+    def test_any_set_of_dimensions(self):
+        # three sliced dimensions, one with a base multiplicity, converge
+        # to their integral with no target of their own
+        spec = Spectrum((1.0, 2.0, 3.0, 4.0))
+        rho = 60.0
+        exact = ball_integral(MultiIndex((0, 1, 0, 0)), rho, spec).value
+        errs = [abs(expand_alpha({0: 0, 1: 1, 2: 0}, order, rho, spec).value - exact)
+                for order in (0, 1, 2)]
+        assert errs[2] < errs[1] < errs[0]
+        assert errs[2] / exact < 1e-3
+        part = expand_alpha({2: 0, 0: 0, 1: 1}, 2, rho, spec)
+        assert part.sliced == ((2, 0), (0, 0), (1, 1))
+        assert part.value == pytest.approx(
+            expand_alpha({0: 0, 1: 1, 2: 0}, 2, rho, spec).value, rel=1e-14)
+
+    @pytest.mark.parametrize("sliced", [
+        [0], None, "0", {}, {2: 0}, {-1: 0}, {1.5: 0}, {"0": 0},
+        {0: -1}, {0: 1.5}, {0: None}, {0: 1, 1: 1.5},
+    ], ids=["list", "none", "string", "empty", "dimension-past-v",
+            "negative-dimension", "non-integral-dimension", "string-dimension",
+            "negative-multiplicity", "non-integral-multiplicity",
+            "none-multiplicity", "non-integral-second-multiplicity"])
+    def test_malformed_sliced_is_domain_error(self, sliced):
+        # a None multiplicity leaked TypeError through the old k argument
         with pytest.raises(DomainError):
-            expand_alpha("alpha_nk", 0, 1, 7.0, SPEC2, k=1.5)
+            expand_alpha(sliced, 1, 7.0, SPEC2)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
-            expand_alpha("alpha", 0, 5, 1.0, SPEC2)
-        with pytest.raises(DomainError):
-            expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=0)
-        with pytest.raises(DomainError):
-            expand_alpha("nonsense", 0, 1, 1.0, SPEC2)
-        with pytest.raises(DomainError):  # leaked TypeError
-            expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1.5)
-        assert (expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1.0)
-                == expand_alpha("alpha_nm", 0, 1, 1.0, SPEC2, m=1))
+            expand_alpha({0: 0}, -1, 7.0, SPEC2)
+        assert (expand_alpha({0: 1, 1.0: 1}, 1, 1.0, SPEC2)
+                == expand_alpha({0: 1, 1: 1}, 1, 1.0, SPEC2))
 
 
 class TestGammaNNCoefficient:

@@ -495,7 +495,7 @@ RADIUS_ROUTES = {
     "radial_derivative_envelope": lambda rho: eta.radial_derivative_envelope(1, rho, SPEC2),
     "asymptotic_checks": lambda rho: eta.asymptotic_checks(SPEC2, 1, (rho, 40.0, 80.0)),
     "asymptotic_checks-schedule": lambda rho: eta.asymptotic_checks(SPEC2, 1, rho),
-    "expand_alpha": lambda rho: expansion.expand_alpha("alpha", 0, 1, rho, SPEC2),
+    "expand_alpha": lambda rho: expansion.expand_alpha({0: 0}, 1, rho, SPEC2),
     "gamma_nn_expansion_coeff": lambda rho: expansion.gamma_nn_expansion_coeff(
         0, rho, SPEC2),
     "gamma_nm_cancellation_check": lambda rho: expansion.gamma_nm_cancellation_check(
@@ -537,7 +537,7 @@ SPECTRUM_ROUTES = {
     "index_sum_ratio": lambda spec: eta.index_sum_ratio(1, 5.0, spec),
     "radial_derivative_envelope": lambda spec: eta.radial_derivative_envelope(1, 5.0, spec),
     "asymptotic_checks": lambda spec: eta.asymptotic_checks(spec, 1, (20.0, 40.0, 80.0)),
-    "expand_alpha": lambda spec: expansion.expand_alpha("alpha", 0, 1, 5.0, spec),
+    "expand_alpha": lambda spec: expansion.expand_alpha({0: 0}, 1, 5.0, spec),
     "gamma_nn_expansion_coeff": lambda spec: expansion.gamma_nn_expansion_coeff(
         0, 5.0, spec),
     "gamma_nm_cancellation_check": lambda spec: expansion.gamma_nm_cancellation_check(
@@ -565,6 +565,11 @@ class TestCallerFamily:
         # used to leak KeyError at construction
         with pytest.raises(DomainError, match=r"\(0, 0\)"):
             MomentBatch(5.0, SPEC2, family={})
+
+    def test_non_mapping_family_is_domain_error(self):
+        # used to leak TypeError on the first member read
+        with pytest.raises(DomainError, match="mapping"):
+            MomentBatch(5.0, SPEC2, family=[1, 2])
 
     @pytest.mark.parametrize("missing, read", [
         ((1, 1), lambda batch: batch.cov(0, 1)),

@@ -14,9 +14,10 @@ from truncgauss import special
 from truncgauss.ball import MultiIndex, Spectrum, ball_integrals, verify_structural
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
-                            eta_combinatorial, eta_fd_oracle, q_polynomial)
+                            eta_combinatorial, eta_fd_oracle, index_sum_ratio,
+                            q_polynomial)
 from truncgauss.expansion import expand_alpha
-from truncgauss.xi import enumerate_exponents
+from truncgauss.xi import enumerate_exponents, xi_product
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
     double_factorial,
@@ -209,8 +210,17 @@ class TestLowerIncompleteGamma:
         got = _lower_incomplete_gamma_vec(0.5, np.array([0.0, math.inf]))
         assert got[0] == 0.0
         assert got[1] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        with pytest.raises(NumericError):
-            _lower_incomplete_gamma_vec(200.5, np.array([1.0]))
+        with pytest.raises(NumericError):  # the infinite lane needs Gamma(200.5)
+            _lower_incomplete_gamma_vec(200.5, np.array([1.0, math.inf]))
+
+    def test_series_lanes_need_no_gamma(self):
+        # Gamma(200) overflows float64, but a series lane never reads it:
+        # this used to raise NumericError; the reference is mpmath's
+        # gammainc(200, 0, 1) = 1.84859396312271e-3
+        assert lower_incomplete_gamma(200, 1.0) == pytest.approx(
+            1.84859396312271e-3, rel=1e-13)
+        got = _lower_incomplete_gamma_vec(200.5, np.array([0.0, 1.0, 10.0]))
+        assert got[0] == 0.0 and np.all(np.isfinite(got))
 
     def test_nan_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -274,6 +284,7 @@ class TestLowerIncompleteGamma:
 
 
 _SPEC = Spectrum((1.0, 2.0, 3.0))
+_ONE = {(0, (0,)): 1}
 
 
 class TestIntegerArguments:
@@ -281,7 +292,7 @@ class TestIntegerArguments:
         lambda n: verify_structural(3.0, _SPEC, order_cap=n),
         lambda n: eta_combinatorial(n, 5.0, _SPEC),
         lambda n: eta_fd_oracle(n, 5.0, _SPEC),
-        lambda n: expand_alpha("alpha", 0, n, 5.0, _SPEC),
+        lambda n: expand_alpha({0: 0}, n, 5.0, _SPEC),
         lambda n: coefficient_table(n, 2),
         lambda n: coefficient_table(3, n),
         lambda n: q_polynomial(n, 1.0, 0.5),
@@ -312,16 +323,35 @@ class TestIntegerArguments:
         lambda: lower_incomplete_gamma(None, 1.0),
         lambda: lower_incomplete_gamma(1.5, "a"),
         lambda: lower_incomplete_gamma(1.5, None),
+        lambda: eta_fd_oracle(2, 1e-200, Spectrum((1.0, 2.0))),
+        lambda: index_sum_ratio(-1, 5.0, Spectrum((1.0, 2.0))),
+        lambda: index_sum_ratio(1.5, 5.0, Spectrum((1.0, 2.0))),
+        lambda: q_polynomial(2, "a", 1.0),
+        lambda: q_polynomial(2, math.nan, 1.0),
+        lambda: q_polynomial(2, 1.0, None),
+        lambda: xi_product(_ONE, _ONE, "3"),
+        lambda: xi_product(_ONE, _ONE, -1),
+        lambda: xi_product({3: 1}, _ONE, 3),
+        lambda: xi_product(_ONE, {(1, 5): 1}, 3),
+        lambda: xi_product({(0, (0,), 1): 1}, _ONE, 3),
     ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
             "spectrum_string_entry", "multiindex_int", "tuple_index",
             "coefficient_table_list", "enumerate_exponents_list",
             "igamma_string_s", "igamma_none_s", "igamma_string_x",
-            "igamma_none_x"])
+            "igamma_none_x", "eta_fd_oracle_step_underflow",
+            "index_sum_ratio_negative", "index_sum_ratio_fraction",
+            "q_polynomial_string_x", "q_polynomial_nan_x", "q_polynomial_none_a",
+            "xi_product_string_q_max", "xi_product_negative_q_max",
+            "xi_product_bare_key", "xi_product_scalar_vector",
+            "xi_product_triple_key"])
     def test_malformed_input_is_domain_error(self, call):
         # a string or non-sequence spectrum, a non-real variance, a
         # non-sequence multiplicity, a bare tuple index, unhashable cache
-        # keys and a non-real incomplete-gamma argument are each a
-        # DomainError, not a coerced value or a bare error
+        # keys, a non-real incomplete-gamma or polynomial argument, a
+        # negative or non-integral count or order cap, a key that is not an
+        # (order, vector) pair and a finite-difference step whose power
+        # underflows are each a DomainError, not a coerced value, a silent
+        # 0.0, {} or NaN, or a bare TypeError or ZeroDivisionError
         with pytest.raises(DomainError):
             call()
 

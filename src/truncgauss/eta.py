@@ -204,7 +204,9 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     an end of the range or at a real root of Q_{k-2} inside it; those
     points are all that is evaluated.  Exact for k = 1, where Q_0 = 1.
     """
-    rho, v = _check_rho(rho), _check_spectrum(spectrum).v
+    k, rho, v = _integer(k, "k"), _check_rho(rho), _check_spectrum(spectrum).v
+    if k < 1:
+        raise DomainError(f"need k >= 1, got k={k}")
     det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
     pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
     a = -(v / 2.0 - 1.0)

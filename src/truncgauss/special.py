@@ -167,10 +167,15 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 
     The one-lane case of :func:`_lower_incomplete_gamma_vec`, which checks
-    the domain and holds the series and continued fraction.
+    the domain and holds the series and continued fraction.  A non-finite s
+    is a :class:`DomainError`; an overflow is its :class:`NumericError`,
+    with no numpy warning ahead of it.
     """
     s, x = _real(s, "s"), _real(x, "x")
-    return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
+    if not math.isfinite(s):
+        raise DomainError(f"lower_incomplete_gamma requires a finite s, got s = {s}")
+    with np.errstate(all="ignore"):  # a lane that overflows fails the finite check
+        return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 
 
 def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:

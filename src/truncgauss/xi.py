@@ -4,7 +4,8 @@ Every expansion order q couples to monomials in the coefficient functions,
 indexed by exponent vectors e = (e_0, ..., e_q) whose weighted tail sum
 (the power count) must equal q.  This module enumerates those vectors,
 multiplies coefficient maps {(order, e): value} as Cauchy products (each
-check builds one product map and reads every target from it), and
+check builds its two maps from their closed forms on their supports,
+multiplies them once and reads every target from the product), and
 evaluates the infinite-radius limits in exact rational arithmetic,
 culminating in the sign law for the variance-gap coefficients: each limit
 is 4 (-1)^n W (omega0 - omega1), with n = sum e, semifactorial weight W
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from operator import add
 
 from .errors import DomainError
@@ -266,7 +266,7 @@ def omega_inequality_scan(q_max: int) -> Report:
     Lagrange's identity: positive from two parts on, zero for one.  On every
     tail of each order q, omega1 - omega0 must equal M q^2 / n, and the
     closed-form gap coefficient must equal 4 (-1)^n W (omega0 - omega1) and
-    carry the sign (-1)^(n-1).
+    carry the sign (-1)^(n-1).  Both checks read one omega pair per tail.
     """
     q_max = _q_max(q_max)
     report = Report("omega-scan")
@@ -280,96 +280,60 @@ def omega_inequality_scan(q_max: int) -> Report:
                float(min(margin for margin, _ in margins)),
                detail=f"{len(margins)} splitting tails scanned, {violations} violations")
 
-    for q in range(1, q_max + 1):
-        tails = enumerate_exponents(q, q)
-        gaps = [omega(1, q, t) - omega(0, q, t) for t in tails]
-        bad = [t for t, gap in zip(tails, gaps)
+    weights = {q: [(t, omega(0, q, t), omega(1, q, t)) for t in enumerate_exponents(q, q)]
+               for q in range(1, q_max + 1)}
+    for q, rows in weights.items():
+        gaps = [w1 - w0 for _, w0, w1 in rows]
+        bad = [t for (t, _, _), gap in zip(rows, gaps)
                if gap * sum(t) != _multinomial(t) * q * q]
         min_gap = min(gaps)
         report.add(f"omega0<omega1[q={q}]", not bad, float(min_gap),
-                   detail=f"{len(tails)} tails, min gap {min_gap}")
+                   detail=f"{len(rows)} tails, min gap {min_gap}")
 
-    for q in range(1, q_max + 1):
-        tails = enumerate_exponents(q, q)
+    for q, rows in weights.items():
         bad_sign = []
-        for t in tails:
+        for t, w0, w1 in rows:
             value, n = gap_limit_coefficient(q, t), sum(t)
-            weighted = 4 * (-1) ** n * _semifactorial_weight(t) \
-                * (omega(0, q, t) - omega(1, q, t))
+            weighted = 4 * (-1) ** n * _semifactorial_weight(t) * (w0 - w1)
             if value != weighted or value * (-1) ** (n - 1) <= 0:
                 bad_sign.append(t)
-        report.add(f"sign-law[q={q}]", not bad_sign, float(len(tails)),
-                   detail=f"{len(tails)} tails checked")
+        report.add(f"sign-law[q={q}]", not bad_sign, float(len(rows)),
+                   detail=f"{len(rows)} tails checked")
     return report
 
 
-def _dn_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
-    """Limit coefficient of the gap numerator at (order, e).
-
-    Supported exactly on vectors with two unit entries at positions a > b
-    (positions counted from the zeroth exponent) summing to the order.
-    """
-    ones = [i for i, x in enumerate(e_full) if x == 1]
-    if sum(e_full) != 2 or len(ones) != 2:
-        return Fraction(0)
-    b, a = ones
-    if a + b != order:
-        return Fraction(0)
-    return 4 * (a - b) ** 2 \
-        * Fraction(double_factorial(2 * a - 1), math.factorial(a)) \
-        * Fraction(double_factorial(2 * b - 1), math.factorial(b))
-
-
-def _dd_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
-    """Limit coefficient of the squared inverse mass at (order, e)."""
-    if e_full[0] != 0:
-        return Fraction(0)
-    tail = e_full[1:]
-    if power_count(tail) != order:
-        return Fraction(0)
-    return (-1) ** sum(tail) * _semifactorial_weight(tail) * psi(order, tail)
-
-
-def _inverse_mass_limit(order: int, e_full: tuple[int, ...]) -> Fraction:
-    """Limit coefficient of the inverse mass at (order, e): signed
-    multinomial times semifactorial weights, no zeroth-exponent support."""
-    tail = e_full[1:]
-    if e_full[0] != 0 or power_count(tail) != order:
-        return Fraction(0)
-    return (-1) ** sum(tail) * _multinomial(tail) \
-        * _semifactorial_weight(tail)
-
-
-def _coefficient_map(q: int, limit, zeroth=(0,)) -> dict:
-    """{(order, full e): limit(order, full e)} through order q, over the
-    given zeroth exponents, keeping the nonzero values."""
-    out = {}
-    for ell in range(q + 1):
-        for e0 in zeroth:
-            for tail in enumerate_exponents(ell, ell):
-                val = limit(ell, (e0,) + tail)
-                if val:
-                    out[(ell, (e0,) + tail)] = val
-    return out
+def _signed_map(q: int, weight) -> dict:
+    """{(order, (0,) + tail): (-1)^n W(tail) weight(order, tail)} over every
+    tail of every order through q; no entry has a nonzero zeroth exponent."""
+    return {(ell, (0,) + t): (-1) ** sum(t) * _semifactorial_weight(t) * weight(ell, t)
+            for ell in range(q + 1) for t in enumerate_exponents(ell, ell)}
 
 
 def gap_convolution_check(q_max: int) -> Report:
     """Two independent routes to the variance-gap limit coefficients.
 
     Route one is the closed form of :func:`gap_limit_coefficient`; route two
-    multiplies the numerator and inverse-mass coefficient maps once with
-    :func:`xi_product`, then reads each target summed over the zeroth
-    exponent, and never reads :func:`omega`.  Both are exact, so the
-    comparison is equality.
+    never reads :func:`omega`.  It builds the gap numerator on its support,
+    the unit pairs at positions a > b >= 0 with a + b <= q_max, each valued
+    4 (a - b)^2 W_a W_b, and the squared inverse mass, (-1)^n W psi on every
+    tail.  It multiplies the two once with :func:`xi_product` and reads each
+    target summed over the zeroth exponents 0 and 1, the only ones the
+    numerator has.  Both are exact, so the comparison is equality.
     """
     q_max = _q_max(q_max)
     report = Report("gap-convolution")
-    product = xi_product(_coefficient_map(q_max, _dn_limit, range(3)),
-                         _coefficient_map(q_max, _dd_limit), q_max)
+    numerator = {}
+    for a in range(1, q_max + 1):
+        for b in range(min(a, q_max - a + 1)):
+            e = [0] * (a + b + 1)
+            e[a] = e[b] = 1
+            numerator[(a + b, tuple(e))] = \
+                4 * (a - b) ** 2 * _semifactorial_weight(tuple(e[1:]))
+    product = xi_product(numerator, _signed_map(q_max, psi), q_max)
     for q in range(1, q_max + 1):
         for tail in enumerate_exponents(q, q):
             closed = gap_limit_coefficient(q, tail)
-            convolved = sum((product.get((q, (e0,) + tail), 0) for e0 in range(3)),
+            convolved = sum((product.get((q, (e0,) + tail), 0) for e0 in (0, 1)),
                             Fraction(0))
             report.add(
                 f"route-equivalence[q={q},e={tail}]", closed == convolved,
@@ -383,14 +347,15 @@ def inverse_mass_identity_check(q_max: int) -> Report:
     """Convolving the mass expansion with its inverse returns the identity.
 
     The mass coefficients are the single-integral limits (multiplicity
-    zero); the inverse-mass coefficients carry the signed multinomial
-    weights.  Their product must be 1 at order zero and vanish at every
+    zero), one pattern (0, ..., 0, 1) per order; the inverse-mass
+    coefficients carry the signed multinomial weights on every tail.  Their product must be 1 at order zero and vanish at every
     higher order, in exact arithmetic.
     """
     q_max = _q_max(q_max, low=0)
     report = Report("inverse-mass-identity")
-    product = xi_product(_coefficient_map(q_max, partial(xi_alpha_limit, k=0)),
-                         _coefficient_map(q_max, _inverse_mass_limit), q_max)
+    units = [(ell, (0,) * ell + (int(ell > 0),)) for ell in range(q_max + 1)]
+    product = xi_product({key: xi_alpha_limit(*key, 0) for key in units},
+                         _signed_map(q_max, lambda ell, t: _multinomial(t)), q_max)
     for q in range(0, q_max + 1):
         for tail in enumerate_exponents(q, q):
             value = product.get((q, (0,) + tail), 0)

@@ -292,6 +292,8 @@ class TestConvergenceEstimate:
             convergence_estimate(1, 50, 100)
         with pytest.raises(DomainError):
             convergence_estimate(3, 100, 50)
+        with pytest.raises(DomainError):
+            convergence_estimate(10, 50, 100)
 
     def test_three_dimensional_closed_form(self):
         # with the middle dimension the profile is a single monomial whose
@@ -302,7 +304,7 @@ class TestConvergenceEstimate:
             assert c == pytest.approx(expected, rel=1e-9)
 
     def test_monotonicity_flip_at_six(self):
-        for v, increasing in ((2, False), (5, False), (6, True)):
+        for v, increasing in ((2, False), (5, False), (6, True), (9, True)):
             est = convergence_estimate(v, 50, 100)
             diffs = np.diff(est.c_values)
             assert np.all(diffs > 0) == increasing
@@ -322,7 +324,7 @@ class TestConvergenceEstimate:
             with pytest.raises(DomainError):
                 convergence_estimate(*args)
 
-    @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 6, 7, 8])
     def test_maximizer_matches_bounded_brent(self, v):
         # scipy's bounded Brent search on the lobe the first grid picks
         from scipy.optimize import minimize_scalar
@@ -337,6 +339,32 @@ class TestConvergenceEstimate:
                 options={"xatol": 1e-12})
             assert _c_value(v, p) == pytest.approx(
                 math.exp(-best.fun) / p, rel=1e-10)
+
+    def test_nine_dimensions_match_mpmath(self):
+        # C(p) at the top v and p accepted, from a 40-digit profile: the best
+        # node of a log grid, refined to the root of P' = P, where
+        # log|P(x)| - x is flat; 1e-8 is the benchmark gate's bound
+        import mpmath
+
+        p = 200
+        with mpmath.workdps(40):
+            terms = [(mpmath.rf(-3, ell)
+                      / (mpmath.factorial(ell) * mpmath.factorial(p - 1 - ell)),
+                      p - ell + 3) for ell in range(p)]
+
+            def poly(x):
+                return mpmath.fsum(c * x ** k for c, k in terms)
+
+            def slope(x):
+                return mpmath.fsum(c * k * x ** (k - 1) for c, k in terms)
+
+            grid = [mpmath.exp(t) for t in
+                    mpmath.linspace(math.log(1e-3), math.log(1e3), 600)]
+            start = max(grid, key=lambda x: mpmath.log(abs(poly(x))) - x)
+            x = mpmath.findroot(lambda x: slope(x) / poly(x) - 1, start)
+            want = float(abs(poly(x)) * mpmath.exp(-x) / p)
+        assert convergence_estimate(9, p - 1, p).c_values[-1] == pytest.approx(
+            want, rel=1e-8)
 
     def test_profile_is_pinned(self):
         # (v, p, grid node) -> profile value, as float.hex

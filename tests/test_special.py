@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from truncgauss.ball import MultiIndex, Spectrum, ball_integrals, verify_structu
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
                             eta_combinatorial, eta_fd_oracle, index_sum_ratio,
-                            q_polynomial)
+                            q_polynomial, radial_derivative_envelope)
 from truncgauss.expansion import expand_alpha
 from truncgauss.xi import enumerate_exponents, xi_product
 from truncgauss.special import (
@@ -206,6 +207,17 @@ class TestLowerIncompleteGamma:
         with pytest.raises(NumericError):
             lower_incomplete_gamma(200.0, 180.0)
 
+    @pytest.mark.parametrize("s, x, error", [(200.0, 180.0, NumericError),
+                                             (1e-320, 1.0, NumericError),
+                                             (math.inf, 1.0, DomainError)])
+    def test_typed_error_under_warnings_as_errors(self, s, x, error):
+        # each let numpy's RuntimeWarning out ahead of its typed error; an
+        # infinite s was a NumericError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                lower_incomplete_gamma(s, x)
+
     def test_vectorized_limits(self):
         got = _lower_incomplete_gamma_vec(0.5, np.array([0.0, math.inf]))
         assert got[0] == 0.0
@@ -334,6 +346,9 @@ class TestIntegerArguments:
         lambda: xi_product({3: 1}, _ONE, 3),
         lambda: xi_product(_ONE, {(1, 5): 1}, 3),
         lambda: xi_product({(0, (0,), 1): 1}, _ONE, 3),
+        lambda: radial_derivative_envelope("2", 5.0, _SPEC),
+        lambda: radial_derivative_envelope(2.5, 5.0, _SPEC),
+        lambda: radial_derivative_envelope(0, 5.0, _SPEC),
     ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
             "spectrum_string_entry", "multiindex_int", "tuple_index",
             "coefficient_table_list", "enumerate_exponents_list",
@@ -343,13 +358,15 @@ class TestIntegerArguments:
             "q_polynomial_string_x", "q_polynomial_nan_x", "q_polynomial_none_a",
             "xi_product_string_q_max", "xi_product_negative_q_max",
             "xi_product_bare_key", "xi_product_scalar_vector",
-            "xi_product_triple_key"])
+            "xi_product_triple_key", "envelope_string_k", "envelope_fraction_k",
+            "envelope_zero_k"])
     def test_malformed_input_is_domain_error(self, call):
         # a string or non-sequence spectrum, a non-real variance, a
         # non-sequence multiplicity, a bare tuple index, unhashable cache
         # keys, a non-real incomplete-gamma or polynomial argument, a
-        # negative or non-integral count or order cap, a key that is not an
-        # (order, vector) pair and a finite-difference step whose power
+        # negative or non-integral count or order cap, an envelope order
+        # that is not a positive integer, a key that is not an (order,
+        # vector) pair and a finite-difference step whose power
         # underflows are each a DomainError, not a coerced value, a silent
         # 0.0, {} or NaN, or a bare TypeError or ZeroDivisionError
         with pytest.raises(DomainError):

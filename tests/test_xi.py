@@ -9,8 +9,6 @@ from truncgauss import xi
 from truncgauss.errors import DomainError
 from truncgauss.special import double_factorial
 from truncgauss.xi import (
-    _dd_limit,
-    _dn_limit,
     enumerate_exponents,
     gap_convolution_check,
     gap_limit_coefficient,
@@ -404,20 +402,26 @@ class TestScans:
                     if c.name.startswith("route-equivalence"))
         assert count == sum(PARTITIONS[q] for q in range(1, 5))
 
-    def test_numerator_denominator_supports(self):
-        # the gap numerator allows a unit zeroth exponent, the inverse mass
-        # does not
-        assert _dn_limit(1, (1, 1)) == 4
-        assert _dn_limit(1, (0, 1)) == 0
-        assert _dd_limit(1, (1, 1)) == 0
-        assert _dd_limit(1, (0, 1)) == -2
+    def test_numerator_denominator_supports(self, monkeypatch):
+        # the gap numerator allows a unit zeroth exponent, the squared
+        # inverse mass does not; both maps are read as the product gets them
+        real, maps = xi.xi_product, []
+        monkeypatch.setattr(xi, "xi_product",
+                            lambda f, g, q: maps.append((f, g)) or real(f, g, q))
+        gap_convolution_check(1)
+        numerator, inverse_squared = maps[0]
+        assert numerator[(1, (1, 1))] == 4
+        assert (1, (0, 1)) not in numerator
+        assert inverse_squared[(1, (0, 1))] == -2
+        assert (1, (1, 1)) not in inverse_squared
 
     def test_route_equivalence_fails_on_a_wrong_inverse_mass(self, monkeypatch):
-        # doubling the order-1 inverse-mass coefficient breaks the convolved
-        # route wherever it meets the order-1 numerator
-        real = xi._dd_limit
-        monkeypatch.setattr(xi, "_dd_limit", lambda order, e: real(order, e)
-                            * (2 if order == 1 else 1))
+        # doubling the order-1 squared-inverse-mass coefficient, through its
+        # split weight, breaks the convolved route wherever it meets the
+        # order-1 numerator
+        real = xi.psi
+        monkeypatch.setattr(xi, "psi", lambda p, tail: real(p, tail)
+                            * (2 if p == 1 else 1))
         report = gap_convolution_check(3)
         assert {c.name for c in report.failures} == {
             "route-equivalence[q=2,e=(2, 0)]",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .report import NOISE_FACTOR, Report
 from .special import (_compositions, _integer, _integers,
-                      _lower_incomplete_gamma_vec, _real, double_factorial)
+                      _lower_incomplete_gamma_vec, _positive, double_factorial)
 
 __all__ = [
     "Spectrum",
@@ -64,6 +63,7 @@ _MIXTURE_MAX_TERMS = 1 << 12
 # happens, so a share of 1 would let truncation dominate the error.
 _MIXTURE_STOP = 1.0 / 16.0
 _EPS = float(np.finfo(float).eps)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 # The two input types are slotted: a sweep's caller keeps one Spectrum per
@@ -75,16 +75,11 @@ class Spectrum:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        # a string's characters and a non-sequence (as None) are not reals
-        lams = tuple(self.lambdas) if isinstance(self.lambdas, Iterable) else (None,)
-        if not all(isinstance(x, numbers.Real) for x in lams):
+        if not isinstance(self.lambdas, Iterable):  # a number, or None
             raise DomainError(f"variances must be reals, got {self.lambdas!r}")
-        lams = tuple(map(float, lams))
-        if len(lams) < 1:
+        lams = tuple(_positive(lam, "variance") for lam in self.lambdas)
+        if not lams:
             raise DomainError("spectrum needs at least one variance")
-        for lam in lams:
-            if not (math.isfinite(lam) and lam > 0.0):
-                raise DomainError(f"variances must be positive and finite, got {lam}")
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -114,10 +109,7 @@ class MultiIndex:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        ks = _integers(self.multiplicities, "multiplicities")
-        if any(k < 0 for k in ks):
-            raise DomainError("multiplicities must be integers >= 0, "
-                              f"got {self.multiplicities}")
+        ks = _integers(self.multiplicities, "multiplicity", 0)
         object.__setattr__(self, "multiplicities", ks)
 
     @classmethod
@@ -171,13 +163,9 @@ class MCEstimate:
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float through :func:`_real`: a string, None or NaN is a
-    :class:`DomainError`, never coerced, and so is a radius that is not
-    positive and finite."""
-    rho = _real(rho, "square radius")
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"square radius must be positive and finite, got {rho}")
-    return rho
+    """``rho`` through :func:`_positive`: a string, None, NaN or a radius that
+    is not positive and finite is a :class:`DomainError`, never coerced."""
+    return _positive(rho, "square radius")
 
 
 def _check_spectrum(spectrum) -> Spectrum:
@@ -190,10 +178,7 @@ def _check_spectrum(spectrum) -> Spectrum:
 def _dimension(n, v: int) -> int:
     """``n`` as a 0-based dimension of a v-dimensional spectrum; a
     non-integral or out-of-range ``n`` is a :class:`DomainError`."""
-    n = _integer(n, "dimension")
-    if not 0 <= n < v:
-        raise DomainError(f"dimension {n} out of range for v={v}")
-    return n
+    return _integer(n, "dimension", 0, v - 1)
 
 
 def _checked(indices, spectrum: Spectrum) -> tuple:
@@ -226,9 +211,13 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _alpha_1d_array(k: int, rho: np.ndarray, lam: float) -> np.ndarray:
-    return 2.0 ** k / math.sqrt(math.pi) * _lower_incomplete_gamma_vec(
-        k + 0.5, rho / (2.0 * lam)
-    )
+    """The v = 1 ball integral of multiplicity k at each lane of ``rho``; past
+    k = 1023, where 2^k leaves float range, a :class:`NumericError`."""
+    try:
+        scale = 2.0 ** k / math.sqrt(math.pi)
+    except OverflowError:
+        raise NumericError(f"quadrature leaf overflows at multiplicity {k}") from None
+    return scale * _lower_incomplete_gamma_vec(k + 0.5, rho / (2.0 * lam))
 
 
 # Square half-width of the numerical support of the Gaussian factor, in
@@ -519,9 +508,7 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     """
     indices = _checked(indices, spectrum)
     rho = _check_rho(rho)
-    n_total = _integer(n_total, "n_total")
-    if n_total < _MC_MIN_SAMPLES:
-        raise DomainError(f"need n_total >= {_MC_MIN_SAMPLES}, got {n_total}")
+    n_total = _integer(n_total, "n_total", _MC_MIN_SAMPLES)
     seed = _integer(seed, "seed") & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(np.random.SFC64(seed))
     lams = np.asarray(spectrum.lambdas)
@@ -606,9 +593,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
     """Finite-difference checks of the scaling/derivative identities plus
     the one-index hierarchy and power-dominance inequalities.  Each geometry
     is one family read; the differences act on arrays of member values."""
-    order_cap = _integer(order_cap, "order_cap")
-    if not 0 <= order_cap <= 4:
-        raise DomainError(f"order_cap must be in 0..4, got {order_cap}")
+    order_cap = _integer(order_cap, "order_cap", 0, 4)
     rho, v = _check_rho(rho), _check_spectrum(spectrum).v
     report = Report("structural")
     tol = 1e-6
@@ -673,7 +658,10 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
         vals = [value(MultiIndex.single(v, n, k)) for k in range(order_cap + 1)]
         for k in range(1, len(vals)):
             for p in range(k):
-                bound = (rho / lams[n]) ** (k - p) * vals[p]
+                try:  # a bound past every float holds: cap it to keep a finite margin
+                    bound = min((rho / lams[n]) ** (k - p) * vals[p], _FLOAT_MAX)
+                except OverflowError:
+                    bound = _FLOAT_MAX
                 margin = bound - vals[k]
                 report.add(f"power-dominance[dim{n},{k}->{p}]",
                            margin >= -1e-12 * bound, margin)

@@ -22,7 +22,7 @@ from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _fd_deriva
                    ball_integral, ball_integrals)
 from .errors import CapabilityError, DomainError
 from .report import Report
-from .special import (_compositions, _integer, _integer_cache, _multinomial, _real,
+from .special import (_compositions, _finite, _integer, _integer_cache, _multinomial, _real,
                       raising_factorial, stirling_second)
 
 __all__ = [
@@ -58,10 +58,7 @@ class CoefficientTable:
 
 @_integer_cache(maxsize=256)
 def coefficient_table(v: int, k_max: int) -> CoefficientTable:
-    if v < 1:
-        raise DomainError(f"dimension must be >= 1, got {v}")
-    if not 0 <= k_max <= _K_MAX_TABLE:
-        raise DomainError(f"k_max must be in [0, {_K_MAX_TABLE}], got {k_max}")
+    v, k_max = _integer(v, "dimension", 1), _integer(k_max, "k_max", 0, _K_MAX_TABLE)
     phi = [1]
     for k in range(1, k_max + 1):
         phi.append((v - 2 * k + 2) * phi[k - 1])
@@ -114,9 +111,7 @@ def _index_sum_ratios(ells, rho: float,
 
 def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
     """Sum over all ell-fold index insertions of the integral ratio."""
-    ell = _integer(ell, "insertion count")
-    if ell < 0:
-        raise DomainError(f"insertion count must be >= 0, got {ell}")
+    ell = _integer(ell, "insertion count", 0)
     return _index_sum_ratios((ell,), rho, spectrum)[1][ell]
 
 
@@ -124,9 +119,7 @@ def _order(k) -> int:
     """``k`` as an order of the combinatorial route: a non-integral or
     negative order is a DomainError, one past the route's cap a
     CapabilityError."""
-    k = _integer(k, "order")
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
+    k = _integer(k, "order", 0)
     if k > _K_MAX_COMBINATORIAL:
         raise CapabilityError(f"combinatorial route supports k <= {_K_MAX_COMBINATORIAL} "
                               f"(cost grows with compositions), got {k}")
@@ -158,14 +151,10 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
     Step rho * 10^(-2/k), one Richardson extrapolation; independent of the
     combinatorial route (it only ever evaluates the plain ball mass).
     """
-    k, rho = _integer(k, "order"), _check_rho(rho)
+    k, rho = _integer(k, "order", 0, _K_MAX_FD), _check_rho(rho)
     v = _check_spectrum(spectrum).v
-    if k < 0:
-        raise DomainError(f"order must be >= 0, got {k}")
     if k == 0:
         return 1.0
-    if k > _K_MAX_FD:
-        raise DomainError(f"finite differences support k <= {_K_MAX_FD}, got {k}")
     zero = MultiIndex.zero(v)
 
     def alpha(r: float) -> float:
@@ -182,15 +171,16 @@ def q_polynomial(k: int, x: float, a: float) -> float:
     """Binomial-type polynomial with raising-factorial coefficients.
 
     Degree k in x with unit leading coefficient; the l-th coefficient is
-    C(k, l) times the l-th raising factorial of a.
+    C(k, l) times the l-th raising factorial of a.  A value past float
+    range is a :class:`NumericError`.
     """
-    k, x, a = _integer(k, "degree"), _real(x, "x"), _real(a, "a")
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k}")
-    return float(sum(
-        math.comb(k, ell) * raising_factorial(a, ell) * x ** (k - ell)
-        for ell in range(k + 1)
-    ))
+    k, x, a = _integer(k, "degree", 0), _real(x, "x"), _real(a, "a")
+    try:
+        value = float(sum(math.comb(k, ell) * raising_factorial(a, ell) * x ** (k - ell)
+                          for ell in range(k + 1)))
+    except OverflowError:  # a power of x past float range
+        value = math.inf
+    return _finite(value, f"Q_{k}({x}; {a})")
 
 
 def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
@@ -204,9 +194,7 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     an end of the range or at a real root of Q_{k-2} inside it; those
     points are all that is evaluated.  Exact for k = 1, where Q_0 = 1.
     """
-    k, rho, v = _integer(k, "k"), _check_rho(rho), _check_spectrum(spectrum).v
-    if k < 1:
-        raise DomainError(f"need k >= 1, got k={k}")
+    k, rho, v = _integer(k, "k", 1), _check_rho(rho), _check_spectrum(spectrum).v
     det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
     pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
     a = -(v / 2.0 - 1.0)
@@ -232,9 +220,7 @@ def asymptotic_checks(spectrum: Spectrum, k_max: int,
             f"rho schedule must be an iterable of radii, got {rho_schedule!r}") from None
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("rho schedule must be non-empty and strictly increasing")
-    k_max = _integer(k_max, "k_max")
-    if k_max < 1:
-        raise DomainError(f"need k_max >= 1 for any check, got {k_max}")
+    k_max = _integer(k_max, "k_max", 1)
     report = Report("asymptotic")
     # the mass and every eta_k at a radius come from one family read
     reads = {rho: _etas(k_max, rho, spectrum) for rho in schedule}

@@ -213,12 +213,8 @@ def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
     near-equal lobes (7.7e-2 off at v = 10, p = 150), and from v = 12 the
     alternating sum of the profile cancels past 1e-8.
     """
-    v, p_min, p_max = (_integer(x, what) for x, what in
-                       ((v, "v"), (p_min, "p_min"), (p_max, "p_max")))
-    if not 2 <= v <= 9:
-        raise DomainError(f"estimate defined for 2 <= v <= 9, got {v}")
-    if not 1 <= p_min < p_max <= 200:
-        raise DomainError(f"need 1 <= p_min < p_max <= 200, got [{p_min}, {p_max}]")
+    v, p_min = _integer(v, "v", 2, 9), _integer(p_min, "p_min", 1, 199)
+    p_max = _integer(p_max, "p_max", p_min + 1, 200)
     p_values = tuple(range(p_min, p_max + 1))
     c_values = tuple(_c_value(v, p) for p in p_values)
     log_p = np.log(p_values)

@@ -16,7 +16,7 @@ from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension
                    _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
-from .special import _real
+from .special import _finite, _positive, _real
 
 __all__ = [
     "MomentBatch",
@@ -94,7 +94,8 @@ class MomentBatch:
     checked, only when a moment needs it.  A ratio is kept, on first use,
     with its relative error (the sum of the two integrals' relative
     errors).  Every accessor returns ``(value, err)``, with ``err``
-    propagated to first order from those relative errors.  Beyond the
+    propagated to first order from those relative errors; a moment past
+    float range is a :class:`NumericError`.  Beyond the
     mixture's term budget, pass a Monte Carlo family:
     ``{i: IntegralValue(e.mean, e.std_error) for i, e in
     ball_integrals_mc(...).items()}``.
@@ -139,7 +140,7 @@ class MomentBatch:
         n = _dimension(n, self.spectrum.v)
         ratio, rel = self._ratio(n)
         value = self.spectrum.lambdas[n] * ratio
-        return value, value * rel
+        return _finite(value, f"E[X_{n}^2]"), value * rel
 
     def product(self, n: int, m: int) -> tuple[float, float]:
         """E[X_n^2 X_m^2 | ball]; the fourth moment E[X_n^4 | ball] when n == m."""
@@ -147,7 +148,7 @@ class MomentBatch:
         ratio, rel = self._ratio(n, m)
         lams = self.spectrum.lambdas
         value = lams[n] * lams[m] * ratio
-        return value, value * rel
+        return _finite(value, f"E[X_{n}^2 X_{m}^2]"), value * rel
 
     def cov(self, n: int, m: int) -> tuple[float, float]:
         """cov(X_n^2, X_m^2 | ball); var(X_n^2 | ball) when n == m."""
@@ -156,7 +157,7 @@ class MomentBatch:
         rn, en = self._ratio(n)
         rm, em = self._ratio(m)
         scale = self.spectrum.lambdas[n] * self.spectrum.lambdas[m]
-        return (scale * (rnm - rn * rm),
+        return (_finite(scale * (rnm - rn * rm), f"cov(X_{n}^2, X_{m}^2)"),
                 scale * (rnm * enm + rn * rm * (en + em)))
 
     def gap(self, n: int) -> tuple[float, float]:
@@ -166,7 +167,7 @@ class MomentBatch:
         second, sec_err = self.second(n)
         lam = self.spectrum.lambdas[n]
         rho2 = self.rho * self.rho
-        return ((var - 2.0 * lam * second) / rho2,
+        return (_finite((var - 2.0 * lam * second) / rho2, f"variance gap {n}"),
                 (var_err + 2.0 * lam * sec_err) / rho2)
 
 
@@ -281,9 +282,7 @@ def rho_star(n: int, spectrum: Spectrum, tol: float = 1e-10) -> float:
     4 lambda_n].  Only below this radius does the essential-supremum
     argument keep the variance bound tight.
     """
-    tol = _real(tol, "tol")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    tol = _positive(tol, "tol")
     n = _dimension(n, _check_spectrum(spectrum).v)
     lam = spectrum.lambdas[n]
     rho = 3.0 * lam
@@ -319,11 +318,11 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
 
     # Log-concavity consequence: scaled variances minus 2v plus scaled
     # cross-covariances stays nonpositive.
-    combo = sum(var[n] / lams[n] ** 2 for n in range(v)) - 2.0 * v
-    combo += sum(cov[n][m] / (lams[n] * lams[m])
+    combo = sum(var[n] / lams[n] / lams[n] for n in range(v)) - 2.0 * v
+    combo += sum(cov[n][m] / lams[n] / lams[m]
                  for n in range(v) for m in range(v) if m != n)
-    combo_err = sum(var_err[n] / lams[n] ** 2 for n in range(v))
-    combo_err += sum(cov_err[n][m] / (lams[n] * lams[m])
+    combo_err = sum(var_err[n] / lams[n] / lams[n] for n in range(v))
+    combo_err += sum(cov_err[n][m] / lams[n] / lams[m]
                      for n in range(v) for m in range(v) if m != n)
     report.add("log-concavity-combination", combo <= NOISE_FACTOR * combo_err,
                -combo, detail=f"value {combo:.6e}, noise {combo_err:.1e}")

@@ -43,15 +43,19 @@ _CF_TOL = 1e-15
 _SERIES_CUTOFF_OFFSET = 12.0
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as an int: an integral value passes, any other is a
-    :class:`DomainError`, never a silent truncation."""
+def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int in lo..hi, either end open when None: an integral
+    value in range passes, any other is a :class:`DomainError`, never a
+    silent truncation."""
     try:
-        if int(x) == x:
-            return int(x)
+        n = int(x)
+        if n == x and (lo is None or lo <= n) and (hi is None or n <= hi):
+            return n
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(f"{what} must be an integer, got {x!r}")
+    span = "" if lo is None and hi is None else (
+        f" in {'' if lo is None else lo}..{'' if hi is None else hi}")
+    raise DomainError(f"{what} must be an integer{span}, got {x!r}")
 
 
 def _real(x, what: str) -> float:
@@ -65,15 +69,31 @@ def _real(x, what: str) -> float:
         else:
             if not math.isnan(value):
                 return value
-    raise DomainError(f"{what} must be a real number, got {x!r}")
+    raise DomainError(f"{what} must be a real number in float range, got {x!r}")
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """Every entry through :func:`_integer`; a non-sequence is a DomainError."""
+def _positive(x, what: str) -> float:
+    """``x`` through :func:`_real`, finite and > 0, else a DomainError."""
+    value = _real(x, what)
+    if 0.0 < value < math.inf:
+        return value
+    raise DomainError(f"{what} must be a positive finite real, got {x!r}")
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` if it is finite, else a :class:`NumericError` naming ``what``."""
+    if not math.isfinite(value):
+        raise NumericError(f"{what} evaluated to {value}, outside float range")
+    return value
+
+
+def _integers(values, what: str, lo: int | None = None) -> tuple[int, ...]:
+    """Every entry through :func:`_integer` with lower end ``lo``; a
+    non-sequence is a DomainError."""
     try:
-        return tuple(_integer(x, what) for x in values)
+        return tuple(_integer(x, what, lo) for x in values)
     except TypeError:  # _integer raises none, so ``values`` is not iterable
-        raise DomainError(f"{what} must be integers, got {values!r}") from None
+        raise DomainError(f"expected a sequence of {what} values, got {values!r}") from None
 
 
 def _integer_cache(maxsize: int):
@@ -92,9 +112,7 @@ def _integer_cache(maxsize: int):
 
 def double_factorial(n: int) -> int:
     """n!! with the empty-product conventions (-1)!! = 0!! = 1."""
-    n = _integer(n, "double factorial argument")
-    if n < -1:
-        raise DomainError(f"double factorial undefined for n = {n} < -1")
+    n = _integer(n, "double factorial argument", -1)
     out = 1
     while n > 1:
         out *= n
@@ -139,9 +157,7 @@ def raising_factorial(x, n: int):
     Works for any numeric type (int, float, Fraction), staying exact for
     exact inputs.
     """
-    n = _integer(n, "raising factorial length")
-    if n < 0:
-        raise DomainError(f"raising factorial needs n >= 0, got {n}")
+    n = _integer(n, "raising factorial length", 0)
     out = 1
     for i in range(n):
         out = out * (x + i)
@@ -167,13 +183,11 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
     """Lower incomplete gamma  integral of t^(s-1) e^(-t) over (0, x).
 
     The one-lane case of :func:`_lower_incomplete_gamma_vec`, which checks
-    the domain and holds the series and continued fraction.  A non-finite s
-    is a :class:`DomainError`; an overflow is its :class:`NumericError`,
-    with no numpy warning ahead of it.
+    x and holds the series and continued fraction.  An s that is not finite
+    and > 0 is a :class:`DomainError`; an overflow is its
+    :class:`NumericError`, with no numpy warning ahead of it.
     """
-    s, x = _real(s, "s"), _real(x, "x")
-    if not math.isfinite(s):
-        raise DomainError(f"lower_incomplete_gamma requires a finite s, got s = {s}")
+    s, x = _positive(s, "s"), _real(x, "x")
     with np.errstate(all="ignore"):  # a lane that overflows fails the finite check
         return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 

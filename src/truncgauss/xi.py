@@ -55,22 +55,11 @@ def power_count(tail: tuple[int, ...]) -> int:
     return sum((k + 1) * e for k, e in enumerate(tail))
 
 
-def _q_max(q_max, low: int = 1) -> int:
-    """``q_max`` as an int in low.._Q_MAX, or a DomainError."""
-    q_max = _integer(q_max, "q_max")
-    if not low <= q_max <= _Q_MAX:
-        raise DomainError(f"need {low} <= q_max <= {_Q_MAX}, got {q_max}")
-    return q_max
-
-
 def _checked(q, tail, name: str = "q", counted: bool = False):
     """``(q, tail)`` as ints, or a DomainError: q >= 0 and no negative
     entry.  A ``counted`` tail must also fit in q entries and have power
     count q; it comes back padded to length q."""
-    q, tail = _integer(q, name), _integers(tail, "tail entries")
-    if q < 0 or any(e < 0 for e in tail):
-        raise DomainError(
-            f"need {name} >= 0 and nonnegative entries, got {name}={q}, tail {tail}")
+    q, tail = _integer(q, name, 0), _integers(tail, "tail entry", 0)
     if counted:
         if len(tail) > q:
             raise DomainError(f"tail {tail} longer than {name}={q}")
@@ -88,8 +77,7 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     Entries above index m are forced to zero by the power count, so the
     result is independent of q beyond padding.
     """
-    if q < 0 or m < 0 or q > _Q_MAX or m > _Q_MAX:
-        raise DomainError(f"need 0 <= q, m <= {_Q_MAX}, got q={q}, m={m}")
+    q, m = _integer(q, "q", 0, _Q_MAX), _integer(m, "m", 0, _Q_MAX)
     out: list[tuple[int, ...]] = []
 
     def rec(position: int, remaining: int, prefix: tuple[int, ...]):
@@ -130,7 +118,7 @@ def xi_product(f_coeffs: dict, g_coeffs: dict, q_max: int) -> dict:
     nonzero sums are kept.  Sums of observables just add coefficient maps
     componentwise, so only the product needs machinery.
     """
-    q_max = _checked(q_max, (), "q_max")[0]
+    q_max = _integer(q_max, "q_max", 0)
     g_items = _by_order(g_coeffs)
     out = {}
     for (ell, c), fc in _by_order(f_coeffs):
@@ -152,9 +140,7 @@ def xi_alpha_limit(q: int, e, k: int) -> Fraction:
     summed over the zeroth exponent, hence depends only on the tail of the
     full vector e = (e_0, ..., e_q).
     """
-    (q, entries), k = _checked(q, e), _integer(k, "k")
-    if k < 0:
-        raise DomainError(f"need k >= 0, got k={k}")
+    (q, entries), k = _checked(q, e), _integer(k, "k", 0)
     if len(entries) != q + 1:
         raise DomainError(
             f"exponent vector must have length q+1={q + 1}, got {entries}")
@@ -218,8 +204,7 @@ def omega(which: int, q: int, tail: tuple[int, ...]) -> int:
     nothing, and r + s <= q holds whenever e_r and e_s are both positive,
     since r + s is part of the power count q.
     """
-    if which not in (0, 1):
-        raise DomainError(f"which must be 0 or 1, got {which}")
+    which = _integer(which, "which", 0, 1)
     q, tail = _checked(q, tail, counted=True)
     entries = list(enumerate(tail, start=1))
     if which == 1:
@@ -268,7 +253,7 @@ def omega_inequality_scan(q_max: int) -> Report:
     closed-form gap coefficient must equal 4 (-1)^n W (omega0 - omega1) and
     carry the sign (-1)^(n-1).  Both checks read one omega pair per tail.
     """
-    q_max = _q_max(q_max)
+    q_max = _integer(q_max, "q_max", 1, _Q_MAX)
     report = Report("omega-scan")
 
     margins = [(t * t - sum(ell * ell * c_l for ell, c_l in enumerate(c, start=1)),
@@ -320,7 +305,7 @@ def gap_convolution_check(q_max: int) -> Report:
     target summed over the zeroth exponents 0 and 1, the only ones the
     numerator has.  Both are exact, so the comparison is equality.
     """
-    q_max = _q_max(q_max)
+    q_max = _integer(q_max, "q_max", 1, _Q_MAX)
     report = Report("gap-convolution")
     numerator = {}
     for a in range(1, q_max + 1):
@@ -348,10 +333,11 @@ def inverse_mass_identity_check(q_max: int) -> Report:
 
     The mass coefficients are the single-integral limits (multiplicity
     zero), one pattern (0, ..., 0, 1) per order; the inverse-mass
-    coefficients carry the signed multinomial weights on every tail.  Their product must be 1 at order zero and vanish at every
-    higher order, in exact arithmetic.
+    coefficients carry the signed multinomial weights on every tail.  Their
+    product must be 1 at order zero and vanish at every higher order, in
+    exact arithmetic.
     """
-    q_max = _q_max(q_max, low=0)
+    q_max = _integer(q_max, "q_max", 0, _Q_MAX)
     report = Report("inverse-mass-identity")
     units = [(ell, (0,) * ell + (int(ell > 0),)) for ell in range(q_max + 1)]
     product = xi_product({key: xi_alpha_limit(*key, 0) for key in units},

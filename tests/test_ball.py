@@ -260,6 +260,11 @@ class TestQuadrature:
         with pytest.raises(NumericError):
             ball_integral(MultiIndex((200,)), 1e4, Spectrum((1.0,)))
 
+    def test_leaf_past_float_range_is_numeric_error(self):
+        # 2^k leaves float range at k = 1024 and leaked OverflowError
+        with pytest.raises(NumericError, match="multiplicity 1024"):
+            ball_integral(MultiIndex((1024, 0)), 5.0, Spectrum((1.0, 2.0)))
+
     def test_fold_overflow_is_numeric_error_under_warnings_as_errors(self):
         # (100, 100) overflows in the quadrature's fold: a caller that turns
         # warnings into errors still gets the typed error, not numpy's warning
@@ -862,6 +867,14 @@ class TestStructuralReport:
         names = [c.name for c in report.checks]
         assert "hierarchy[dim0,k=4]" in names
         assert report.passed
+
+    def test_power_dominance_past_float_range(self):
+        # (rho / lambda)^2 past float range leaked OverflowError; such a
+        # bound holds, with the largest float as its finite margin
+        for rho, lams in ((1e200, (1.0, 2.0)), (1.0, (1e-300, 1.0))):
+            report = verify_structural(rho, Spectrum(lams))
+            assert report.passed
+            assert all(math.isfinite(check.margin) for check in report.checks)
 
     def test_order_cap_limit(self):
         # a negative cap would skip every check but the radial-derivative pair

@@ -306,6 +306,27 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "verify structural --rho 1e200",
+        "verify structural --lambda 1e-300,1 --rho 1",
+        "verify inequalities --lambda 1e-300,1",
+        "verify inequalities --lambda 1e300,1",
+        "verify asymptotic --lambda 1e-300,1",
+        "integral --lambda 1,2 --rho 5 --index 1:100000",
+    ])
+    def test_extreme_input_ends_in_a_typed_exit(self, argv, capsys):
+        # each leaked an OverflowError or ZeroDivisionError: a power past
+        # float range, a squared variance that underflows, or 2^k at k > 1023
+        def non_finite(constant):
+            raise AssertionError(f"non-finite JSON value {constant}")
+
+        code, out, err = run(shlex.split(argv), capsys)
+        assert "Traceback" not in out + err
+        if code == 0:
+            json.loads(out, parse_constant=non_finite)
+        else:
+            assert code in (2, 3) and len(err.splitlines()) == 1, (code, err)
+
     def test_all_quick_within_budget(self, capsys):
         import time
 

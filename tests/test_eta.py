@@ -9,13 +9,14 @@ import pytest
 from truncgauss import ball
 from truncgauss import eta as eta_mod
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral
-from truncgauss.errors import CapabilityError, DomainError
+from truncgauss.errors import CapabilityError, DomainError, NumericError
 from truncgauss.eta import (
     asymptotic_checks,
     coefficient_table,
     eta_combinatorial,
     eta_fd_oracle,
     index_sum_ratio,
+    q_polynomial,
     radial_derivative_envelope,
 )
 from truncgauss.special import raising_factorial, stirling_first_unsigned, stirling_second
@@ -235,6 +236,14 @@ class TestAsymptoticReport:
         names = [c.name for c in report.checks]
         assert any(name.startswith("limit-sign[k=1]") for name in names)
         assert any(name.startswith("envelope[k=4") for name in names)
+
+    def test_polynomial_overflow_is_numeric_error(self):
+        # x^2 past float range leaked OverflowError; at lambda_min = 1e-300
+        # the envelope's range ends at rho / 2e-300
+        with pytest.raises(NumericError, match="Q_2"):
+            q_polynomial(2, 1e300, 0.0)
+        with pytest.raises(NumericError):
+            radial_derivative_envelope(3, 1.0, Spectrum((1e-300, 1.0)))
 
     def test_envelope_is_exact_form_at_first_order(self):
         # degree-zero polynomial factor: bound is prefactor times the decay

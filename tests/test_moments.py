@@ -614,6 +614,17 @@ class TestInequalityBattery:
         assert total == pytest.approx(3.0, abs=1e-8)
         assert total <= 3.0 + 1e-8
 
+    def test_variances_at_the_float_ends(self):
+        # lambda^2 underflowed to a zero divisor or overflowed; a fourth
+        # moment past float range is a NumericError, not an infinite margin
+        assert inequality_battery(1.0, Spectrum((1e-300, 1.0))).passed
+        batch = MomentBatch(1e300, Spectrum((1e300, 1.0)))
+        assert math.isfinite(batch.second(0)[0])
+        with pytest.raises(NumericError, match="outside float range"):
+            batch.product(0, 0)
+        with pytest.raises(NumericError):
+            inequality_battery(1e300, Spectrum((1e300, 1.0)))
+
     def test_noise_threshold_used(self):
         # near the sign change of nothing: just confirm the knob exists
         assert NOISE_FACTOR == 10.0

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from truncgauss import special
-from truncgauss.ball import MultiIndex, Spectrum, ball_integrals, verify_structural
+from truncgauss.ball import (MultiIndex, Spectrum, ball_integral_mc, ball_integrals,
+                             verify_structural)
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
                             eta_combinatorial, eta_fd_oracle, index_sum_ratio,
                             q_polynomial, radial_derivative_envelope)
-from truncgauss.expansion import expand_alpha
-from truncgauss.xi import enumerate_exponents, xi_product
+from truncgauss.expansion import convergence_estimate, expand_alpha
+from truncgauss.xi import enumerate_exponents, omega_inequality_scan, xi_product
 from truncgauss.special import (
     _lower_incomplete_gamma_vec,
     double_factorial,
@@ -322,7 +323,7 @@ class TestIntegerArguments:
         with pytest.raises(DomainError):
             call(bad)
 
-    @pytest.mark.parametrize("call", [
+    @pytest.mark.parametrize("call, message", [(call, None) for call in [
         lambda: Spectrum("12"),
         lambda: Spectrum(3),
         lambda: Spectrum(None),
@@ -349,6 +350,14 @@ class TestIntegerArguments:
         lambda: radial_derivative_envelope("2", 5.0, _SPEC),
         lambda: radial_derivative_envelope(2.5, 5.0, _SPEC),
         lambda: radial_derivative_envelope(0, 5.0, _SPEC),
+    ]] + [
+        (lambda: Spectrum((10**400, 1.0)),
+         "variance must be a real number in float range, got 1000"),
+        (lambda: MultiIndex.single(2, 2), r"dimension must be an integer in 0\.\.1, got 2$"),
+        (lambda: ball_integral_mc(MultiIndex.zero(3), 1.0, _SPEC, 100, 0),
+         r"n_total must be an integer in 10000\.\., got 100$"),
+        (lambda: convergence_estimate(10, 1, 2), r"v must be an integer in 2\.\.9, got 10$"),
+        (lambda: omega_inequality_scan(25), r"q_max must be an integer in 1\.\.24, got 25$"),
     ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
             "spectrum_string_entry", "multiindex_int", "tuple_index",
             "coefficient_table_list", "enumerate_exponents_list",
@@ -359,8 +368,9 @@ class TestIntegerArguments:
             "xi_product_string_q_max", "xi_product_negative_q_max",
             "xi_product_bare_key", "xi_product_scalar_vector",
             "xi_product_triple_key", "envelope_string_k", "envelope_fraction_k",
-            "envelope_zero_k"])
-    def test_malformed_input_is_domain_error(self, call):
+            "envelope_zero_k", "spectrum_beyond_float", "dimension_out_of_range",
+            "n_total_below_minimum", "convergence_v_out_of_range", "q_max_over_cap"])
+    def test_malformed_input_is_domain_error(self, call, message):
         # a string or non-sequence spectrum, a non-real variance, a
         # non-sequence multiplicity, a bare tuple index, unhashable cache
         # keys, a non-real incomplete-gamma or polynomial argument, a
@@ -368,8 +378,9 @@ class TestIntegerArguments:
         # that is not a positive integer, a key that is not an (order,
         # vector) pair and a finite-difference step whose power
         # underflows are each a DomainError, not a coerced value, a silent
-        # 0.0, {} or NaN, or a bare TypeError or ZeroDivisionError
-        with pytest.raises(DomainError):
+        # 0.0, {} or NaN, or a bare TypeError, OverflowError or
+        # ZeroDivisionError; an integer out of range names its range
+        with pytest.raises(DomainError, match=message):
             call()
 
     def test_integer_caches_keep_their_handles(self):

@@ -21,6 +21,7 @@ from .ball import (MultiIndex, Spectrum, ball_integral, ball_integral_mc,
 from .errors import DomainError, NumericError, TruncGaussError
 from .expansion import convergence_estimate
 from .report import Report
+from .special import _integer, _positive
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,59 +32,48 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _parse_lambdas(raw: str) -> tuple[float, ...]:
-    try:
-        lams = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise DomainError(f"could not parse variance list {raw!r}") from exc
-    if not lams:
-        raise DomainError("variance list is empty")
-    return lams
+def _number(token: str):
+    """A command-line token as an int or a float where it parses as one,
+    else the token itself, for the library's validators to reject."""
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
 
 
 def _parse_index(raw: str, v: int) -> MultiIndex:
+    """--index dim:mult[,dim:mult...], 1-based dims; "" is the zero index."""
     ks = [0] * v
-    raw = raw.strip()
-    if raw:
-        for token in raw.split(","):
-            try:
-                dim_s, mult_s = token.split(":")
-                dim, mult = int(dim_s), int(mult_s)
-            except ValueError as exc:
-                raise DomainError(
-                    f"index token {token!r} is not of the form dim:mult"
-                ) from exc
-            if not 1 <= dim <= v:
-                raise DomainError(f"index dimension {dim} outside 1..{v}")
-            if mult < 0:
-                raise DomainError(f"multiplicity must be >= 0, got {mult}")
-            ks[dim - 1] += mult
+    for token in raw.split(",") if raw.strip() else ():
+        dim, colon, mult = token.partition(":")
+        if not colon:
+            raise DomainError(f"index token {token!r} is not of the form dim:mult")
+        ks[_integer(_number(dim), "index dimension", 1, v) - 1] += _integer(
+            _number(mult), "index multiplicity", 0)
     return MultiIndex(tuple(ks))
 
 
-def _parse_rho_range(raw: str) -> tuple[float, float, int, str]:
-    parts = raw.split(":")
-    if len(parts) != 4:
-        raise DomainError("rho range must be min:max:points:scale")
+def _radii(args: argparse.Namespace) -> list[float]:
+    """[--rho], or the --rho-range grid min:max:points:lin|log."""
+    if args.rho_range is None:
+        if args.rho is None:
+            raise DomainError(f"{args.command} needs --rho or --rho-range")
+        return [args.rho]
+    parts = args.rho_range.split(":")
+    grid = {"lin": np.linspace, "log": np.geomspace}.get(parts[-1])
+    if len(parts) != 4 or grid is None:
+        raise DomainError(f"rho range must be min:max:points:lin or "
+                          f"min:max:points:log, got {args.rho_range!r}")
+    lo, hi = (_positive(_number(end), "rho range end") for end in parts[:2])
+    points = _integer(_number(parts[2]), "rho range point count", 2)
+    if not lo < hi:
+        raise DomainError(f"rho range needs min < max, got {lo} and {hi}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2])
-    except ValueError as exc:
-        raise DomainError(f"could not parse rho range {raw!r}") from exc
-    scale = parts[3]
-    if scale not in ("lin", "log"):
-        raise DomainError(f"scale must be lin or log, got {scale!r}")
-    if points < 2:
-        raise DomainError("grids need at least 2 points")
-    if not (0.0 < lo < hi):
-        raise DomainError(f"need 0 < min < max, got {lo}, {hi}")
-    return lo, hi, points, scale
-
-
-def _grid(lo: float, hi: float, points: int, scale: str) -> np.ndarray:
-    if scale == "log":
-        return np.geomspace(lo, hi, points)
-    return np.linspace(lo, hi, points)
+        return grid(lo, hi, points).tolist()
+    except MemoryError:
+        raise DomainError(f"a rho range of {points} points does not fit in memory") from None
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -95,12 +85,13 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _spectrum(args: argparse.Namespace) -> Spectrum:
-    spec = Spectrum(args.lambdas)
+def _spectrum(args: argparse.Namespace, default: Spectrum | None = None) -> Spectrum:
+    """--lambda as a Spectrum, else ``default``; --v must match the one used."""
+    tokens = () if args.lambdas is None else args.lambdas.split(",")
+    spec = Spectrum(tuple(map(_number, tokens))) if tokens or default is None else default
     if args.v is not None and args.v != spec.v:
-        raise DomainError(
-            f"--v {args.v} does not match the {spec.v} variances given"
-        )
+        raise DomainError(f"--v {args.v} does not match the {spec.v} variances "
+                          f"of the spectrum")
     return spec
 
 
@@ -121,13 +112,7 @@ def _write(args: argparse.Namespace, head: list[str], records: list,
 
 def _query(args: argparse.Namespace, head: list[str], record, rows) -> int:
     """Evaluate record(rho) at --rho, or over --rho-range in cell order."""
-    if args.rho_range is not None:
-        rhos = [float(r) for r in _grid(*args.rho_range)]
-    elif args.rho is not None:
-        rhos = [args.rho]
-    else:
-        raise DomainError(f"{args.command} needs --rho or --rho-range")
-    return _write(args, head, [record(rho) for rho in rhos], rows,
+    return _write(args, head, [record(rho) for rho in _radii(args)], rows,
                   single=args.rho_range is None)
 
 
@@ -274,13 +259,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _suite_structural(args: argparse.Namespace) -> Report:
-    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0))
+    spec = _spectrum(args, Spectrum((1.0, 2.0)))
     rho = args.rho if args.rho is not None else 3.0
     return verify_structural(rho, spec, order_cap=2)
 
 
 def _suite_inequalities(args: argparse.Namespace) -> Report:
-    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0, 3.0))
+    spec = _spectrum(args, Spectrum((1.0, 2.0, 3.0)))
     report = Report("inequalities")
     rhos = ([1.0, 5.0] if args.quick else [0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
     for rho in rhos:
@@ -313,7 +298,7 @@ def _suite_eta(args: argparse.Namespace) -> Report:
 
 
 def _suite_asymptotic(args: argparse.Namespace) -> Report:
-    spec = _spectrum(args) if args.lambdas else Spectrum((1.0, 2.0, 3.0))
+    spec = _spectrum(args, Spectrum((1.0, 2.0, 3.0)))
     schedule = (20.0, 40.0, 80.0)
     k_max = 2 if args.quick else 4
     return eta_mod.asymptotic_checks(spec, k_max, schedule)
@@ -362,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if spectrum:
             p.add_argument("--v", type=int, default=None,
-                           help="dimension (checked against --lambda)")
-            p.add_argument("--lambda", dest="lambdas", default="",
+                           help="dimension (checked against the spectrum used)")
+            p.add_argument("--lambda", dest="lambdas", default=None,
                            help="comma-separated variances")
         return p
 
@@ -427,10 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if hasattr(args, "lambdas"):
-            args.lambdas = _parse_lambdas(args.lambdas) if args.lambdas else ()
-        if getattr(args, "rho_range", None):
-            args.rho_range = _parse_rho_range(args.rho_range)
         return args.handler(args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension
                    _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
-from .special import _finite, _positive, _real
+from .special import _finite, _nonzero, _positive, _real
 
 __all__ = [
     "MomentBatch",
@@ -166,7 +166,7 @@ class MomentBatch:
         var, var_err = self.cov(n, n)
         second, sec_err = self.second(n)
         lam = self.spectrum.lambdas[n]
-        rho2 = self.rho * self.rho
+        rho2 = _nonzero(self.rho * self.rho, f"rho^2 at rho = {self.rho}")
         return (_finite((var - 2.0 * lam * second) / rho2, f"variance gap {n}"),
                 (var_err + 2.0 * lam * sec_err) / rho2)
 
@@ -211,7 +211,7 @@ def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
 def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
     batch = MomentBatch(rho, spectrum)
     v = spectrum.v
-    rho2 = batch.rho * batch.rho
+    rho2 = _nonzero(batch.rho * batch.rho, f"rho^2 at rho = {batch.rho}")
     gamma = [[0.0] * v for _ in range(v)]
     for n in range(v):
         for m in range(n, v):

@@ -87,6 +87,14 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _nonzero(value: float, what: str) -> float:
+    """``value`` if it is not 0, else a :class:`NumericError`: a divisor
+    named ``what`` that underflowed."""
+    if value == 0.0:
+        raise NumericError(f"{what} underflows to 0")
+    return value
+
+
 def _integers(values, what: str, lo: int | None = None) -> tuple[int, ...]:
     """Every entry through :func:`_integer` with lower end ``lo``; a
     non-sequence is a DomainError."""
@@ -195,6 +203,9 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
 def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     """Lower incomplete gamma at fixed s over one vector of ascending x >= 0.
 
+    The caller passes s > 0: :func:`lower_incomplete_gamma` through
+    :func:`_positive`, ``_alpha_1d_array`` as k + 1/2 with k >= 0.
+
     Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
     take Gamma(s) minus a modified-Lentz continued fraction for the upper
     tail, and x = inf gives Gamma(s).  Gamma(s) is computed only when one
@@ -207,8 +218,6 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not s > 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires s > 0, got s = {s}")
     if not np.all(x >= 0.0):
         raise DomainError("lower_incomplete_gamma requires x >= 0, "
                           f"got x = {x[~(x >= 0.0)][0]}")

@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from truncgauss import ball, xi
@@ -240,6 +241,20 @@ class TestFigures:
         tail = [float(l.split(",")[1]) for l in lines[-4:]]
         assert all(b < a for a, b in zip(tail, tail[1:]))
 
+    def test_gamma_convergence_quick(self, capsys):
+        code, out, _ = run(["figure", "gamma-convergence", "--quick"], capsys)
+        assert code == 0
+        head, *rows = out.strip().splitlines()
+        assert head == ("rho_over_lambda3,gamma3_11,gamma1_11,gamma3_22,gamma1_22,"
+                        "gamma3_33,gamma1_33")
+        assert len(rows) == 12
+        for row in rows:
+            fields = [float(x) for x in row.split(",")]
+            # gamma_nn of the three-variance spectrum over its one-variance limit
+            ratios = [fields[1 + 2 * n] / fields[2 + 2 * n] for n in range(3)]
+            assert all(0.0 < r <= 1.0 for r in ratios), row
+        assert ratios == pytest.approx([1.0, 1.0, 1.0], abs=2e-3)
+
     def test_bit_stable_output(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["figure", "gamma-curves", "--quick", "--out", str(f1)]) == 0
@@ -449,3 +464,62 @@ class TestSurface:
         parser = _build_parser()
         for tokens in commands:
             parser.parse_args(tokens[1:])
+
+
+# every usage error the command line raises after argparse, one case each;
+# the default-v cases exited 0 ignoring --v, rho-range-inf printed a numpy
+# RuntimeWarning first, rho-range-memory ended in a MemoryError traceback,
+# and variance-empty-token read 1,,2 as 1,2
+_USAGE_ERRORS = {
+    "index-form": "integral --lambda 1,1 --rho 2 --index banana",
+    "index-empty-tokens": "integral --lambda 1,1 --rho 2 --index ,,",
+    "index-dimension": "integral --lambda 1,1 --rho 2 --index 3:1",
+    "index-multiplicity": "integral --lambda 1,1 --rho 2 --index 1:-1",
+    "v-mismatch": "integral --v 3 --lambda 1,2 --rho 1",
+    "variance-token": "moments --lambda 1,a --rho 1",
+    "variance-empty-token": "moments --lambda 1,,2 --rho 1",
+    "no-variance": "moments --rho 1",
+    "no-radius": "moments --lambda 1",
+    "rho-range-form": "moments --lambda 1 --rho-range 1:10:4",
+    "rho-range-scale": "moments --lambda 1 --rho-range 1:10:4:cubic",
+    "rho-range-end": "moments --lambda 1 --rho-range a:10:4:lin",
+    "rho-range-zero": "moments --lambda 1 --rho-range 0:10:4:log",
+    "rho-range-inf": "moments --lambda 1 --rho-range 1:inf:3:lin",
+    "rho-range-order": "eta --lambda 1 --rho-range 5:1:4:lin",
+    "rho-range-points": "integral --lambda 1 --rho-range 1:2:1:lin",
+    "rho-range-memory": "moments --lambda 1 --rho-range 1:2:100000000000:lin",
+    "mc-rho-range": "integral --mc --lambda 1,2 --samples 10000 --rho-range 1:3:2:lin",
+    "mc-no-radius": "integral --mc --lambda 1,2",
+    "mc-options": "integral --lambda 1,2 --rho 2 --seed 3",
+    "structural-default-v": "verify structural --v 3",
+    "inequalities-default-v": "verify inequalities --v 2",
+    "asymptotic-default-v": "verify asymptotic --v 2",
+    "all-default-v": "verify all --quick --v 3",
+}
+
+
+@pytest.fixture
+def no_large_grid(monkeypatch):
+    """numpy's grids raise MemoryError past 10^6 points, allocating nothing."""
+    for name in ("linspace", "geomspace"):
+        def grid(start, stop, num, *rest, _real=getattr(np, name), **kwargs):
+            if num > 10 ** 6:
+                raise MemoryError(f"cannot allocate a grid of {num} points")
+            return _real(start, stop, num, *rest, **kwargs)
+        monkeypatch.setattr(np, name, grid)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+    def test_usage_error_is_one_line(self, argv, capsys, no_large_grid):
+        code, out, err = run(shlex.split(argv), capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_underflowing_rho_square_is_numeric_failure(self, capsys):
+        # the battery's smallest radius squares to 0: a ZeroDivisionError traceback
+        code, out, err = run(["verify", "inequalities", "--lambda", "1e-200,1e-200"],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err == "numeric failure: rho^2 at rho = 5e-201 underflows to 0\n"

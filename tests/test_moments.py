@@ -514,6 +514,26 @@ class TestRadiusArgument:
             route(rho)
 
 
+# every route that divides by rho^2, at a valid radius whose square underflows
+TINY_SPEC = Spectrum((1e-200, 1e-200))
+RHO_SQUARE_ROUTES = {
+    "MomentBatch.gap": lambda: MomentBatch(1e-170, TINY_SPEC).gap(0),
+    "variance_gap": lambda: variance_gap(1, 1e-170, TINY_SPEC),
+    "correlation_set": lambda: correlation_set(1e-170, TINY_SPEC),
+    "gamma_nm_cancellation_check": lambda: expansion.gamma_nm_cancellation_check(
+        0, 1, 1e-170, TINY_SPEC),
+}
+
+
+class TestRadiusSquareUnderflow:
+    @pytest.mark.parametrize("route", RHO_SQUARE_ROUTES.values(),
+                             ids=RHO_SQUARE_ROUTES.keys())
+    def test_underflowing_square_is_numeric_error(self, route):
+        # rho * rho rounds to 0 at rho = 1e-170: each leaked ZeroDivisionError
+        with pytest.raises(NumericError, match=r"rho\^2 at rho = 1e-170 underflows"):
+            route()
+
+
 # every public route that takes a spectrum, called with the spectrum under test
 SPECTRUM_ROUTES = {
     "ball_integral": lambda spec: ball_integral(ZERO2, 5.0, spec),

@@ -499,11 +499,9 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     normals from ``SFC64(seed)`` in blocks of ``_MC_BLOCK`` draws, each
     block filled coordinate-major (every draw's first coordinate, then
     every draw's second, ...).  The draws, and so the estimates, are
-    reproducible per ``(seed, n_total)``, depend on ``_MC_BLOCK``, and
-    differ from those of versions that drew point by point from
-    ``Philox(key=seed)`` at the same seed.  SFC64 replaced Philox because
-    the sampler is one sequential stream that needs none of Philox's
-    counter-based keying, and SFC64 makes normals about 1.5x as fast.
+    reproducible per ``(seed, n_total)`` and depend on ``_MC_BLOCK``.  The
+    sampler is one sequential stream, so it needs no counter-based keying
+    (Philox's), and SFC64 makes normals about 1.5x as fast.
     Returns a dict mapping each multi-index to its :class:`MCEstimate`.
     """
     indices = _checked(indices, spectrum)

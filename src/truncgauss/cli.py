@@ -28,10 +28,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _number(token: str):
     """A command-line token as an int or a float where it parses as one,
     else the token itself, for the library's validators to reject."""
@@ -76,6 +72,14 @@ def _radii(args: argparse.Namespace) -> list[float]:
         raise DomainError(f"a rho range of {points} points does not fit in memory") from None
 
 
+def _csv(head: list[str], rows) -> list[str]:
+    """The CSV lines of a table: the header, then each row of numbers, an
+    integer as an int and any other number with 17 significant digits."""
+    return [",".join(head)] + [
+        ",".join(str(x) if isinstance(x, (int, np.integer)) else f"{x:.16e}" for x in row)
+        for row in rows]
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
@@ -86,10 +90,10 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _spectrum(args: argparse.Namespace, default: Spectrum | None = None) -> Spectrum:
-    """--lambda as a Spectrum, else ``default``; --v must match the one used."""
+    """--lambda as a Spectrum, else ``default``; a query's --v must match it."""
     tokens = () if args.lambdas is None else args.lambdas.split(",")
     spec = Spectrum(tuple(map(_number, tokens))) if tokens or default is None else default
-    if args.v is not None and args.v != spec.v:
+    if getattr(args, "v", None) not in (None, spec.v):
         raise DomainError(f"--v {args.v} does not match the {spec.v} variances "
                           f"of the spectrum")
     return spec
@@ -99,13 +103,12 @@ def _write(args: argparse.Namespace, head: list[str], records: list,
            rows, single: bool) -> int:
     """Write records as JSON (a bare object when single) or as CSV.
 
-    rows(record) gives the CSV rows of one record, each a list of fields.
+    rows(record) gives the CSV rows of one record, each a list of numbers.
     """
     if args.fmt == "json":
         lines = [json.dumps(records[0] if single else records)]
     else:
-        lines = [",".join(head)]
-        lines += [",".join(row) for rec in records for row in rows(rec)]
+        lines = _csv(head, [row for rec in records for row in rows(rec)])
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -125,27 +128,20 @@ def cmd_integral(args: argparse.Namespace) -> int:
         est = ball_integral_mc(index, args.rho, spec,
                                1_000_000 if args.samples is None else args.samples,
                                0 if args.seed is None else args.seed)
-        record = {"mean": est.mean, "std_error": est.std_error,
-                  "n_kept": est.n_kept, "n_total": est.n_total,
-                  "seed": est.seed}
-        row = [_fmt(est.mean), _fmt(est.std_error), str(est.n_kept),
-               str(est.n_total)]
-        return _write(args, ["mean", "std_error", "n_kept", "n_total"],
-                      [record], lambda rec: [row], single=True)
+        head = ["mean", "std_error", "n_kept", "n_total"]
+        return _write(args, head, [vars(est)],  # JSON also carries the seed
+                      lambda rec: [[rec[key] for key in head]], single=True)
     if args.samples is not None or args.seed is not None:
         raise DomainError("--samples and --seed belong to integral --mc")
     # a single point carries no rho field
-    head = ["value", "est_abs_error"]
-    if args.rho_range is not None:
-        head.insert(0, "rho")
+    head = ([] if args.rho_range is None else ["rho"]) + ["value", "est_abs_error"]
 
     def record(rho: float) -> dict:
         x = ball_integral(index, rho, spec)
         full = {"rho": rho, "value": x.value, "est_abs_error": x.est_abs_error}
         return {key: full[key] for key in head}
 
-    return _query(args, head, record,
-                  lambda rec: [[_fmt(x) for x in rec.values()]])
+    return _query(args, head, record, lambda rec: [list(rec.values())])
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
@@ -159,10 +155,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 "gamma": [list(r) for r in cors.gamma],
                 "delta": list(cors.delta)}
 
-    def rows(rec: dict) -> list[list[str]]:
-        return [[_fmt(rec["rho"]), str(n + 1), _fmt(spec.lambdas[n]),
-                 _fmt(rec["second"][n]), _fmt(rec["fourth"][n]),
-                 _fmt(rec["delta"][n])] + [_fmt(g) for g in rec["gamma"][n]]
+    def rows(rec: dict) -> list[list]:
+        return [[rec["rho"], n + 1, spec.lambdas[n], rec["second"][n],
+                 rec["fourth"][n], rec["delta"][n], *rec["gamma"][n]]
                 for n in range(spec.v)]
 
     head = ["rho", "n", "lambda", "second_moment", "fourth_moment",
@@ -178,71 +173,51 @@ def cmd_eta(args: argparse.Namespace) -> int:
         return {"rho": rho, "eta": dict(enumerate(etas[1:], start=1))}
 
     return _query(args, ["rho", "k", "eta"], record, lambda rec: [
-        [_fmt(rec["rho"]), str(k), _fmt(v)] for k, v in rec["eta"].items()])
+        [rec["rho"], k, eta] for k, eta in rec["eta"].items()])
 
 
-def _figure_delta_grid(quick: bool = False) -> list[str]:
+def _figure_delta_grid(quick: bool = False) -> tuple[list[str], list]:
     """Variance-gap signs over a log grid of two-dimensional spectra.
 
     The grid covers rho/lambda in [0.1, 50] on both axes at unit radius
     (60 x 60 points, 20 x 20 in quick mode).
     """
-    points = 20 if quick else 60
-    rho = 1.0
-    lams = np.geomspace(rho / 50.0, rho / 0.1, points)
-    lines = ["lambda1,lambda2,delta_1,delta_2"]
-    for l1 in lams:
-        for l2 in lams:
-            cors = moments_mod.correlation_set(rho, Spectrum((l1, l2)))
-            lines.append(f"{_fmt(l1)},{_fmt(l2)},"
-                         f"{_fmt(cors.delta[0])},{_fmt(cors.delta[1])}")
-    return lines
+    lams = np.geomspace(1.0 / 50.0, 1.0 / 0.1, 20 if quick else 60)
+    return ["lambda1", "lambda2", "delta_1", "delta_2"], [
+        [l1, l2, *moments_mod.correlation_set(1.0, Spectrum((l1, l2))).delta]
+        for l1 in lams for l2 in lams]
 
 
-def _figure_gamma_curves(quick: bool = False) -> list[str]:
+def _figure_gamma_curves(quick: bool = False) -> tuple[list[str], list]:
     spec = Spectrum((1.0, 2.0, 3.0))
-    points = 12 if quick else 30
-    rhos = np.geomspace(1.0, 30.0, points)
     pairs = [(0, 1), (0, 2), (1, 2)]
-    head = "rho_over_lambda3," + ",".join(
-        f"abs_gamma_{n + 1}{m + 1}" for n, m in pairs)
-    lines = [head]
-    for rho in rhos:
-        cors = moments_mod.correlation_set(float(rho), spec)
-        vals = [abs(cors.gamma[n][m]) for n, m in pairs]
-        lines.append(",".join([_fmt(rho / 3.0)] + [_fmt(x) for x in vals]))
-    return lines
+    rows = []
+    for rho in np.geomspace(1.0, 30.0, 12 if quick else 30):
+        gamma = moments_mod.correlation_set(float(rho), spec).gamma
+        rows.append([rho / 3.0] + [abs(gamma[n][m]) for n, m in pairs])
+    return ["rho_over_lambda3"] + [f"abs_gamma_{n + 1}{m + 1}" for n, m in pairs], rows
 
 
-def _figure_gamma_convergence(quick: bool = False) -> list[str]:
+def _figure_gamma_convergence(quick: bool = False) -> tuple[list[str], list]:
     spec = Spectrum((1.0, 2.0, 3.0))
-    points = 12 if quick else 30
-    rhos = np.geomspace(2.0, 60.0, points)
-    head = ["rho_over_lambda3"]
-    for n in range(3):
-        head += [f"gamma3_{n + 1}{n + 1}", f"gamma1_{n + 1}{n + 1}"]
-    lines = [",".join(head)]
-    for rho in map(float, rhos):
-        cors = moments_mod.correlation_set(rho, spec)
-        row = [_fmt(rho / 3.0)]
+    rows = []
+    for rho in map(float, np.geomspace(2.0, 60.0, 12 if quick else 30)):
+        gamma = moments_mod.correlation_set(rho, spec).gamma
+        rows.append([rho / 3.0])
         for n in range(3):
             one = moments_mod.correlation_set(rho, Spectrum((spec.lambdas[n],)))
-            row += [_fmt(cors.gamma[n][n]), _fmt(one.gamma[0][0])]
-        lines.append(",".join(row))
-    return lines
+            rows[-1] += [gamma[n][n], one.gamma[0][0]]
+    return ["rho_over_lambda3"] + [f"gamma{v}_{n + 1}{n + 1}"
+                                   for n in range(3) for v in (3, 1)], rows
 
 
-def _figure_cp_table(quick: bool = False) -> list[str]:
-    lines = ["v,p,C,fit_A,fit_eps,fit_chi2"]
-    p_min, p_max = (50, 100)
+def _figure_cp_table(quick: bool = False) -> tuple[list[str], list]:
+    rows = []
     for v in range(2, 7):
-        est = convergence_estimate(v, p_min, p_max)
-        for p, c in zip(est.p_values, est.c_values):
-            lines.append(
-                f"{v},{p},{_fmt(c)},{_fmt(est.fit_A)},"
-                f"{_fmt(est.fit_eps)},{_fmt(est.fit_chi2)}"
-            )
-    return lines
+        est = convergence_estimate(v, 50, 100)
+        rows += [[v, p, c, est.fit_A, est.fit_eps, est.fit_chi2]
+                 for p, c in zip(est.p_values, est.c_values)]
+    return ["v", "p", "C", "fit_A", "fit_eps", "fit_chi2"], rows
 
 
 _FIGURES = {
@@ -254,7 +229,7 @@ _FIGURES = {
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    _emit(_FIGURES[args.figure](args.quick), args.out)
+    _emit(_csv(*_FIGURES[args.figure](args.quick)), args.out)
     return EXIT_OK
 
 
@@ -346,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if spectrum:
-            p.add_argument("--v", type=int, default=None,
-                           help="dimension (checked against the spectrum used)")
             p.add_argument("--lambda", dest="lambdas", default=None,
                            help="comma-separated variances")
         return p
@@ -358,6 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def query(name, handler, text):
         p = command(name, handler, text, spectrum=True)
+        p.add_argument("--v", type=int, default=None,
+                       help="dimension (checked against --lambda)")
         radius = p.add_mutually_exclusive_group()
         rho(radius)
         radius.add_argument("--rho-range", default=None,

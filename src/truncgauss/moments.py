@@ -311,8 +311,7 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
 
     second, sec_err = zip(*(batch.second(n) for n in range(v)))
     fourth, frt_err = zip(*(batch.product(n, n) for n in range(v)))
-    cov = [[batch.cov(n, m)[0] for m in range(v)] for n in range(v)]
-    cov_err = [[batch.cov(n, m)[1] for m in range(v)] for n in range(v)]
+    cov, cov_err = zip(*(zip(*(batch.cov(n, m) for m in range(v))) for n in range(v)))
     var = [cov[n][n] for n in range(v)]
     var_err = [cov_err[n][n] for n in range(v)]
 

@@ -558,6 +558,14 @@ class TestFamily:
                     assert together[index] == alone
                     assert alone == ball_integral(index, rho, spec)
 
+    def test_member_past_its_factorized_bound_is_numeric_error(self):
+        # checked when the member is read; the error names the index
+        index = MultiIndex((1, 2))
+        family = ball.BallIntegrals({index: (1.01 * index.factorized_bound(), 0.0)})
+        with pytest.raises(NumericError, match=r"exceeds its factorized bound 3 "
+                                               r"for index \(1, 2\)$"):
+            family[index]
+
     def test_one_dimensional_family(self):
         spec = Spectrum((1.7,))
         family = [MultiIndex((k,)) for k in range(4)]

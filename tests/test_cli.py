@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -267,6 +268,35 @@ class TestFigures:
         assert exc.value.code == 2
 
 
+# every table command; the columns that hold integers
+_TABLES = {
+    "integral": "integral --lambda 1,2 --rho 4 --index 1:1",
+    "integral --rho-range": "integral --lambda 1 --rho-range 0.5:8:4:log --index 1:2",
+    "integral --mc": "integral --lambda 1,2 --rho 4 --index 1:1 --mc --samples 10000 --seed 7",
+    "moments": "moments --lambda 1,2,3 --rho 5",
+    "moments --rho-range": "moments --lambda 1,2 --rho-range 1:10:3:log",
+    "eta": "eta --lambda 1,2 --rho 5 --order 3",
+    **{f"figure {name}": f"figure {name} --quick"
+       for name in ("delta-grid", "gamma-curves", "gamma-convergence")},
+    "cp-table": "cp-table",
+}
+_INTEGER_COLUMNS = {"v", "p", "n", "k", "n_kept", "n_total"}
+
+
+@pytest.mark.parametrize("argv", _TABLES.values(), ids=_TABLES.keys())
+def test_csv_fields_are_integers_or_17_digit_floats(argv, capsys):
+    # every other test parses fields with float(), so none pins this form
+    code, out, _ = run(shlex.split(argv), capsys)
+    assert code == 0
+    head, *rows = [line.split(",") for line in out.splitlines()]
+    assert rows
+    for row in rows:
+        assert len(row) == len(head)
+        for column, field in zip(head, row):
+            form = r"-?\d+" if column in _INTEGER_COLUMNS else r"-?\d\.\d{16}e[+-]\d{2,3}"
+            assert re.fullmatch(form, field), (column, field)
+
+
 class TestVerify:
     def test_xi_suite_passes(self, capsys):
         code, out, _ = run(["verify", "xi", "--qmax", "5"], capsys)
@@ -377,7 +407,7 @@ _BASES = {
     "cp-table": ["cp-table"],
     "verify": ["verify", "xi", "--qmax", "2"],
     **{f"verify {suite}": ["verify", suite]
-       for suite in ("structural", "inequalities", "eta", "asymptotic", "xi")},
+       for suite in ("structural", "inequalities", "eta", "asymptotic", "xi", "all")},
 }
 _UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
            ("figure", "--v 2"), ("figure", "--lambda 1"),
@@ -393,17 +423,20 @@ _UNREAD = [("moments", "--seed 1"), ("eta", "--seed 1"),
            ("verify xi", "--lambda 1"), ("verify structural", "--quick"),
            ("verify structural", "--qmax 2"), ("verify inequalities", "--rho 3"),
            ("verify inequalities", "--qmax 2"), ("verify asymptotic", "--rho 3"),
-           ("verify asymptotic", "--qmax 2")]
+           ("verify asymptotic", "--qmax 2"),
+           # --v could only repeat what --lambda or a suite's default fixes
+           ("verify structural", "--v 3"), ("verify inequalities", "--v 2"),
+           ("verify asymptotic", "--v 2"), ("verify all", "--quick --v 3")]
 
 
 # every option each verify suite reads, and `all` reads them all
 _SUITE_READ = {
-    "structural": "--lambda 1,2 --v 2 --rho 3",
-    "inequalities": "--lambda 1,2 --v 2 --quick",
+    "structural": "--lambda 1,2 --rho 3",
+    "inequalities": "--lambda 1,2 --quick",
     "eta": "--quick",
-    "asymptotic": "--lambda 1,2 --v 2 --quick",
+    "asymptotic": "--lambda 1,2 --quick",
     "xi": "--qmax 3",
-    "all": "--lambda 1,2 --v 2 --rho 3 --quick --qmax 3",
+    "all": "--lambda 1,2 --rho 3 --quick --qmax 3",
 }
 
 
@@ -467,9 +500,8 @@ class TestSurface:
 
 
 # every usage error the command line raises after argparse, one case each;
-# the default-v cases exited 0 ignoring --v, rho-range-inf printed a numpy
-# RuntimeWarning first, rho-range-memory ended in a MemoryError traceback,
-# and variance-empty-token read 1,,2 as 1,2
+# rho-range-inf printed a numpy RuntimeWarning first, rho-range-memory ended
+# in a MemoryError traceback, and variance-empty-token read 1,,2 as 1,2
 _USAGE_ERRORS = {
     "index-form": "integral --lambda 1,1 --rho 2 --index banana",
     "index-empty-tokens": "integral --lambda 1,1 --rho 2 --index ,,",
@@ -491,10 +523,6 @@ _USAGE_ERRORS = {
     "mc-rho-range": "integral --mc --lambda 1,2 --samples 10000 --rho-range 1:3:2:lin",
     "mc-no-radius": "integral --mc --lambda 1,2",
     "mc-options": "integral --lambda 1,2 --rho 2 --seed 3",
-    "structural-default-v": "verify structural --v 3",
-    "inequalities-default-v": "verify inequalities --v 2",
-    "asymptotic-default-v": "verify asymptotic --v 2",
-    "all-default-v": "verify all --quick --v 3",
 }
 
 

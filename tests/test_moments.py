@@ -99,6 +99,23 @@ class TestConditionalMoments:
             assert sampled.second(n)[0] == pytest.approx(quad.second[n], rel=2e-2)
             assert sampled.product(n, n)[0] == pytest.approx(quad.fourth[n], rel=5e-2)
 
+    @pytest.mark.parametrize("member, moment", [((0, 0, 1), "second"), ((0, 0, 2), "fourth")])
+    def test_moment_past_its_bound_is_numeric_error(self, monkeypatch, member, moment):
+        # a family whose alpha_k / alpha_0 puts E[X_2^2] or E[X_2^4] past
+        # lambda_2 or 3 lambda_2^2; the error names the dimension
+        real = moments.ball_integrals
+
+        def inflated(indices, rho, spectrum):
+            family = dict(real(indices, rho, spectrum))
+            value = family[MultiIndex(member)]
+            family[MultiIndex(member)] = IntegralValue(100.0 * value.value,
+                                                        value.est_abs_error)
+            return family
+
+        monkeypatch.setattr(moments, "ball_integrals", inflated)
+        with pytest.raises(NumericError, match=f"^{moment} moment .* at n=2, rho=5.0$"):
+            conditional_moments(5.0, SPEC3)
+
     def test_default_route_beyond_quadrature_dimensions(self):
         # eight equal-variance dimensions: the mixture gives every coordinate
         # the isotropic closed form lambda P(v/2 + 1, x) / P(v/2, x)

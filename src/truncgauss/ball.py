@@ -58,6 +58,11 @@ _MC_MIN_SAMPLES = 10_000
 # A v = 5 family near it takes 0.3-1 s; it binds once both
 # lambda_max / lambda_min and rho / lambda_min are large (see CHANGES.md).
 _MIXTURE_MAX_TERMS = 1 << 12
+
+# Relative rounding slack a value may exceed an exact upper bound by before
+# the excess counts as a route breakdown.
+_BOUND_SLACK = 1.0 + 1e-9
+
 # A member stops adding terms once its truncation bound is below this share
 # of its rounding term.  That term bounds the rounding 10-30x above what
 # happens, so a share of 1 would let truncation dominate the error.
@@ -445,7 +450,7 @@ class BallIntegrals(Mapping):
                 f"ball integral evaluated to {value} for index "
                 f"{index.multiplicities} (underflow, overflow or route breakdown)"
             )
-        if value > bound * (1.0 + 1e-9):
+        if value > bound * _BOUND_SLACK:
             raise NumericError(
                 f"ball integral {value} exceeds its factorized bound {bound} "
                 f"for index {index.multiplicities}"

@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, text, spectrum=False, under=sub):
         p = under.add_parser(name, help=text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if spectrum:
             p.add_argument("--lambda", dest="lambdas", default=None,
@@ -385,7 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # rejected with the usage line of the command that did not read it
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except (DomainError, OSError) as exc:

@@ -45,9 +45,12 @@ class CoefficientTable:
 
     ``d[k][l]`` expands the k-fold scaled radial derivative
     (rho d/drho)^k alpha over the index-summed integrals x_l;
-    ``c[k][l]`` does the same for rho^k (d/drho)^k alpha / alpha, and
-    ``phi[k]`` is the semifactorial quotient v!! / (v - 2k)!! extended by
-    its product recurrence when the quotient form is undefined.
+    ``c[k][l]`` does the same for rho^k (d/drho)^k alpha / alpha.
+    Since (rho d/drho)^k = sum_t S(k, t) rho^t (d/drho)^t, with S the
+    Stirling numbers of the second kind, d = S c:
+    ``d[k][l] = sum_t S(k, t) c[t][l]``.  ``phi[k]`` is the semifactorial
+    quotient v!! / (v - 2k)!! extended by its product recurrence when the
+    quotient form is undefined.
     """
 
     v: int
@@ -69,13 +72,9 @@ def coefficient_table(v: int, k_max: int) -> CoefficientTable:
     c[0][0] = Fraction(1)
     for k in range(1, k_max + 1):
         for ell in range(k + 1):
-            d[k][ell] = sum(
-                Fraction((-1) ** ell * phi[t - ell] * stirling_second(k, t)
-                         * math.comb(t, ell), 2 ** t)
-                for t in range(ell, k + 1)
-            )
             c[k][ell] = Fraction((-1) ** ell * phi[k - ell] * math.comb(k, ell),
                                  2 ** k)
+            d[k][ell] = sum(stirling_second(k, t) * c[t][ell] for t in range(ell, k + 1))
     return CoefficientTable(
         v,
         tuple(tuple(row) for row in d),

@@ -24,7 +24,7 @@ from .errors import DomainError, NumericError
 from .eta import _etas, _order, q_polynomial
 from .moments import MomentBatch
 from .report import Report
-from .special import _compositions, _integer, _multinomial, _nonzero
+from .special import _compositions, _integer, _multinomial
 
 __all__ = [
     "ExpansionPartialSum",
@@ -141,9 +141,8 @@ def gamma_nm_cancellation_check(n: int, m: int, rho: float,
     report = Report("covariance-cancellation")
     lam_n, lam_m = spectrum.lambdas[n], spectrum.lambdas[m]
     batch = MomentBatch(rho, spectrum)
-    rho2 = _nonzero(batch.rho ** 2, f"rho^2 at rho = {batch.rho}")
-    gamma_nm = batch.cov(n, m)[0] / rho2
-    envelope = (lam_n * lam_m / rho2) * (spectrum.lambda_max / rho)
+    gamma_nm = batch.cov(n, m)[0] / batch.rho2
+    envelope = (lam_n * lam_m / batch.rho2) * (spectrum.lambda_max / rho)
     report.add("covariance-below-first-order", abs(gamma_nm) < envelope,
                envelope - abs(gamma_nm),
                detail=f"|cov|/rho^2 = {abs(gamma_nm):.3e} vs envelope {envelope:.3e}")

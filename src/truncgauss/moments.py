@@ -8,12 +8,13 @@ quantity being tested is itself tiny.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
-                   _index_family, ball_integral, ball_integrals)
+from .ball import (_BOUND_SLACK, MultiIndex, Spectrum, _check_rho, _check_spectrum,
+                   _dimension, _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
 from .report import NOISE_FACTOR, Report
 from .special import _finite, _nonzero, _positive, _real
@@ -135,6 +136,12 @@ class MomentBatch:
             self._ratios[key] = hit
         return hit
 
+    @functools.cached_property
+    def rho2(self) -> float:
+        """rho^2, the divisor of every scaled moment; a NumericError if it
+        underflows to 0."""
+        return _nonzero(self.rho * self.rho, f"rho^2 at rho = {self.rho}")
+
     def second(self, n: int) -> tuple[float, float]:
         """E[X_n^2 | ball]."""
         n = _dimension(n, self.spectrum.v)
@@ -166,9 +173,8 @@ class MomentBatch:
         var, var_err = self.cov(n, n)
         second, sec_err = self.second(n)
         lam = self.spectrum.lambdas[n]
-        rho2 = _nonzero(self.rho * self.rho, f"rho^2 at rho = {self.rho}")
-        return (_finite((var - 2.0 * lam * second) / rho2, f"variance gap {n}"),
-                (var_err + 2.0 * lam * sec_err) / rho2)
+        return (_finite((var - 2.0 * lam * second) / self.rho2, f"variance gap {n}"),
+                (var_err + 2.0 * lam * sec_err) / self.rho2)
 
 
 def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
@@ -185,12 +191,12 @@ def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
     fourth = tuple(cross[n][n] for n in range(v))
     for n in range(v):
         lam = lams[n]
-        if not (0.0 < second[n] <= lam * (1.0 + 1e-9) and second[n] < rho):
+        if not (0.0 < second[n] <= lam * _BOUND_SLACK and second[n] < rho):
             raise NumericError(
                 f"second moment {second[n]} outside (0, min(lambda, rho)] "
                 f"at n={n}, rho={rho}"
             )
-        if not (0.0 < fourth[n] <= 3.0 * lam * lam * (1.0 + 1e-9)
+        if not (0.0 < fourth[n] <= 3.0 * lam * lam * _BOUND_SLACK
                 and fourth[n] < rho * rho):
             raise NumericError(
                 f"fourth moment {fourth[n]} outside its bounds at n={n}, rho={rho}"
@@ -210,8 +216,7 @@ def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
 
 def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
     batch = MomentBatch(rho, spectrum)
-    v = spectrum.v
-    rho2 = _nonzero(batch.rho * batch.rho, f"rho^2 at rho = {batch.rho}")
+    v, rho2 = spectrum.v, batch.rho2
     gamma = [[0.0] * v for _ in range(v)]
     for n in range(v):
         for m in range(n, v):
@@ -302,7 +307,12 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
     """Every inequality the moment structure must (or is claimed to) satisfy.
 
     Proved facts are assert-class; the sign conjectures on the variance gap,
-    the covariances, and diagonal dominance are claim-class findings.
+    the covariances, and diagonal dominance are claim-class findings.  Some
+    checks restate others by algebra.  ``fourth-vs-tight[n]`` is rho^2 times
+    the ``variance-gap[n]`` inequality, with a different noise bar.  Both
+    comparisons in ``chain-monotone[n]`` reduce to E[X_n^2] <= lambda_n.
+    ``log-concavity-combination`` reads the all-ones direction of the
+    covariance matrix C of X_n^2 / lambda_n: 1^T C 1 <= 2 v.
     """
     report = Report("inequalities")
     batch = MomentBatch(rho, spectrum)

@@ -9,7 +9,7 @@ as ``violated-claim`` rather than as a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 PASS = "pass"
 FAIL = "fail"
@@ -51,11 +51,7 @@ class Report:
         return check
 
     def extend(self, other: "Report", prefix: str = "") -> None:
-        if not prefix:
-            self.checks.extend(other.checks)
-            return
-        for c in other.checks:
-            self.checks.append(Check(prefix + c.name, c.status, c.margin, c.detail))
+        self.checks.extend([replace(c, name=prefix + c.name) for c in other.checks])
 
     @property
     def failures(self) -> list[Check]:
@@ -80,13 +76,5 @@ class Report:
             "suite": self.suite,
             "passed": self.passed,
             "claims_violated": bool(self.findings),
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "margin": c.margin,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }

@@ -273,7 +273,7 @@ def _kummer_sum(s: float, x: np.ndarray) -> np.ndarray:
         elif not run[0]:
             return total
     raise NumericError(
-        f"vectorized incomplete-gamma series hit the {_SERIES_CAP}-term cap"
+        f"vectorized incomplete-gamma series hit the {_SERIES_CAP}-term cap at s={s}"
     )
 
 
@@ -310,5 +310,5 @@ def _upper_fraction(s: float, x: np.ndarray) -> np.ndarray:
             return h
     raise NumericError(
         f"vectorized incomplete-gamma continued fraction hit the "
-        f"{_CF_CAP}-iteration cap"
+        f"{_CF_CAP}-iteration cap at s={s}"
     )

@@ -331,6 +331,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
 
+    def test_report_keys_and_order(self, capsys):
+        # the JSON schema: top-level keys, then each check's, in this order
+        _, out, _ = run(
+            ["verify", "structural", "--lambda", "1,2", "--rho", "3"], capsys)
+        payload = json.loads(out)
+        assert list(payload) == [
+            "schema_version", "suite", "passed", "claims_violated", "checks"]
+        assert payload["checks"]
+        for check in payload["checks"]:
+            assert list(check) == ["name", "status", "margin", "detail"]
+
     def test_eta_suite_quick(self, capsys):
         code, out, _ = run(["verify", "eta", "--quick"], capsys)
         assert code == 0
@@ -475,10 +486,13 @@ class TestSurface:
         "command,option", _UNREAD,
         ids=[f"{c} {o.split()[0]}" for c, o in _UNREAD])
     def test_unread_option_rejected(self, command, option, capsys):
-        # an option no handler reads would be silently ignored
+        # an option no handler reads would be silently ignored; the usage
+        # line shown is the command's own, not the top-level one
         with pytest.raises(SystemExit) as exc:
             main(_BASES[command] + option.split())
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[0].startswith(
+            f"usage: truncgauss {command} ")
 
     @pytest.mark.parametrize("suite", _SUITE_READ)
     def test_suite_options_parse(self, suite):

@@ -97,6 +97,24 @@ class TestCoefficientTable:
         with pytest.raises(DomainError):
             coefficient_table(2, 33)
 
+    def test_tables_match_closed_forms_to_the_cap(self):
+        # c and d against their closed forms, d written out as a triple sum
+        # of c's terms, for every entry up to order 32
+        for v in range(1, 13):
+            t = coefficient_table(v, 32)
+            phi = [1]
+            for k in range(1, 33):
+                phi.append((v - 2 * k + 2) * phi[k - 1])
+            for k in range(33):
+                for ell in range(k + 1):
+                    assert t.c[k][ell] == Fraction(
+                        (-1) ** ell * phi[k - ell] * math.comb(k, ell), 2 ** k)
+                    assert t.d[k][ell] == sum(
+                        Fraction((-1) ** ell * phi[t_ - ell] * stirling_second(k, t_)
+                                 * math.comb(t_, ell), 2 ** t_)
+                        for t_ in range(ell, k + 1))
+                    assert type(t.c[k][ell]) is type(t.d[k][ell]) is Fraction
+
 
 SPEC2 = Spectrum((1.0, 2.0))
 SPEC3 = Spectrum((1.0, 2.0, 3.0))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncgauss import ball
+from truncgauss import ball, expansion
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral, ball_integral_1d
-from truncgauss.errors import CapabilityError, DomainError
+from truncgauss.errors import CapabilityError, DomainError, NumericError
 from truncgauss.expansion import (
     _c_value,
     _term_profile_log,
@@ -287,6 +287,14 @@ class TestCancellationCheck:
 
 
 class TestConvergenceEstimate:
+    def test_edge_maximum_is_bracket_failure(self, monkeypatch):
+        # a profile increasing over the whole grid peaks at its last node,
+        # which leaves no cell on its right to bracket the maximum
+        monkeypatch.setattr(expansion, "_term_profile_log",
+                            lambda p, phi_star, log_x: log_x)
+        with pytest.raises(NumericError, match="v=4, p=7"):
+            _c_value(4, 7)
+
     def test_fit_window_validation(self):
         with pytest.raises(DomainError):
             convergence_estimate(1, 50, 100)

@@ -467,6 +467,12 @@ class TestRhoStar:
         with pytest.raises(DomainError):
             rho_star(n, SPEC3)
 
+    def test_unsettled_iteration_is_numeric_error(self, monkeypatch):
+        # a second moment that tracks rho moves the target with every step
+        monkeypatch.setattr(moments, "_second_moment", lambda n, rho, spectrum: rho)
+        with pytest.raises(NumericError, match=r"tol=1e-10 in 200 steps \(n=1,"):
+            rho_star(1, SPEC3)
+
 
 class TestDimensionArgument:
     @pytest.mark.parametrize("call", [

@@ -295,6 +295,16 @@ class TestLowerIncompleteGamma:
         alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
         assert together.tobytes() == np.array(alone).tobytes()
 
+    @pytest.mark.parametrize("cap, x, route", [
+        ("_SERIES_CAP", 5.0, "series hit the 2-term cap"),
+        ("_CF_CAP", 20.0, "continued fraction hit the 2-iteration cap")])
+    def test_iteration_cap_is_numeric_error(self, cap, x, route, monkeypatch):
+        # x = 5 is a series lane and x = 20 a continued-fraction lane at
+        # s = 1.5; neither converges in two steps
+        monkeypatch.setattr(special, cap, 2)
+        with pytest.raises(NumericError, match=f"{route} at s=1.5"):
+            lower_incomplete_gamma(1.5, x)
+
 
 _SPEC = Spectrum((1.0, 2.0, 3.0))
 _ONE = {(0, (0,)): 1}

@@ -226,8 +226,10 @@ class TestPsi:
         assert psi(1, (1,)) == 2
 
     def test_wrong_power_count_vanishes(self):
-        assert psi(2, (1,)) == 0
-        assert psi(1, (0, 1)) == 0
+        # both routes return 0 before they look at any split
+        for p, tail in ((2, (1,)), (1, (0, 1)), (0, (1, 1)), (5, (2, 1))):
+            assert power_count(tail) != p
+            assert psi(p, tail) == psi_grouped(p, tail) == 0
 
     def test_negative_entry_raises(self):
         with pytest.raises(DomainError):

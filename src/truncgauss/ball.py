@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .report import NOISE_FACTOR, Report
+from .report import Report
 from .special import (_compositions, _integer, _integers,
                       _lower_incomplete_gamma_vec, _positive, double_factorial)
 
@@ -651,9 +651,8 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
         for k in range(1, order_cap + 1):
             cur = at_base[MultiIndex.single(v, n, k)]
             margin = (2 * k - 1) * prev.value - cur.value
-            noise = 1e-12 * prev.value + NOISE_FACTOR * (
-                (2 * k - 1) * prev.est_abs_error + cur.est_abs_error)
-            report.add(f"hierarchy[dim{n},k={k}]", margin >= -noise, margin)
+            noise = (2 * k - 1) * prev.est_abs_error + cur.est_abs_error
+            report.add_margin(f"hierarchy[dim{n},k={k}]", margin, noise, prev.value)
             prev = cur
 
     # Power dominance: k-index integral bounded by (rho/lambda)^(k-p) times lower.
@@ -666,8 +665,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
                 except OverflowError:
                     bound = _FLOAT_MAX
                 margin = bound - vals[k]
-                report.add(f"power-dominance[dim{n},{k}->{p}]",
-                           margin >= -1e-12 * bound, margin)
+                report.add_margin(f"power-dominance[dim{n},{k}->{p}]", margin, 0.0, bound)
 
     # The radial derivative of any indexed integral dies off at large radius.
     rho_big = 60.0 * spectrum.lambda_max

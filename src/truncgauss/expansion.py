@@ -182,25 +182,33 @@ def _term_profile_log(p: int, phi_star: float, log_x: np.ndarray) -> np.ndarray:
 def _c_value(v: int, p: int) -> float:
     """Max over positive x of the p-th term profile, divided by p.
 
-    A 400-point log grid over [1e-3, 1e3] picks the lobe; the two cells
-    around the best node are then re-gridded with 400 points until the
-    bracket is narrower than 1e-10 relative.
+    A 400-point log grid over [1e-3, 1e3] finds the lobes; every lobe
+    whose grid peak lies within 0.1 (in log) of the best node has the two
+    cells around its peak re-gridded with 400 points until the bracket is
+    narrower than 1e-10 relative, and the highest refined peak is kept.
     """
     phi_star = (v - 3) / 2.0
     grid = np.linspace(math.log(1e-3), math.log(1e3), 400)
     profile = _term_profile_log(p, phi_star, grid)
-    i = int(np.argmax(profile))
-    if i == 0 or i == len(grid) - 1:
+    best = int(np.argmax(profile))
+    if best == 0 or best == len(grid) - 1:
         raise NumericError(
             f"maximizer bracket failure for the term profile at v={v}, p={p}"
         )
-    a, b = grid[i - 1], grid[i + 1]
-    while abs(b - a) > 1e-10 * max(abs(a), abs(b), 1.0):
-        grid = np.linspace(a, b, 400)
-        profile = _term_profile_log(p, phi_star, grid)
-        i = min(max(int(np.argmax(profile)), 1), len(grid) - 2)
+    # Two lobes can peak so close that the coarse grid ranks them wrongly.
+    # At v = 2..12, p <= 200, a window of 0.1 keeps the C(p) of refining
+    # the three highest lobes, and refines a single lobe for most p.
+    floor = np.maximum(np.maximum(profile[:-2], profile[2:]), profile[best] - 0.1)
+    peaks = []
+    for i in 1 + np.flatnonzero(profile[1:-1] >= floor):
         a, b = grid[i - 1], grid[i + 1]
-    return math.exp(float(np.max(profile))) / p
+        while abs(b - a) > 1e-10 * max(abs(a), abs(b), 1.0):
+            fine = np.linspace(a, b, 400)
+            refined = _term_profile_log(p, phi_star, fine)
+            j = min(max(int(np.argmax(refined)), 1), len(fine) - 2)
+            a, b = fine[j - 1], fine[j + 1]
+        peaks.append(float(np.max(refined)))
+    return math.exp(max(peaks)) / p
 
 
 def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
@@ -209,12 +217,11 @@ def convergence_estimate(v: int, p_min: int, p_max: int) -> ConvergenceEstimate:
     A decaying fit (positive exponent) signals a convergent expansion for
     that dimension; the estimate turns increasing at v = 6.  phi* =
     (v - 3) / 2 holds for every v, but the float profile is trusted only
-    through v = 9: there every C(p), p <= 200, is within 1e-8 of a 40-digit
-    reference.  At v = 10 and 11 the first grid can pick the lower of two
-    near-equal lobes (7.7e-2 off at v = 10, p = 150), and from v = 12 the
-    alternating sum of the profile cancels past 1e-8.
+    through v = 10: there every C(p), p <= 200, is within 1e-8 of a 40-digit
+    reference (6.8e-9 at worst, at v = 10, p = 194).  At v = 11 the
+    alternating sum of the profile already cancels to 2.1e-8 (p = 199).
     """
-    v, p_min = _integer(v, "v", 2, 9), _integer(p_min, "p_min", 1, 199)
+    v, p_min = _integer(v, "v", 2, 10), _integer(p_min, "p_min", 1, 199)
     p_max = _integer(p_max, "p_max", p_min + 1, 200)
     p_values = tuple(range(p_min, p_max + 1))
     c_values = tuple(_c_value(v, p) for p in p_values)

@@ -1,9 +1,10 @@
 """Conditional moments of the ball-truncated Gaussian and the inequality battery.
 
 All moments are ratios of ball integrals.  Every inequality check carries a
-margin and a noise threshold (ten times the propagated quadrature error), so
-a genuine violation is distinguishable from roundoff at points where the
-quantity being tested is itself tiny.
+margin and its propagated quadrature error, which ``report.Report.add_margin``
+scales into the noise threshold (``report`` holds the factor), so a genuine
+violation is distinguishable from roundoff at points where the quantity
+being tested is itself tiny.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .ball import (_BOUND_SLACK, MultiIndex, Spectrum, _check_rho, _check_spectrum,
                    _dimension, _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
-from .report import NOISE_FACTOR, Report
+from .report import SLACK, Report
 from .special import _finite, _nonzero, _positive, _real
 
 __all__ = [
@@ -261,7 +262,7 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
         region = REGION_WEAK
     else:
         region = REGION_CROSSOVER
-    bound_holds = batch.cov(n, n)[0] <= 2.0 * h * e2 * (1.0 + 1e-12)
+    bound_holds = batch.cov(n, n)[0] <= 2.0 * h * e2 * (1.0 + SLACK)
     return HolderReport(h, h1, h2, region, bound_holds)
 
 
@@ -270,7 +271,7 @@ def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
     n = _dimension(n, _check_spectrum(spectrum).v)
     moments = conditional_moments(rho, spectrum)
     lam = spectrum.lambdas[n]
-    return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + 1e-12)
+    return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + SLACK)
 
 
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:
@@ -322,59 +323,50 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
     second, sec_err = zip(*(batch.second(n) for n in range(v)))
     fourth, frt_err = zip(*(batch.product(n, n) for n in range(v)))
     cov, cov_err = zip(*(zip(*(batch.cov(n, m) for m in range(v))) for n in range(v)))
-    var = [cov[n][n] for n in range(v)]
-    var_err = [cov_err[n][n] for n in range(v)]
 
     # Log-concavity consequence: scaled variances minus 2v plus scaled
     # cross-covariances stays nonpositive.
-    combo = sum(var[n] / lams[n] / lams[n] for n in range(v)) - 2.0 * v
+    combo = sum(cov[n][n] / lams[n] / lams[n] for n in range(v)) - 2.0 * v
     combo += sum(cov[n][m] / lams[n] / lams[m]
                  for n in range(v) for m in range(v) if m != n)
-    combo_err = sum(var_err[n] / lams[n] / lams[n] for n in range(v))
+    combo_err = sum(cov_err[n][n] / lams[n] / lams[n] for n in range(v))
     combo_err += sum(cov_err[n][m] / lams[n] / lams[m]
                      for n in range(v) for m in range(v) if m != n)
-    report.add("log-concavity-combination", combo <= NOISE_FACTOR * combo_err,
-               -combo, detail=f"value {combo:.6e}, noise {combo_err:.1e}")
+    report.add_margin("log-concavity-combination", -combo, combo_err,
+                      detail=f"value {combo:.6e}, noise {combo_err:.1e}")
 
     # Trace bound on the scaled second moments.
     trace = sum(second[n] / lams[n] for n in range(v))
     trace_err = sum(sec_err[n] / lams[n] for n in range(v))
-    report.add("second-moment-trace", trace <= v + NOISE_FACTOR * trace_err,
-               v - trace, detail=f"sum {trace:.12f} vs v={v}")
+    report.add_margin("second-moment-trace", v - trace, trace_err,
+                      detail=f"sum {trace:.12f} vs v={v}")
 
     for n in range(v):
         lam = lams[n]
-        noise = NOISE_FACTOR * (frt_err[n] + 3.0 * lam * sec_err[n])
+        noise = frt_err[n] + 3.0 * lam * sec_err[n]
 
         # Chain of fourth-moment bounds, loosest last; each step must not tighten.
         b1 = second[n] * (2.0 * lam + second[n])
         b2 = lam * (2.0 * lam + second[n])
         b3 = 3.0 * lam * lam
-        report.add(f"chain-monotone[{n}]",
-                   b1 <= b2 + noise and b2 <= b3 + noise,
-                   min(b2 - b1, b3 - b2))
-        report.add(f"fourth-vs-tight[{n}]", fourth[n] <= b1 + noise,
-                   b1 - fourth[n], claim=True,
-                   detail="equivalent to the nonpositive variance gap")
-        report.add(f"fourth-vs-loose[{n}]", fourth[n] <= b2 + noise,
-                   b2 - fourth[n])
-        report.add(f"fourth-vs-free[{n}]", fourth[n] <= b3 + noise,
-                   b3 - fourth[n])
+        report.add_margin(f"chain-monotone[{n}]", min(b2 - b1, b3 - b2), noise)
+        report.add_margin(f"fourth-vs-tight[{n}]", b1 - fourth[n], noise, claim=True,
+                          detail="equivalent to the nonpositive variance gap")
+        report.add_margin(f"fourth-vs-loose[{n}]", b2 - fourth[n], noise)
+        report.add_margin(f"fourth-vs-free[{n}]", b3 - fourth[n], noise)
 
         gap, gap_err = batch.gap(n)
-        report.add(f"variance-gap[{n}]", gap <= NOISE_FACTOR * gap_err, -gap,
-                   claim=True, detail=f"gap {gap:.6e}, noise {gap_err:.1e}")
+        report.add_margin(f"variance-gap[{n}]", -gap, gap_err, claim=True,
+                          detail=f"gap {gap:.6e}, noise {gap_err:.1e}")
 
         row = sum(abs(cov[n][m]) for m in range(v) if m != n)
         row_err = sum(cov_err[n][m] for m in range(v) if m != n)
-        report.add(f"diagonal-dominance[{n}]",
-                   var[n] >= row - NOISE_FACTOR * (var_err[n] + row_err),
-                   var[n] - row, claim=True)
+        report.add_margin(f"diagonal-dominance[{n}]", cov[n][n] - row,
+                          cov_err[n][n] + row_err, claim=True)
 
         for m in range(n + 1, v):
-            report.add(f"negative-covariance[{n},{m}]",
-                       cov[n][m] <= NOISE_FACTOR * cov_err[n][m],
-                       -cov[n][m], claim=True,
-                       detail=f"cov {cov[n][m]:.6e}, noise {cov_err[n][m]:.1e}")
+            report.add_margin(f"negative-covariance[{n},{m}]", -cov[n][m],
+                              cov_err[n][m], claim=True,
+                              detail=f"cov {cov[n][m]:.6e}, noise {cov_err[n][m]:.1e}")
 
     return report

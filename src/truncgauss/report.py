@@ -21,6 +21,8 @@ SCHEMA_VERSION = "1"
 # exceeds this multiple of their propagated error, so quadrature noise near
 # a zero crossing does not create false findings.
 NOISE_FACTOR = 10.0
+# The relative rounding floor of a comparison against a computed magnitude.
+SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,15 @@ class Report:
         check = Check(name, status, float(margin), detail)
         self.checks.append(check)
         return check
+
+    def add_margin(self, name: str, margin: float, noise: float, size: float = 0.0,
+                   claim: bool = False, detail: str = "") -> Check:
+        """Add a check its margin decides: it passes iff
+        ``margin >= -(NOISE_FACTOR * noise + SLACK * size)``, where ``noise``
+        is the propagated error the margin is read against and ``size`` the
+        magnitude a rounding floor scales with."""
+        return self.add(name, margin >= -(NOISE_FACTOR * noise + SLACK * size),
+                        margin, claim, detail)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         self.checks.extend([replace(c, name=prefix + c.name) for c in other.checks])

@@ -262,7 +262,7 @@ def omega_inequality_scan(q_max: int) -> Report:
     violations = sum(1 for margin, parts in margins
                      if not (margin > 0 if parts >= 2 else margin >= 0))
     report.add("pointwise-weight-inequality", violations == 0,
-               float(min(margin for margin, _ in margins)),
+               float(min(margin - (parts >= 2) for margin, parts in margins)),
                detail=f"{len(margins)} splitting tails scanned, {violations} violations")
 
     weights = {q: [(t, omega(0, q, t), omega(1, q, t)) for t in enumerate_exponents(q, q)]
@@ -272,7 +272,7 @@ def omega_inequality_scan(q_max: int) -> Report:
         bad = [t for (t, _, _), gap in zip(rows, gaps)
                if gap * sum(t) != _multinomial(t) * q * q]
         min_gap = min(gaps)
-        report.add(f"omega0<omega1[q={q}]", not bad, float(min_gap),
+        report.add(f"omega0<omega1[q={q}]", not bad, float(-len(bad)),
                    detail=f"{len(rows)} tails, min gap {min_gap}")
 
     for q, rows in weights.items():
@@ -282,7 +282,7 @@ def omega_inequality_scan(q_max: int) -> Report:
             weighted = 4 * (-1) ** n * _semifactorial_weight(t) * (w0 - w1)
             if value != weighted or value * (-1) ** (n - 1) <= 0:
                 bad_sign.append(t)
-        report.add(f"sign-law[q={q}]", not bad_sign, float(len(rows)),
+        report.add(f"sign-law[q={q}]", not bad_sign, float(-len(bad_sign)),
                    detail=f"{len(rows)} tails checked")
     return report
 
@@ -322,7 +322,7 @@ def gap_convolution_check(q_max: int) -> Report:
                             Fraction(0))
             report.add(
                 f"route-equivalence[q={q},e={tail}]", closed == convolved,
-                float(abs(closed)),
+                float(-abs(closed - convolved)),
                 detail=f"closed {closed}, convolved {convolved}",
             )
     return report
@@ -347,5 +347,5 @@ def inverse_mass_identity_check(q_max: int) -> Report:
             value = product.get((q, (0,) + tail), 0)
             expected = Fraction(1) if q == 0 else Fraction(0)
             report.add(f"identity[q={q},e={tail}]", value == expected,
-                       0.0, detail=f"got {value}")
+                       float(-abs(value - expected)), detail=f"got {value}")
     return report

@@ -255,6 +255,21 @@ class TestAsymptoticReport:
         assert any(name.startswith("limit-sign[k=1]") for name in names)
         assert any(name.startswith("envelope[k=4") for name in names)
 
+    @pytest.mark.parametrize("eta1, name, margin", [
+        ((3e-3, 4e-3, 1e-3), "vanishing[k=1]", -1e-3),
+        ((3e-3, -2e-3, 1e-3), "limit-sign[k=1]", -2e-3),
+    ], ids=["vanishing", "limit-sign"])
+    def test_failing_check_has_a_negative_margin(self, monkeypatch, eta1, name, margin):
+        # the tail rises then falls, or its sign flips then returns: the
+        # endpoints alone would read as a pass
+        schedule = (20.0, 40.0, 80.0)
+        values = dict(zip(schedule, eta1))
+        monkeypatch.setattr(eta_mod, "_etas",
+                            lambda k_max, rho, spectrum: (1.0, (1.0, values[rho])))
+        report = asymptotic_checks(SPEC3, 1, schedule)
+        check = next(c for c in report.checks if c.name == name)
+        assert not check.ok and check.margin == pytest.approx(margin, rel=1e-12)
+
     def test_polynomial_overflow_is_numeric_error(self):
         # x^2 past float range leaked OverflowError; at lambda_min = 1e-300
         # the envelope's range ends at rho / 2e-300

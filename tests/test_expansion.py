@@ -301,7 +301,7 @@ class TestConvergenceEstimate:
         with pytest.raises(DomainError):
             convergence_estimate(3, 100, 50)
         with pytest.raises(DomainError):
-            convergence_estimate(10, 50, 100)
+            convergence_estimate(11, 50, 100)
 
     def test_three_dimensional_closed_form(self):
         # with the middle dimension the profile is a single monomial whose
@@ -372,6 +372,19 @@ class TestConvergenceEstimate:
             x = mpmath.findroot(lambda x: slope(x) / poly(x) - 1, start)
             want = float(abs(poly(x)) * mpmath.exp(-x) / p)
         assert convergence_estimate(9, p - 1, p).c_values[-1] == pytest.approx(
+            want, rel=1e-8)
+
+    @pytest.mark.parametrize("v, p, want", [
+        (6, 41, 0.7138720507930127),
+        (10, 150, 423.3067234758385),
+        (10, 194, 569.0975960303125),
+    ])
+    def test_higher_of_two_near_equal_lobes(self, v, p, want):
+        # 40-digit references from the three highest lobes of a 600-point
+        # grid, each refined.  At the first two the first grid's best node
+        # sits on the lower lobe (0.7116 at v = 6, p = 41; 390.56 at v = 10,
+        # p = 150); the third is v = 10's largest error, 6.8e-9
+        assert convergence_estimate(v, p - 1, p).c_values[-1] == pytest.approx(
             want, rel=1e-8)
 
     def test_profile_is_pinned(self):

@@ -13,7 +13,6 @@ from truncgauss.ball import (IntegralValue, MultiIndex, Spectrum, ball_integral,
                              ball_integral_mc, ball_integrals_mc)
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.moments import (
-    NOISE_FACTOR,
     MomentBatch,
     REGION_CROSSOVER,
     REGION_STRONG,
@@ -29,6 +28,7 @@ from truncgauss.moments import (
     variance_gap,
     variance_gap_with_error,
 )
+from truncgauss.report import FAIL, NOISE_FACTOR, PASS, SLACK, VIOLATED_CLAIM, Report
 
 SPEC3 = Spectrum((1.0, 2.0, 3.0))
 
@@ -668,6 +668,57 @@ class TestInequalityBattery:
         with pytest.raises(NumericError):
             inequality_battery(1e300, Spectrum((1e300, 1.0)))
 
-    def test_noise_threshold_used(self):
-        # near the sign change of nothing: just confirm the knob exists
-        assert NOISE_FACTOR == 10.0
+    def test_noise_rule_boundary(self):
+        # a margin exactly at the noise bar passes, the next float below fails
+        noise, size = 3e-9, 7.0
+        edge = -(NOISE_FACTOR * noise + SLACK * size)
+        below = math.nextafter(edge, -math.inf)
+        report = Report("edge")
+        assert report.add_margin("at", edge, noise, size=size).status == PASS
+        assert report.add_margin("below", below, noise, size=size).status == FAIL
+        assert report.add_margin("claim", below, noise, size=size,
+                                 claim=True).status == VIOLATED_CLAIM
+        assert [c.margin for c in report.checks] == [edge, below, below]
+
+    def test_statuses_match_the_explicit_conditions(self):
+        # each battery check written out as its own comparison against
+        # NOISE_FACTOR times its propagated error
+        rng = np.random.default_rng(29)
+        for cell in range(40):
+            v = 1 + cell % 5
+            spec = Spectrum(tuple(rng.uniform(0.2, 3.0, v)))
+            rho = spec.lambda_max * math.exp(rng.uniform(math.log(0.1), math.log(30.0)))
+            batch, lams = MomentBatch(rho, spec), spec.lambdas
+            sec = [batch.second(n) for n in range(v)]
+            cov = [[batch.cov(n, m) for m in range(v)] for n in range(v)]
+            want = {}
+            pairs = [(n, m) for n in range(v) for m in range(v) if m != n]
+            var = sum(cov[n][n][0] / lams[n] / lams[n] for n in range(v))
+            var_err = sum(cov[n][n][1] / lams[n] / lams[n] for n in range(v))
+            off = sum(cov[n][m][0] / lams[n] / lams[m] for n, m in pairs)
+            off_err = sum(cov[n][m][1] / lams[n] / lams[m] for n, m in pairs)
+            want["log-concavity-combination"] = \
+                var - 2.0 * v + off <= NOISE_FACTOR * (var_err + off_err)
+            want["second-moment-trace"] = (
+                sum(s / lam for (s, _), lam in zip(sec, lams))
+                <= v + NOISE_FACTOR * sum(e / lam for (_, e), lam in zip(sec, lams)))
+            for n, lam in enumerate(lams):
+                (second, sec_err), (fourth, frt_err) = sec[n], batch.product(n, n)
+                noise = NOISE_FACTOR * (frt_err + 3.0 * lam * sec_err)
+                b1, b2, b3 = second * (2.0 * lam + second), lam * (2.0 * lam + second), \
+                    3.0 * lam * lam
+                want[f"chain-monotone[{n}]"] = b1 <= b2 + noise and b2 <= b3 + noise
+                want[f"fourth-vs-tight[{n}]"] = fourth <= b1 + noise
+                want[f"fourth-vs-loose[{n}]"] = fourth <= b2 + noise
+                want[f"fourth-vs-free[{n}]"] = fourth <= b3 + noise
+                gap, gap_err = batch.gap(n)
+                want[f"variance-gap[{n}]"] = gap <= NOISE_FACTOR * gap_err
+                row = sum(abs(cov[n][m][0]) for m in range(v) if m != n)
+                row_err = sum(cov[n][m][1] for m in range(v) if m != n)
+                want[f"diagonal-dominance[{n}]"] = \
+                    cov[n][n][0] >= row - NOISE_FACTOR * (cov[n][n][1] + row_err)
+                for m in range(n + 1, v):
+                    want[f"negative-covariance[{n},{m}]"] = \
+                        cov[n][m][0] <= NOISE_FACTOR * cov[n][m][1]
+            got = {c.name: c.ok for c in inequality_battery(rho, spec).checks}
+            assert got == want, (rho, spec.lambdas)

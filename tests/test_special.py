@@ -366,7 +366,7 @@ class TestIntegerArguments:
         (lambda: MultiIndex.single(2, 2), r"dimension must be an integer in 0\.\.1, got 2$"),
         (lambda: ball_integral_mc(MultiIndex.zero(3), 1.0, _SPEC, 100, 0),
          r"n_total must be an integer in 10000\.\., got 100$"),
-        (lambda: convergence_estimate(10, 1, 2), r"v must be an integer in 2\.\.9, got 10$"),
+        (lambda: convergence_estimate(11, 1, 2), r"v must be an integer in 2\.\.10, got 11$"),
         (lambda: omega_inequality_scan(25), r"q_max must be an integer in 1\.\.24, got 25$"),
     ], ids=["spectrum_string", "spectrum_int", "spectrum_none",
             "spectrum_string_entry", "multiindex_int", "tuple_index",

@@ -457,3 +457,50 @@ class TestScans:
         # a negative order would pass with no checks at all
         with pytest.raises(DomainError):
             inverse_mass_identity_check(q_max)
+
+
+class TestFailingMargins:
+    """A failing exact check prints a margin below 0, a passing one +0.0 or more."""
+
+    def _margin(self, report, name):
+        check = next(c for c in report.checks if c.name == name)
+        assert not check.ok
+        assert {math.copysign(1.0, c.margin) for c in report.checks if c.ok} == {1.0}
+        return check.margin
+
+    def test_pointwise_weight_inequality(self, monkeypatch):
+        # a four-part tail of power count 2 meets the bound with equality,
+        # which only a one-part tail may
+        real = xi.enumerate_exponents
+        monkeypatch.setattr(xi, "enumerate_exponents", lambda q, m: real(q, m)
+                            + (((4, 0, 0),) if (q, m) == (3, 2) else ()))
+        report = omega_inequality_scan(3)
+        assert self._margin(report, "pointwise-weight-inequality") == -1.0
+
+    def test_omega_gap(self, monkeypatch):
+        # the gap stays positive, but off the identity on one tail
+        real = xi.omega
+        monkeypatch.setattr(xi, "omega", lambda which, q, tail: real(which, q, tail)
+                            + (which == 0 and tuple(tail) == (1, 1, 0)))
+        assert self._margin(omega_inequality_scan(3), "omega0<omega1[q=3]") == -1.0
+
+    def test_sign_law(self, monkeypatch):
+        real = xi.gap_limit_coefficient
+        monkeypatch.setattr(xi, "gap_limit_coefficient", lambda q, tail: real(q, tail)
+                            + (tuple(tail) == (1, 1, 0)))
+        report = omega_inequality_scan(3)
+        assert self._margin(report, "sign-law[q=3]") == -1.0
+
+    def test_route_equivalence(self, monkeypatch):
+        real = xi.gap_limit_coefficient
+        monkeypatch.setattr(xi, "gap_limit_coefficient", lambda q, tail: real(q, tail)
+                            + Fraction(1, 2) * (tuple(tail) == (1, 1, 0)))
+        report = gap_convolution_check(3)
+        assert self._margin(report, "route-equivalence[q=3,e=(1, 1, 0)]") == -0.5
+
+    def test_identity(self, monkeypatch):
+        real = xi.xi_alpha_limit
+        monkeypatch.setattr(xi, "xi_alpha_limit", lambda q, e, k: real(q, e, k)
+                            + Fraction(1, 4) * (q == 1))
+        report = inverse_mass_identity_check(2)
+        assert self._margin(report, "identity[q=1,e=(1,)]") == -0.25

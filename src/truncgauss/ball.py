@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -135,9 +136,9 @@ class MultiIndex:
     def order(self) -> int:
         return sum(self.multiplicities)
 
-    def bump(self, n: int, by: int = 1) -> "MultiIndex":
+    def bump(self, n: int) -> "MultiIndex":
         ks = list(self.multiplicities)
-        ks[_dimension(n, self.v)] += by
+        ks[_dimension(n, self.v)] += 1
         return MultiIndex(tuple(ks))
 
     def factorized_bound(self) -> int:
@@ -576,31 +577,32 @@ def _fd_derivative(f, x: float, k: int, h: float):
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def _index_family(v: int, order_cap: int) -> list[MultiIndex]:
-    """All multi-indices with total order <= min(order_cap, 2), entries <= 2.
-
-    A new list on each call, of members shared by every call.
-    """
-    return list(_index_family_members(v, min(order_cap, 2)))
-
-
-# Members are built once per family, so the quadrature cache's keys share
+# Members are built once per dimension, so the quadrature cache's keys share
 # their multiplicity tuples instead of holding copies.
 @functools.lru_cache(maxsize=32)
-def _index_family_members(v: int, cap: int) -> tuple[MultiIndex, ...]:
-    return tuple(MultiIndex(ks) for ks in sorted(
-        ks for total in range(cap + 1) for ks in _compositions(total, v)))
+def _index_family(v: int) -> Mapping[tuple[int, ...], MultiIndex]:
+    """The order-2 family ``{0, e_n, e_n + e_m}`` of dimension v: maps each
+    member's sorted dimensions (``()``, ``(n,)`` or ``(n, m)``, n <= m) to
+    its :class:`MultiIndex`, in lexicographic order of the multiplicities.
+
+    Every moment the library reads is a ratio of its members.  One
+    read-only mapping per v, shared by every caller.
+    """
+    members = sorted(ks for total in range(3) for ks in _compositions(total, v))
+    return types.MappingProxyType({tuple(d for d, k in enumerate(ks) for _ in range(k)):
+                                   MultiIndex(ks) for ks in members})
 
 
-def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Report:
-    """Finite-difference checks of the scaling/derivative identities plus
-    the one-index hierarchy and power-dominance inequalities.  Each geometry
+def verify_structural(rho: float, spectrum: Spectrum) -> Report:
+    """Finite-difference checks of the scaling/derivative identities over
+    the order-2 family (:func:`_index_family`), plus the one-index
+    hierarchy and power-dominance inequalities for k = 0..2.  Each geometry
     is one family read; the differences act on arrays of member values."""
-    order_cap = _integer(order_cap, "order_cap", 0, 4)
     rho, v = _check_rho(rho), _check_spectrum(spectrum).v
     report = Report("structural")
     tol = 1e-6
-    family = _index_family(v, order_cap)
+    family = _index_family(v)
+    members = list(family.values())
     lams = spectrum.lambdas
 
     def read(members, at_rho=rho, r=0, lam_r=lams[0]) -> np.ndarray:
@@ -611,18 +613,16 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
     def scaled_derivative(f, x):  # x f'(x), member by member, step 2e-5 x
         return (x * _fd_derivative(f, x, 1, 2e-5 * x)).tolist()
 
-    rho_terms = scaled_derivative(lambda at: read(family, at_rho=at), rho)
-    lam_terms = [scaled_derivative(lambda at, r=r: read(family, r=r, lam_r=at), lam)
+    rho_terms = scaled_derivative(lambda at: read(members, at_rho=at), rho)
+    lam_terms = [scaled_derivative(lambda at, r=r: read(members, r=r, lam_r=at), lam)
                  for r, lam in enumerate(lams)]
     at_base = ball_integrals(dict.fromkeys(
-        family + [idx.bump(k) for idx in family for k in range(v)]
-        + [MultiIndex.single(v, n, k) for n in range(v)
-           for k in range(order_cap + 1)]), rho, spectrum)
+        members + [idx.bump(k) for idx in members for k in range(v)]), rho, spectrum)
 
     def value(idx: MultiIndex) -> float:
         return at_base[idx].value
 
-    for i, idx in enumerate(family):
+    for i, idx in enumerate(members):
         name = "k=" + ",".join(map(str, idx.multiplicities))
         base = value(idx)
         rho_term = rho_terms[i]
@@ -644,21 +644,21 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
             report.add(f"variance-derivative[{name},dim{r}]", res < tol, tol - res,
                        detail=f"relative residual {res:.3e}")
 
-    # One-index hierarchy: each step of the moment chain, per dimension,
-    # read against both members' error bars.
-    for n in range(v):
-        prev = at_base[MultiIndex.zero(v)]
-        for k in range(1, order_cap + 1):
-            cur = at_base[MultiIndex.single(v, n, k)]
+    # One-index hierarchy: each step of the moment chain alpha_0,
+    # alpha_(e_n), alpha_(2 e_n), per dimension, read against both members'
+    # error bars.
+    chains = [[at_base[family[(n,) * k]] for k in range(3)] for n in range(v)]
+    for n, chain in enumerate(chains):
+        for k in (1, 2):
+            prev, cur = chain[k - 1], chain[k]
             margin = (2 * k - 1) * prev.value - cur.value
             noise = (2 * k - 1) * prev.est_abs_error + cur.est_abs_error
             report.add_margin(f"hierarchy[dim{n},k={k}]", margin, noise, prev.value)
-            prev = cur
 
     # Power dominance: k-index integral bounded by (rho/lambda)^(k-p) times lower.
-    for n in range(v):
-        vals = [value(MultiIndex.single(v, n, k)) for k in range(order_cap + 1)]
-        for k in range(1, len(vals)):
+    for n, chain in enumerate(chains):
+        vals = [member.value for member in chain]
+        for k in (1, 2):
             for p in range(k):
                 try:  # a bound past every float holds: cap it to keep a finite margin
                     bound = min((rho / lams[n]) ** (k - p) * vals[p], _FLOAT_MAX)
@@ -669,7 +669,7 @@ def verify_structural(rho: float, spectrum: Spectrum, order_cap: int = 2) -> Rep
 
     # The radial derivative of any indexed integral dies off at large radius.
     rho_big = 60.0 * spectrum.lambda_max
-    far = [MultiIndex.zero(v), MultiIndex.single(v, 0, 1)]
+    far = [family[()], family[(0,)]]
     drvs = scaled_derivative(lambda at: read(far, at_rho=at), rho_big)
     for idx, drv, scale in zip(far, drvs, read(far, at_rho=rho_big).tolist()):
         res = abs(drv) / scale

@@ -236,7 +236,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def _suite_structural(args: argparse.Namespace) -> Report:
     spec = _spectrum(args, Spectrum((1.0, 2.0)))
     rho = args.rho if args.rho is not None else 3.0
-    return verify_structural(rho, spec, order_cap=2)
+    return verify_structural(rho, spec)
 
 
 def _suite_inequalities(args: argparse.Namespace) -> Report:

@@ -90,15 +90,16 @@ class MomentBatch:
 
     Each moment is a ratio ``alpha_k / alpha_0`` of ball integrals, read
     from ``family``: a mapping from each multi-index of the order-2 family
-    ``{0, e_n, e_n + e_m}`` to its :class:`IntegralValue`.  By default the
-    batch evaluates that family in one :func:`ball_integrals` pass when it
-    is built, and reads alpha_0 then; every other member is read, and
-    checked, only when a moment needs it.  A ratio is kept, on first use,
-    with its relative error (the sum of the two integrals' relative
-    errors).  Every accessor returns ``(value, err)``, with ``err``
-    propagated to first order from those relative errors; a moment past
-    float range is a :class:`NumericError`.  Beyond the
-    mixture's term budget, pass a Monte Carlo family:
+    ``{0, e_n, e_n + e_m}`` to its :class:`IntegralValue`.  The members are
+    those of ``ball._index_family(v)``, the family's one owner, looked up
+    by their sorted dimensions.  By default the batch evaluates that family
+    in one :func:`ball_integrals` pass when it is built, and reads alpha_0
+    then; every other member is read, and checked, only when a moment needs
+    it.  A ratio is kept, on first use, with its relative error (the sum of
+    the two integrals' relative errors).  Every accessor returns ``(value,
+    err)``, with ``err`` propagated to first order from those relative
+    errors; a moment past float range is a :class:`NumericError`.  Beyond
+    the mixture's term budget, pass a Monte Carlo family:
     ``{i: IntegralValue(e.mean, e.std_error) for i, e in
     ball_integrals_mc(...).items()}``.
     """
@@ -107,15 +108,17 @@ class MomentBatch:
         self.rho = rho = _check_rho(rho)
         self.spectrum = spectrum = _check_spectrum(spectrum)
         if family is None:
-            family = ball_integrals(_index_family(spectrum.v, 2), rho, spectrum)
+            family = ball_integrals(_index_family(spectrum.v).values(), rho, spectrum)
         elif not isinstance(family, Mapping):
             raise DomainError(f"family must be a mapping from MultiIndex, got {family!r}")
         self._family = family
-        self._base = self._member(MultiIndex.zero(spectrum.v))
+        self._base = self._member(())
         self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
 
-    def _member(self, index: MultiIndex):
-        """The family's integral at ``index``; a DomainError if it lacks one."""
+    def _member(self, dims: tuple[int, ...]):
+        """The family's integral at the member of sorted dimensions ``dims``;
+        a DomainError if the family lacks it."""
+        index = _index_family(self.spectrum.v)[dims]
         try:
             return self._family[index]
         except KeyError:
@@ -128,10 +131,7 @@ class MomentBatch:
         key = tuple(sorted(dims))
         hit = self._ratios.get(key)
         if hit is None:
-            ks = [0] * self.spectrum.v
-            for d in dims:
-                ks[d] += 1
-            num = self._member(MultiIndex(tuple(ks)))
+            num = self._member(key)
             hit = (num.value / self._base.value,
                    num.rel_error + self._base.rel_error)
             self._ratios[key] = hit

@@ -436,7 +436,7 @@ class TestMixture:
     @pytest.mark.parametrize("lams, rho, ks, exact", WITNESSES)
     def test_witness_within_its_error_bar(self, lams, rho, ks, exact):
         spec = Spectrum(lams)
-        got = ball_integrals(_index_family(spec.v, 2), rho, spec)[MultiIndex(ks)]
+        got = ball_integrals(_index_family(spec.v).values(), rho, spec)[MultiIndex(ks)]
         assert abs(Decimal(got.value) - Decimal(exact)) <= got.est_abs_error
 
     def test_witness_values(self):
@@ -464,7 +464,7 @@ class TestMixture:
         geometries += [(lams, rho) for lams, rho, _, _ in WITNESSES]
         worst = 0.0
         for lams, rho in geometries:
-            family = _index_family(len(lams), 2)
+            family = list(_index_family(len(lams)).values())
             got = ball_integrals(family, rho, Spectrum(lams))
             exact = _ruben_mp([index.multiplicities for index in family], lams, rho)
             for index in family:
@@ -516,7 +516,7 @@ class TestMixture:
         beta = min(lams)
         rows, real = [], np.convolve
         monkeypatch.setattr(np, "convolve", lambda a, b: rows.append(b) or real(a, b))
-        ball_integrals(_index_family(8, 2), 150.0, Spectrum(lams))
+        ball_integrals(_index_family(8).values(), 150.0, Spectrum(lams))
         built = collections.Counter()
         for row in rows:
             m = np.arange(1, row.size)
@@ -528,6 +528,17 @@ class TestMixture:
         sizes = {size for _, size in built}
         assert len(sizes) > 1  # the family needs more than one term count
         assert built == {(j, size): 1 for j in range(1, 8) for size in sizes}
+
+    @pytest.mark.xfail(strict=True, raises=NumericError, reason=(
+        "ROADMAP 4(l): the v = 2 quadrature overshoots the exact bound of "
+        "index (40, 40) at rho = 1e4; stage B is the fix"))
+    def test_high_order_within_its_bar_of_the_mixture(self):
+        # the quadrature reads 6.367298e117 against the bound 6.364520e117;
+        # the mixture reads 6.364520e117 with a 2.6e104 bar
+        index, spec = MultiIndex((40, 40)), Spectrum((1.0, 1.0))
+        got = ball_integral(index, 1e4, spec)
+        (value,), _ = ball._alpha_mixture((index.multiplicities,), spec.lambdas, 1e4)
+        assert abs(got.value - value) <= got.est_abs_error
 
     def test_capability_error_beyond_term_budget(self):
         rho, spec = BEYOND_BUDGET
@@ -546,7 +557,7 @@ class TestFamily:
     @pytest.mark.parametrize("v", range(1, 9))
     def test_members_equal_one_member_evaluations(self, v):
         rng = np.random.default_rng(100 + v)
-        family = _index_family(v, 2) + [MultiIndex.single(v, v - 1, 3)]
+        family = [*_index_family(v).values(), MultiIndex.single(v, v - 1, 3)]
         for _ in range(2 if v < 5 else 1):
             spec = Spectrum(tuple(float(x) for x in rng.uniform(0.2, 3.0, v)))
             for rho in (0.3, 4.0, 40.0):
@@ -616,7 +627,7 @@ class TestFamily:
         ball._alpha_quad.cache_clear()
         lams = (1.0, 2.0, 0.3, 1.4)
         for v in range(1, 5):
-            family = _index_family(v, 2) + [MultiIndex.single(v, 0, 3)]
+            family = [*_index_family(v).values(), MultiIndex.single(v, 0, 3)]
             calls.clear()
             ball_integrals(family, 3.0, Spectrum(lams[:v]))
             assert (calls and all(calls)) if v > 1 else calls == []
@@ -628,7 +639,7 @@ class TestFamily:
         # the blocked pass shares no buffer between calls, so four threads
         # over eight geometries give the serial bytes
         rng = np.random.default_rng(44)
-        family = _index_family(4, 2)
+        family = list(_index_family(4).values())
         geometries = [(float(rng.uniform(0.5, 20.0)),
                        Spectrum(tuple(float(x) for x in rng.uniform(0.3, 3.0, 4))))
                       for _ in range(8)]
@@ -657,7 +668,7 @@ class TestFamily:
         ball._alpha_quad.cache_clear()
         tracemalloc.start()
         try:
-            ball_integrals(_index_family(4, 2), 3.0, spec)
+            ball_integrals(_index_family(4).values(), 3.0, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -666,7 +677,7 @@ class TestFamily:
     def test_failure_raises_only_when_read(self):
         # at rho = 1e-110 the order-2 members underflow, the others do not
         spec = Spectrum((1.0, 2.0))
-        family = _index_family(2, 2)
+        family = list(_index_family(2).values())
         together = ball_integrals(family, 1e-110, spec)
         for index in family:
             if index.order < 2:
@@ -700,7 +711,7 @@ class TestFamily:
         # families (about 100 KB); 4096 entries kept all 2000, 860 KB.  Small
         # radii keep the series, and so the traced sweep, short.
         rng = np.random.default_rng(31)
-        family = _index_family(3, 2)
+        family = list(_index_family(3).values())
         ball._alpha_quad.cache_clear()
         tracemalloc.start()
         try:
@@ -716,28 +727,29 @@ class TestFamily:
         assert info.currsize <= 256
         assert held < 512 * 1024
 
-    def test_index_family_members_are_shared(self):
-        # each call gives a new list, whose members every call shares, so a
-        # caller may extend its list
-        first = _index_family(3, 2)
-        first.append(MultiIndex.single(3, 0, 3))
-        second, third = _index_family(3, 2), _index_family(3, 2)
-        assert len(second) == 1 + 3 + 6
-        assert second == third == first[:-1]
-        assert all(a is b is c for a, b, c in zip(first, second, third))
+    def test_index_family_is_one_read_only_mapping(self):
+        # every call gives the same mapping, which a caller cannot mutate
+        family = _index_family(3)
+        assert _index_family(3) is family
+        assert len(family) == 1 + 3 + 6
+        with pytest.raises(TypeError):
+            family[(0, 0, 0)] = MultiIndex.single(3, 0, 3)
 
     def test_index_family_members_in_lexicographic_order(self):
+        # keyed by each member's sorted dimensions, members in the order of
+        # their multiplicities
         for v in range(1, 8):
-            for cap in range(3):
-                want = [ks for ks in itertools.product(range(3), repeat=v)
-                        if sum(ks) <= cap]
-                got = [idx.multiplicities for idx in _index_family(v, cap)]
-                assert got == want, (v, cap)
+            want = [ks for ks in itertools.product(range(3), repeat=v) if sum(ks) <= 2]
+            family = _index_family(v)
+            assert [idx.multiplicities for idx in family.values()] == want, v
+            for dims, idx in family.items():
+                assert list(dims) == sorted(dims)
+                assert idx == MultiIndex(tuple(dims.count(d) for d in range(v)))
 
     @pytest.mark.parametrize("v", sorted(PINNED_ORDER_TWO))
     def test_order_two_family_is_pinned(self, v):
         rho, lams, pinned = PINNED_ORDER_TWO[v]
-        family = _index_family(v, 2)
+        family = list(_index_family(v).values())
         got = ball_integrals(family, rho, Spectrum(lams))
         assert [(index.multiplicities, got[index].value.hex(),
                  got[index].est_abs_error.hex()) for index in family] == pinned
@@ -820,7 +832,7 @@ class TestMonteCarlo:
         # a partial last block, and a member of order 3
         n_total = 2 * ball._MC_BLOCK + 4321
         spec = Spectrum(tuple(0.4 + 0.3 * j for j in range(v)))
-        family = _index_family(v, 2) + [MultiIndex.single(v, v - 1, 3)]
+        family = [*_index_family(v).values(), MultiIndex.single(v, v - 1, 3)]
         together = ball_integrals_mc(family, 0.8 * sum(spec.lambdas), spec,
                                      n_total, seed=600 + v)
         assert list(together) == family
@@ -860,20 +872,22 @@ class TestMonteCarlo:
 
 class TestStructuralReport:
     def test_identities_hold_2d(self):
-        report = verify_structural(3.0, Spectrum((1.0, 2.0)), order_cap=2)
+        report = verify_structural(3.0, Spectrum((1.0, 2.0)))
         assert report.passed
         for check in report.checks:
             if "residual" in check.detail:
                 assert check.margin > 0.0
 
     def test_identities_hold_3d(self):
-        report = verify_structural(5.0, Spectrum((0.5, 1.0, 2.5)), order_cap=2)
+        report = verify_structural(5.0, Spectrum((0.5, 1.0, 2.5)))
         assert report.passed
 
     def test_hierarchy_chain_present(self):
-        report = verify_structural(2.0, Spectrum((1.0,)), order_cap=4)
+        # the chain runs through the order-2 family, k = 1 and 2
+        report = verify_structural(2.0, Spectrum((1.0,)))
         names = [c.name for c in report.checks]
-        assert "hierarchy[dim0,k=4]" in names
+        assert [name for name in names if name.startswith("hierarchy")] == [
+            "hierarchy[dim0,k=1]", "hierarchy[dim0,k=2]"]
         assert report.passed
 
     def test_power_dominance_past_float_range(self):
@@ -883,12 +897,6 @@ class TestStructuralReport:
             report = verify_structural(rho, Spectrum(lams))
             assert report.passed
             assert all(math.isfinite(check.margin) for check in report.checks)
-
-    def test_order_cap_limit(self):
-        # a negative cap would skip every check but the radial-derivative pair
-        for cap in (5, -1):
-            with pytest.raises(DomainError):
-                verify_structural(1.0, Spectrum((1.0,)), order_cap=cap)
 
     @pytest.mark.parametrize("lams, reads", [((1.0, 2.0), 18),
                                              ((0.5, 1.0, 2.5), 22)])
@@ -904,7 +912,7 @@ class TestStructuralReport:
 
         monkeypatch.setattr(ball, "ball_integrals", counted)
         ball._alpha_quad.cache_clear()
-        verify_structural(5.0, Spectrum(lams), order_cap=2)
+        verify_structural(5.0, Spectrum(lams))
         assert len(families) == reads
         assert all(len(family) > 1 for family in families)
         assert ball._alpha_quad.cache_info().hits == 0
@@ -914,7 +922,7 @@ class TestStructuralReport:
         # every slice is capped at sqrt(760 lambda), so alpha_(0,1) sits
         # 3.2e-11 above alpha_0 at both radii, inside error bars of 1.4e-7
         # and 3.6e-6: the check passes, and still reports that margin
-        report = verify_structural(rho, Spectrum((1.0, 2.0)), order_cap=2)
+        report = verify_structural(rho, Spectrum((1.0, 2.0)))
         assert report.passed
         margins = {check.name: check.margin for check in report.checks}
         assert margins["hierarchy[dim1,k=1]"] == -3.237343726425479e-11
@@ -936,14 +944,14 @@ class TestStructuralReport:
             return out
 
         monkeypatch.setattr(ball, "ball_integrals", raised)
-        report = verify_structural(1e5, spec, order_cap=2)
+        report = verify_structural(1e5, spec)
         status = {check.name: check.ok for check in report.checks}
         assert not status[f"hierarchy[dim1,k={k}]"]
 
     def test_margins_are_pinned(self):
         # family reads and the shared difference rule must move no margin
         # by a single bit from the one-member, first-derivative evaluation
-        report = verify_structural(3.0, Spectrum((1.0, 2.0)), order_cap=2)
+        report = verify_structural(3.0, Spectrum((1.0, 2.0)))
         margins = {check.name: check.margin.hex() for check in report.checks}
         assert margins["scaling[k=0,0]"] == "0x1.0c6db1decbf65p-20"
         assert margins["radial-derivative[k=1,1]"] == "0x1.0c6f459fd6944p-20"

@@ -383,6 +383,25 @@ class TestVerify:
         else:
             assert code in (2, 3) and len(err.splitlines()) == 1, (code, err)
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("verify asymptotic --lambda 0.3,0.4,0.5", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "ROADMAP 4(h): eta_k at large radius is rounding noise, and seven "
+                "asymptotic checks fail on it; item 6(b) is the fix"))),
+        pytest.param("verify inequalities --lambda 1e-200,1e-200", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "ROADMAP 4(n): rho^2 underflows below rho = 1.5e-162, so the gap "
+                "cannot be divided by it; item 6(a) is the fix"))),
+    ], ids=["asymptotic-small-spectrum", "inequalities-tiny-spectrum"])
+    def test_valid_extreme_spectrum_exits_zero(self, argv, capsys):
+        # both exit 3 while their items are open
+        def non_finite(constant):
+            raise AssertionError(f"non-finite JSON value {constant}")
+
+        code, out, err = run(shlex.split(argv), capsys)
+        assert code == 0, (code, err)
+        json.loads(out, parse_constant=non_finite)
+
     def test_all_quick_within_budget(self, capsys):
         import time
 

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from truncgauss import special
-from truncgauss.ball import (MultiIndex, Spectrum, ball_integral_mc, ball_integrals,
-                             verify_structural)
+from truncgauss.ball import MultiIndex, Spectrum, ball_integral_mc, ball_integrals
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
                             eta_combinatorial, eta_fd_oracle, index_sum_ratio,
@@ -312,7 +311,6 @@ _ONE = {(0, (0,)): 1}
 
 class TestIntegerArguments:
     @pytest.mark.parametrize("call", [
-        lambda n: verify_structural(3.0, _SPEC, order_cap=n),
         lambda n: eta_combinatorial(n, 5.0, _SPEC),
         lambda n: eta_fd_oracle(n, 5.0, _SPEC),
         lambda n: expand_alpha({0: 0}, n, 5.0, _SPEC),
@@ -323,7 +321,7 @@ class TestIntegerArguments:
         lambda n: raising_factorial(0.5, n),
         lambda n: stirling_second(n, 1),
         lambda n: stirling_first_unsigned(3, n),
-    ], ids=["verify_structural", "eta_combinatorial", "eta_fd_oracle",
+    ], ids=["eta_combinatorial", "eta_fd_oracle",
             "expand_alpha", "coefficient_table_v", "coefficient_table_k_max",
             "q_polynomial", "asymptotic_checks", "raising_factorial",
             "stirling_second", "stirling_first_unsigned"])

@@ -16,6 +16,7 @@ import math
 import types
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,14 +150,72 @@ class MultiIndex:
         return out
 
 
-@dataclass(frozen=True)
-class IntegralValue:
+class IntegralValue(NamedTuple):
+    """A value and a bound on its absolute error, the library's error bar.
+
+    Arithmetic carries the bar: ``+``, ``-``, ``*``, ``/`` and ``abs`` take
+    plain numbers as operands of error 0 and return a rigorous bound that
+    treats the operands as independent, so an error two operands share is
+    over-bounded, never missed.  A product's error is
+    ``|a| e_b + |b| e_a + e_a e_b`` and a quotient's ``(e_a + |a/b| e_b) /
+    (|b| - e_b)``; a divisor whose bar reaches 0 is a NumericError.  The
+    value is the same float expression of the plain values, bit for bit.
+    """
+
     value: float
-    est_abs_error: float
+    est_abs_error: float = 0.0
+    # A numpy scalar on the left defers to the reflected operators below,
+    # instead of reading the pair as a length-2 array.
+    __array_ufunc__ = None
 
     @property
     def rel_error(self) -> float:
         return self.est_abs_error / abs(self.value) if self.value else math.inf
+
+    def __add__(self, other):
+        b, eb = _bar(other)
+        return IntegralValue(self.value + b, self.est_abs_error + eb)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return IntegralValue(-self.value, self.est_abs_error)
+
+    def __sub__(self, other):
+        b, eb = _bar(other)
+        return IntegralValue(self.value - b, self.est_abs_error + eb)
+
+    def __rsub__(self, other):
+        return _bar(other) - self
+
+    def __abs__(self):
+        return IntegralValue(abs(self.value), self.est_abs_error)
+
+    def __mul__(self, other):
+        (a, ea), (b, eb) = self, _bar(other)
+        return IntegralValue(a * b, abs(a) * eb + abs(b) * ea + ea * eb)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        (a, ea), (b, eb) = self, _bar(other)
+        if eb >= abs(b):
+            raise NumericError(f"divisor {b} +- {eb} is not bounded away from 0")
+        return IntegralValue(a / b, (ea + abs(a / b) * eb) / (abs(b) - eb))
+
+    def __rtruediv__(self, other):
+        return IntegralValue(other) / self
+
+
+def _bar(x) -> IntegralValue:
+    """``x`` as an :class:`IntegralValue`, a plain number with error 0."""
+    return x if isinstance(x, IntegralValue) else IntegralValue(x)
+
+
+def _least(*xs: IntegralValue) -> IntegralValue:
+    """The least value of ``xs`` with their largest bar, which bounds how far
+    the least can move."""
+    return IntegralValue(min(x.value for x in xs), max(x.est_abs_error for x in xs))
 
 
 @dataclass(frozen=True)
@@ -649,11 +708,8 @@ def verify_structural(rho: float, spectrum: Spectrum) -> Report:
     # error bars.
     chains = [[at_base[family[(n,) * k]] for k in range(3)] for n in range(v)]
     for n, chain in enumerate(chains):
-        for k in (1, 2):
-            prev, cur = chain[k - 1], chain[k]
-            margin = (2 * k - 1) * prev.value - cur.value
-            noise = (2 * k - 1) * prev.est_abs_error + cur.est_abs_error
-            report.add_margin(f"hierarchy[dim{n},k={k}]", margin, noise, prev.value)
+        for k, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1):
+            report.add_margin(f"hierarchy[dim{n},k={k}]", (2 * k - 1) * prev - cur, prev.value)
 
     # Power dominance: k-index integral bounded by (rho/lambda)^(k-p) times lower.
     for n, chain in enumerate(chains):
@@ -664,8 +720,8 @@ def verify_structural(rho: float, spectrum: Spectrum) -> Report:
                     bound = min((rho / lams[n]) ** (k - p) * vals[p], _FLOAT_MAX)
                 except OverflowError:
                     bound = _FLOAT_MAX
-                margin = bound - vals[k]
-                report.add_margin(f"power-dominance[dim{n},{k}->{p}]", margin, 0.0, bound)
+                report.add_margin(f"power-dominance[dim{n},{k}->{p}]",
+                                  IntegralValue(bound - vals[k]), bound)
 
     # The radial derivative of any indexed integral dies off at large radius.
     rho_big = 60.0 * spectrum.lambda_max

@@ -1,10 +1,12 @@
 """Conditional moments of the ball-truncated Gaussian and the inequality battery.
 
-All moments are ratios of ball integrals.  Every inequality check carries a
-margin and its propagated quadrature error, which ``report.Report.add_margin``
-scales into the noise threshold (``report`` holds the factor), so a genuine
-violation is distinguishable from roundoff at points where the quantity
-being tested is itself tiny.
+All moments are ratios of ball integrals, formed as arithmetic on
+:class:`ball.IntegralValue`, which carries each integral's error bar through
+every operation.  So every moment, and every inequality check's margin,
+comes with its own bar, which ``report.Report.add_margin`` scales into the
+noise threshold (``report`` holds the factor): a genuine violation is
+distinguishable from roundoff at points where the quantity being tested is
+itself tiny.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .ball import (_BOUND_SLACK, MultiIndex, Spectrum, _check_rho, _check_spectrum,
-                   _dimension, _index_family, ball_integral, ball_integrals)
+from .ball import (_BOUND_SLACK, IntegralValue, MultiIndex, Spectrum, _check_rho,
+                   _check_spectrum, _dimension, _index_family, _least, ball_integral,
+                   ball_integrals)
 from .errors import DomainError, NumericError
 from .report import SLACK, Report
 from .special import _finite, _nonzero, _positive, _real
@@ -95,11 +98,12 @@ class MomentBatch:
     by their sorted dimensions.  By default the batch evaluates that family
     in one :func:`ball_integrals` pass when it is built, and reads alpha_0
     then; every other member is read, and checked, only when a moment needs
-    it.  A ratio is kept, on first use, with its relative error (the sum of
-    the two integrals' relative errors).  Every accessor returns ``(value,
-    err)``, with ``err`` propagated to first order from those relative
-    errors; a moment past float range is a :class:`NumericError`.  Beyond
-    the mixture's term budget, pass a Monte Carlo family:
+    it.  A ratio is kept on first use.  Every accessor returns an
+    :class:`IntegralValue` ``(value, err)`` formed by that type's
+    arithmetic, so ``err`` bounds how far the moment moves while each
+    member moves within its bar; a moment past float range is a
+    :class:`NumericError`.  Beyond the mixture's term budget, pass a Monte
+    Carlo family:
     ``{i: IntegralValue(e.mean, e.std_error) for i, e in
     ball_integrals_mc(...).items()}``.
     """
@@ -113,7 +117,7 @@ class MomentBatch:
             raise DomainError(f"family must be a mapping from MultiIndex, got {family!r}")
         self._family = family
         self._base = self._member(())
-        self._ratios: dict[tuple[int, ...], tuple[float, float]] = {}
+        self._ratios: dict[tuple[int, ...], IntegralValue] = {}
 
     def _member(self, dims: tuple[int, ...]):
         """The family's integral at the member of sorted dimensions ``dims``;
@@ -125,17 +129,13 @@ class MomentBatch:
             raise DomainError(
                 f"family has no member at multi-index {index.multiplicities}") from None
 
-    def _ratio(self, *dims: int) -> tuple[float, float]:
-        """(alpha_k / alpha_0, relative error) for k = sum of e_d over dims,
-        each d already checked by :func:`_dimension`."""
+    def _ratio(self, *dims: int) -> IntegralValue:
+        """alpha_k / alpha_0 for k = sum of e_d over dims, each d already
+        checked by :func:`_dimension`."""
         key = tuple(sorted(dims))
-        hit = self._ratios.get(key)
-        if hit is None:
-            num = self._member(key)
-            hit = (num.value / self._base.value,
-                   num.rel_error + self._base.rel_error)
-            self._ratios[key] = hit
-        return hit
+        if key not in self._ratios:
+            self._ratios[key] = self._member(key) / self._base
+        return self._ratios[key]
 
     @functools.cached_property
     def rho2(self) -> float:
@@ -143,39 +143,36 @@ class MomentBatch:
         underflows to 0."""
         return _nonzero(self.rho * self.rho, f"rho^2 at rho = {self.rho}")
 
-    def second(self, n: int) -> tuple[float, float]:
+    def second(self, n: int) -> IntegralValue:
         """E[X_n^2 | ball]."""
         n = _dimension(n, self.spectrum.v)
-        ratio, rel = self._ratio(n)
-        value = self.spectrum.lambdas[n] * ratio
-        return _finite(value, f"E[X_{n}^2]"), value * rel
+        return _finite_moment(self.spectrum.lambdas[n] * self._ratio(n), f"E[X_{n}^2]")
 
-    def product(self, n: int, m: int) -> tuple[float, float]:
+    def product(self, n: int, m: int) -> IntegralValue:
         """E[X_n^2 X_m^2 | ball]; the fourth moment E[X_n^4 | ball] when n == m."""
         n, m = _dimension(n, self.spectrum.v), _dimension(m, self.spectrum.v)
-        ratio, rel = self._ratio(n, m)
         lams = self.spectrum.lambdas
-        value = lams[n] * lams[m] * ratio
-        return _finite(value, f"E[X_{n}^2 X_{m}^2]"), value * rel
+        return _finite_moment(lams[n] * lams[m] * self._ratio(n, m), f"E[X_{n}^2 X_{m}^2]")
 
-    def cov(self, n: int, m: int) -> tuple[float, float]:
+    def cov(self, n: int, m: int) -> IntegralValue:
         """cov(X_n^2, X_m^2 | ball); var(X_n^2 | ball) when n == m."""
         n, m = _dimension(n, self.spectrum.v), _dimension(m, self.spectrum.v)
-        rnm, enm = self._ratio(n, m)
-        rn, en = self._ratio(n)
-        rm, em = self._ratio(m)
         scale = self.spectrum.lambdas[n] * self.spectrum.lambdas[m]
-        return (_finite(scale * (rnm - rn * rm), f"cov(X_{n}^2, X_{m}^2)"),
-                scale * (rnm * enm + rn * rm * (en + em)))
+        return _finite_moment(scale * (self._ratio(n, m) - self._ratio(n) * self._ratio(m)),
+                              f"cov(X_{n}^2, X_{m}^2)")
 
-    def gap(self, n: int) -> tuple[float, float]:
+    def gap(self, n: int) -> IntegralValue:
         """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2."""
         n = _dimension(n, self.spectrum.v)
-        var, var_err = self.cov(n, n)
-        second, sec_err = self.second(n)
+        var, second = self.cov(n, n), self.second(n)
         lam = self.spectrum.lambdas[n]
-        return (_finite((var - 2.0 * lam * second) / self.rho2, f"variance gap {n}"),
-                (var_err + 2.0 * lam * sec_err) / self.rho2)
+        return _finite_moment((var - 2.0 * lam * second) / self.rho2, f"variance gap {n}")
+
+
+def _finite_moment(moment: IntegralValue, what: str) -> IntegralValue:
+    """``moment`` if its value is finite, else a NumericError naming ``what``."""
+    _finite(moment.value, what)
+    return moment
 
 
 def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
@@ -205,9 +202,9 @@ def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
     return MomentSet(second, fourth, cross)
 
 
-def variance_gap_with_error(n: int, rho: float, spectrum: Spectrum) -> tuple[float, float]:
+def variance_gap_with_error(n: int, rho: float, spectrum: Spectrum) -> IntegralValue:
     """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2 and its
-    propagated ball-integral error."""
+    error bar, carried from the ball integrals' bars."""
     return MomentBatch(rho, spectrum).gap(n)
 
 
@@ -320,53 +317,45 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
     lams = spectrum.lambdas
     v = spectrum.v
 
-    second, sec_err = zip(*(batch.second(n) for n in range(v)))
-    fourth, frt_err = zip(*(batch.product(n, n) for n in range(v)))
-    cov, cov_err = zip(*(zip(*(batch.cov(n, m) for m in range(v))) for n in range(v)))
+    second = [batch.second(n) for n in range(v)]
+    fourth = [batch.product(n, n) for n in range(v)]
+    cov = [[batch.cov(n, m) for m in range(v)] for n in range(v)]
 
     # Log-concavity consequence: scaled variances minus 2v plus scaled
     # cross-covariances stays nonpositive.
     combo = sum(cov[n][n] / lams[n] / lams[n] for n in range(v)) - 2.0 * v
     combo += sum(cov[n][m] / lams[n] / lams[m]
                  for n in range(v) for m in range(v) if m != n)
-    combo_err = sum(cov_err[n][n] / lams[n] / lams[n] for n in range(v))
-    combo_err += sum(cov_err[n][m] / lams[n] / lams[m]
-                     for n in range(v) for m in range(v) if m != n)
-    report.add_margin("log-concavity-combination", -combo, combo_err,
-                      detail=f"value {combo:.6e}, noise {combo_err:.1e}")
+    report.add_margin("log-concavity-combination", -combo,
+                      detail=f"value {combo.value:.6e}, noise {combo.est_abs_error:.1e}")
 
     # Trace bound on the scaled second moments.
     trace = sum(second[n] / lams[n] for n in range(v))
-    trace_err = sum(sec_err[n] / lams[n] for n in range(v))
-    report.add_margin("second-moment-trace", v - trace, trace_err,
-                      detail=f"sum {trace:.12f} vs v={v}")
+    report.add_margin("second-moment-trace", v - trace,
+                      detail=f"sum {trace.value:.12f} vs v={v}")
 
     for n in range(v):
         lam = lams[n]
-        noise = frt_err[n] + 3.0 * lam * sec_err[n]
 
         # Chain of fourth-moment bounds, loosest last; each step must not tighten.
         b1 = second[n] * (2.0 * lam + second[n])
         b2 = lam * (2.0 * lam + second[n])
         b3 = 3.0 * lam * lam
-        report.add_margin(f"chain-monotone[{n}]", min(b2 - b1, b3 - b2), noise)
-        report.add_margin(f"fourth-vs-tight[{n}]", b1 - fourth[n], noise, claim=True,
+        report.add_margin(f"chain-monotone[{n}]", _least(b2 - b1, b3 - b2))
+        report.add_margin(f"fourth-vs-tight[{n}]", b1 - fourth[n], claim=True,
                           detail="equivalent to the nonpositive variance gap")
-        report.add_margin(f"fourth-vs-loose[{n}]", b2 - fourth[n], noise)
-        report.add_margin(f"fourth-vs-free[{n}]", b3 - fourth[n], noise)
+        report.add_margin(f"fourth-vs-loose[{n}]", b2 - fourth[n])
+        report.add_margin(f"fourth-vs-free[{n}]", b3 - fourth[n])
 
-        gap, gap_err = batch.gap(n)
-        report.add_margin(f"variance-gap[{n}]", -gap, gap_err, claim=True,
-                          detail=f"gap {gap:.6e}, noise {gap_err:.1e}")
+        gap = batch.gap(n)
+        report.add_margin(f"variance-gap[{n}]", -gap, claim=True,
+                          detail=f"gap {gap.value:.6e}, noise {gap.est_abs_error:.1e}")
 
         row = sum(abs(cov[n][m]) for m in range(v) if m != n)
-        row_err = sum(cov_err[n][m] for m in range(v) if m != n)
-        report.add_margin(f"diagonal-dominance[{n}]", cov[n][n] - row,
-                          cov_err[n][n] + row_err, claim=True)
+        report.add_margin(f"diagonal-dominance[{n}]", cov[n][n] - row, claim=True)
 
         for m in range(n + 1, v):
-            report.add_margin(f"negative-covariance[{n},{m}]", -cov[n][m],
-                              cov_err[n][m], claim=True,
-                              detail=f"cov {cov[n][m]:.6e}, noise {cov_err[n][m]:.1e}")
+            report.add_margin(f"negative-covariance[{n},{m}]", -cov[n][m], claim=True,
+                              detail="cov {:.6e}, noise {:.1e}".format(*cov[n][m]))
 
     return report

@@ -52,14 +52,16 @@ class Report:
         self.checks.append(check)
         return check
 
-    def add_margin(self, name: str, margin: float, noise: float, size: float = 0.0,
-                   claim: bool = False, detail: str = "") -> Check:
-        """Add a check its margin decides: it passes iff
-        ``margin >= -(NOISE_FACTOR * noise + SLACK * size)``, where ``noise``
-        is the propagated error the margin is read against and ``size`` the
+    def add_margin(self, name: str, margin, size: float = 0.0, claim: bool = False,
+                   detail: str = "") -> Check:
+        """Add a check its margin decides.  ``margin`` is a ``(value, error)``
+        pair, a ``ball.IntegralValue`` that carried its error through the
+        arithmetic that formed it; the check passes iff
+        ``value >= -(NOISE_FACTOR * error + SLACK * size)``, with ``size`` the
         magnitude a rounding floor scales with."""
-        return self.add(name, margin >= -(NOISE_FACTOR * noise + SLACK * size),
-                        margin, claim, detail)
+        value, error = margin
+        return self.add(name, value >= -(NOISE_FACTOR * error + SLACK * size),
+                        value, claim, detail)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         self.checks.extend([replace(c, name=prefix + c.name) for c in other.checks])

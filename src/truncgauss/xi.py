@@ -24,6 +24,7 @@ sign determination.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
 
@@ -95,8 +96,11 @@ def enumerate_exponents(q: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 def _by_order(coeffs: dict) -> list:
     """The map's entries ((order, e), value) by ascending order, each key
-    through :func:`_checked`; a key that is not an (order, vector) pair, or
-    a vector e whose length is not order + 1, is a DomainError."""
+    through :func:`_checked`; an operand that is not a mapping, a key that
+    is not an (order, vector) pair, or a vector e whose length is not
+    order + 1, is a DomainError."""
+    if not isinstance(coeffs, Mapping):
+        raise DomainError(f"coefficient map must be a mapping, got {coeffs!r}")
     try:
         items = [(_checked(q, e, "order"), value) for (q, e), value in coeffs.items()]
     except (TypeError, ValueError):  # _checked raises neither: a key is no pair
@@ -249,9 +253,10 @@ def omega_inequality_scan(q_max: int) -> Report:
     The pointwise margin (parts - 1) sum l^2 c_l - sum_{r>s} (r - s)^2 c_r c_s
     over every splitting tail c of power count t is t^2 - sum l^2 c_l, by
     Lagrange's identity: positive from two parts on, zero for one.  On every
-    tail of each order q, omega1 - omega0 must equal M q^2 / n, and the
-    closed-form gap coefficient must equal 4 (-1)^n W (omega0 - omega1) and
-    carry the sign (-1)^(n-1).  Both checks read one omega pair per tail.
+    tail of each order q, the closed-form gap coefficient must equal
+    4 (-1)^n W (omega0 - omega1) and carry the sign (-1)^(n-1).  With the
+    closed form 4 (-1)^(n-1) q^2 W M / n substituted, that equality is
+    omega1 - omega0 = M q^2 / n, so no separate check states it.
     """
     q_max = _integer(q_max, "q_max", 1, _Q_MAX)
     report = Report("omega-scan")
@@ -265,25 +270,17 @@ def omega_inequality_scan(q_max: int) -> Report:
                float(min(margin - (parts >= 2) for margin, parts in margins)),
                detail=f"{len(margins)} splitting tails scanned, {violations} violations")
 
-    weights = {q: [(t, omega(0, q, t), omega(1, q, t)) for t in enumerate_exponents(q, q)]
-               for q in range(1, q_max + 1)}
-    for q, rows in weights.items():
-        gaps = [w1 - w0 for _, w0, w1 in rows]
-        bad = [t for (t, _, _), gap in zip(rows, gaps)
-               if gap * sum(t) != _multinomial(t) * q * q]
-        min_gap = min(gaps)
-        report.add(f"omega0<omega1[q={q}]", not bad, float(-len(bad)),
-                   detail=f"{len(rows)} tails, min gap {min_gap}")
-
-    for q, rows in weights.items():
+    for q in range(1, q_max + 1):
+        tails = enumerate_exponents(q, q)
         bad_sign = []
-        for t, w0, w1 in rows:
+        for t in tails:
             value, n = gap_limit_coefficient(q, t), sum(t)
+            w0, w1 = omega(0, q, t), omega(1, q, t)
             weighted = 4 * (-1) ** n * _semifactorial_weight(t) * (w0 - w1)
             if value != weighted or value * (-1) ** (n - 1) <= 0:
                 bad_sign.append(t)
         report.add(f"sign-law[q={q}]", not bad_sign, float(-len(bad_sign)),
-                   detail=f"{len(rows)} tails checked")
+                   detail=f"{len(tails)} tails checked")
     return report
 
 

@@ -948,6 +948,27 @@ class TestStructuralReport:
         status = {check.name: check.ok for check in report.checks}
         assert not status[f"hierarchy[dim1,k={k}]"]
 
+    def test_power_dominance_fails_member_above_two_steps(self, monkeypatch):
+        # alpha_(2 e_0) above (rho / lambda_0)^2 alpha_0 at rho < lambda_0,
+        # which the two-step bound 2->0 caught, fails the step 2->1
+        spec, target, zero = Spectrum((1.0, 2.0)), MultiIndex.single(2, 0, 2), \
+            MultiIndex.zero(2)
+        real = ball.ball_integrals
+
+        def raised(indices, rho, spectrum):
+            got = real(indices, rho, spectrum)
+            if max(index.order for index in got) < 3:
+                return got
+            out = {index: got[index] for index in got}
+            out[target] = ball.IntegralValue(1.01 * rho * rho * got[zero].value,
+                                             got[target].est_abs_error)
+            return out
+
+        monkeypatch.setattr(ball, "ball_integrals", raised)
+        report = verify_structural(0.5, spec)
+        status = {check.name: check.ok for check in report.checks}
+        assert not status["power-dominance[dim0,2->1]"]
+
     def test_margins_are_pinned(self):
         # family reads and the shared difference rule must move no margin
         # by a single bit from the one-member, first-derivative evaluation
@@ -957,5 +978,5 @@ class TestStructuralReport:
         assert margins["radial-derivative[k=1,1]"] == "0x1.0c6f459fd6944p-20"
         assert margins["variance-derivative[k=2,0,dim1]"] == "0x1.0c6ef281e94bcp-20"
         assert margins["hierarchy[dim1,k=2]"] == "0x1.010425f2dde2ep-1"
-        assert margins["power-dominance[dim0,2->0]"] == "0x1.557bcb90fcd15p+2"
+        assert margins["power-dominance[dim0,2->1]"] == "0x1.382ea1a9c8987p-1"
         assert margins["vanishing-radial-derivative[k=1,0]"] == "0x1.5726ff785e18fp-27"

@@ -791,25 +791,12 @@ class TestInequalityBattery:
             off_err = sum(cov[n][m][1] / lams[n] / lams[m] for n, m in pairs)
             want["log-concavity-combination"] = \
                 var - 2.0 * v + off <= NOISE_FACTOR * (var_err + off_err)
-            want["second-moment-trace"] = (
-                sum(s / lam for (s, _), lam in zip(sec, lams))
-                <= v + NOISE_FACTOR * sum(e / lam for (_, e), lam in zip(sec, lams)))
             for n, lam in enumerate(lams):
                 (second, sec_err), (fourth, frt_err) = sec[n], batch.product(n, n)
-                b1, b2, b3 = second * (2.0 * lam + second), lam * (2.0 * lam + second), \
-                    3.0 * lam * lam
-                # the bars of b1 = E2 (2 lam + E2) and b2 = lam (2 lam + E2)
-                b1_err = (2.0 * lam + 2.0 * second) * sec_err + sec_err * sec_err
-                b2_err = lam * sec_err
-                # chain-monotone reads its lesser side against the larger of
-                # the two sides' bars, b1_err + b2_err (b3 is exact)
-                want[f"chain-monotone[{n}]"] = min(b2 - b1, b3 - b2) >= \
-                    -NOISE_FACTOR * (b1_err + b2_err)
-                want[f"fourth-vs-tight[{n}]"] = \
-                    fourth <= b1 + NOISE_FACTOR * (b1_err + frt_err)
-                want[f"fourth-vs-loose[{n}]"] = \
-                    fourth <= b2 + NOISE_FACTOR * (b2_err + frt_err)
-                want[f"fourth-vs-free[{n}]"] = fourth <= b3 + NOISE_FACTOR * frt_err
+                want[f"second-vs-variance[{n}]"] = second <= lam + NOISE_FACTOR * sec_err
+                # the bar of lam (2 lam + E2) is lam times E2's
+                want[f"fourth-vs-loose[{n}]"] = fourth <= lam * (2.0 * lam + second) \
+                    + NOISE_FACTOR * (lam * sec_err + frt_err)
                 gap, gap_err = batch.gap(n)
                 want[f"variance-gap[{n}]"] = gap <= NOISE_FACTOR * gap_err
                 row = sum(abs(cov[n][m][0]) for m in range(v) if m != n)
@@ -823,14 +810,49 @@ class TestInequalityBattery:
             assert got == want, (rho, spec.lambdas)
 
 
+class TestImpliedChecksStayCaught:
+    """The battery drops each check a kept one implies.  Each test plants,
+    through a caller-supplied family at one geometry, a failure a dropped
+    check caught, and a kept check fails on the same batch."""
+
+    RHO, SPEC = 2.0, Spectrum((1.0, 2.0))
+
+    def _statuses(self, monkeypatch, dims, ratio):
+        """The battery's statuses with the member of sorted dimensions
+        ``dims`` set to ``ratio(r)`` alpha_0, r = alpha_(e_0) / alpha_0;
+        every member keeps its bar."""
+        members = ball._index_family(self.SPEC.v)
+        family = {index: IntegralValue(x.value, x.est_abs_error) for index, x in
+                  ball.ball_integrals(members.values(), self.RHO, self.SPEC).items()}
+        base = family[members[()]].value
+        r = family[members[(0,)]].value / base
+        family[members[dims]] = IntegralValue(ratio(r) * base,
+                                              family[members[dims]].est_abs_error)
+        monkeypatch.setattr(moments, "ball_integrals", lambda *args: family)
+        return {c.name: c.status for c in inequality_battery(self.RHO, self.SPEC).checks}
+
+    def test_fourth_above_the_tight_bound(self, monkeypatch):
+        # E4 > E2 (2 lambda + E2), which fourth-vs-tight caught, is a positive gap
+        got = self._statuses(monkeypatch, (0, 0), lambda r: 1.01 * r * (2.0 + r))
+        assert got["variance-gap[0]"] == VIOLATED_CLAIM
+
+    def test_fourth_above_three_lambda_squared(self, monkeypatch):
+        # E4 > 3 lambda^2, which fourth-vs-free caught
+        got = self._statuses(monkeypatch, (0, 0), lambda r: 3.03)
+        assert got["fourth-vs-loose[0]"] == FAIL
+
+    def test_second_above_lambda(self, monkeypatch):
+        # E2 > lambda, which chain-monotone and second-moment-trace caught
+        got = self._statuses(monkeypatch, (0,), lambda r: 1.01)
+        assert got["second-vs-variance[0]"] == FAIL
+
+
 class TestBarsBoundEveryCorner:
     """Every order-2 member moved to a corner of a Monte Carlo-sized bar
     (1e-3 relative) moves each moment and each battery margin by at most
     the error it reports.  The 1e-9 relative slack covers rounding: it is
     about 1e-12 of each operand, and the bars are 1e-3 of them."""
 
-    # At rho = 60, E[X_0^2] sits inside its bar of lambda_0, so the lesser
-    # side of chain-monotone switches between corners.
     CELLS = [(2.0, (1.0, 2.0)), (20.0, (1.0, 2.0)), (60.0, (1.0, 2.0)),
              (5.0, (1.0, 2.0, 3.0))]
 

@@ -355,6 +355,8 @@ class TestIntegerArguments:
         lambda: xi_product({3: 1}, _ONE, 3),
         lambda: xi_product(_ONE, {(1, 5): 1}, 3),
         lambda: xi_product({(0, (0,), 1): 1}, _ONE, 3),
+        lambda: xi_product([1], _ONE, 2),
+        lambda: xi_product(_ONE, [1], 2),
         lambda: radial_derivative_envelope("2", 5.0, _SPEC),
         lambda: radial_derivative_envelope(2.5, 5.0, _SPEC),
         lambda: radial_derivative_envelope(0, 5.0, _SPEC),
@@ -375,7 +377,8 @@ class TestIntegerArguments:
             "q_polynomial_string_x", "q_polynomial_nan_x", "q_polynomial_none_a",
             "xi_product_string_q_max", "xi_product_negative_q_max",
             "xi_product_bare_key", "xi_product_scalar_vector",
-            "xi_product_triple_key", "envelope_string_k", "envelope_fraction_k",
+            "xi_product_triple_key", "xi_product_list_f", "xi_product_list_g",
+            "envelope_string_k", "envelope_fraction_k",
             "envelope_zero_k", "spectrum_beyond_float", "dimension_out_of_range",
             "n_total_below_minimum", "convergence_v_out_of_range", "q_max_over_cap"])
     def test_malformed_input_is_domain_error(self, call, message):
@@ -383,10 +386,11 @@ class TestIntegerArguments:
         # non-sequence multiplicity, a bare tuple index, unhashable cache
         # keys, a non-real incomplete-gamma or polynomial argument, a
         # negative or non-integral count or order cap, an envelope order
-        # that is not a positive integer, a key that is not an (order,
-        # vector) pair and a finite-difference step whose power
-        # underflows are each a DomainError, not a coerced value, a silent
-        # 0.0, {} or NaN, or a bare TypeError, OverflowError or
+        # that is not a positive integer, a coefficient operand that is not
+        # a mapping, a key that is not an (order, vector) pair and a
+        # finite-difference step whose power underflows are each a
+        # DomainError, not a coerced value, a silent 0.0, {} or NaN, or a
+        # bare TypeError, AttributeError, OverflowError or
         # ZeroDivisionError; an integer out of range names its range
         with pytest.raises(DomainError, match=message):
             call()

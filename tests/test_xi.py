@@ -385,8 +385,7 @@ class TestSignLawIdentity:
         monkeypatch.setattr(xi, "omega", lambda which, q, tail: real(which, q, tail)
                             + (which == 0 and tuple(tail) == (1, 1, 0)))
         assert _identity_failures(4) == [(1, 1, 0)]
-        assert {c.name for c in omega_inequality_scan(4).failures} == {
-            "omega0<omega1[q=3]", "sign-law[q=3]"}
+        assert {c.name for c in omega_inequality_scan(4).failures} == {"sign-law[q=3]"}
 
 
 class TestScans:
@@ -430,15 +429,13 @@ class TestScans:
             "route-equivalence[q=3,e=(1, 1, 0)]"}
 
     def test_weight_checks_fail_on_swapped_weights(self, monkeypatch):
-        # swapping omega0 and omega1 must fail every omega0<omega1 and
-        # sign-law entry, while the pointwise inequality does not read omega
+        # swapping omega0 and omega1 must fail every sign-law entry, while
+        # the pointwise inequality does not read omega
         real = xi.omega
         monkeypatch.setattr(xi, "omega",
                             lambda which, q, tail: real(1 - which, q, tail))
         report = omega_inequality_scan(4)
-        assert {c.name for c in report.failures} == (
-            {f"omega0<omega1[q={q}]" for q in range(1, 5)}
-            | {f"sign-law[q={q}]" for q in range(1, 5)})
+        assert {c.name for c in report.failures} == {f"sign-law[q={q}]" for q in range(1, 5)}
 
     def test_inverse_mass_identity(self):
         report = inverse_mass_identity_check(4)
@@ -482,7 +479,7 @@ class TestFailingMargins:
         real = xi.omega
         monkeypatch.setattr(xi, "omega", lambda which, q, tail: real(which, q, tail)
                             + (which == 0 and tuple(tail) == (1, 1, 0)))
-        assert self._margin(omega_inequality_scan(3), "omega0<omega1[q=3]") == -1.0
+        assert self._margin(omega_inequality_scan(3), "sign-law[q=3]") == -1.0
 
     def test_sign_law(self, monkeypatch):
         real = xi.gap_limit_coefficient

@@ -547,6 +547,41 @@ def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
     return ball_integral(MultiIndex((k,)), rho, Spectrum((lam,)))
 
 
+def _polar_squares(rng, out: np.ndarray) -> None:
+    """Fill both rows of ``out`` with squared standard normals, two per point.
+
+    Marsaglia and Bray's polar method, keeping only the squares: a point
+    ``(u, w)`` uniform on the quarter disc ``0 < s = u^2 + w^2 < 1`` gives
+    the independent chi-square(1) pair ``u^2 (-2 ln s) / s`` and
+    ``w^2 (-2 ln s) / s`` (the signs it would attach drop out when squared).
+    Slot ``i`` first takes the ``i``-th of ``m`` values of ``u`` from
+    ``rng.random`` and the ``i``-th of the ``m`` values of ``w`` drawn after
+    them.  The slots whose point falls outside, a share 1 - pi / 4, are
+    redrawn: a round with ``r`` slots open draws ``ceil(4 r / 3)`` values of
+    ``u``, then as many of ``w``, and its points inside fill the open slots
+    in order; the rest of the round is dropped.  So one redraw round nearly
+    always suffices, and a point at ``s = 0`` (``ln 0 / 0``) is never used.
+    """
+    rng.random(out=out)
+    np.square(out, out=out)
+    s = out[0] + out[1]
+    slots = np.flatnonzero((s >= 1.0) | (s == 0.0))
+    while slots.size:
+        r = slots.size
+        uw = rng.random((2, r + (r + 2) // 3))
+        np.square(uw, out=uw)
+        t = uw[0] + uw[1]
+        inside = np.flatnonzero((t < 1.0) & (t > 0.0))[:r]
+        filled, slots = slots[:inside.size], slots[inside.size:]
+        s.put(filled, t.take(inside))
+        for row, drawn in zip(out, uw):
+            row.put(filled, drawn.take(inside))
+    f = np.log(s)
+    f *= -2.0
+    f /= s
+    out *= f
+
+
 def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
                       seed: int) -> dict[MultiIndex, MCEstimate]:
     """Rejection-sampling Monte Carlo oracle for several multi-indices.
@@ -554,13 +589,23 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     Samples the unconstrained Gaussian, keeps draws inside the ball, and
     averages each member's monomial weight over the full budget (rejected
     draws contribute zero), which estimates the same normalized integral
-    as the quadrature route.  Every member reads the same draws: ziggurat
-    normals from ``SFC64(seed)`` in blocks of ``_MC_BLOCK`` draws, each
-    block filled coordinate-major (every draw's first coordinate, then
-    every draw's second, ...).  The draws, and so the estimates, are
-    reproducible per ``(seed, n_total)`` and depend on ``_MC_BLOCK``.  The
-    sampler is one sequential stream, so it needs no counter-based keying
-    (Philox's), and SFC64 makes normals about 1.5x as fast.
+    as the quadrature route.  The weight reads only ``z_j^2 = x_j^2 /
+    lambda_j``, so the sampler makes squared normals directly, a pair per
+    point of the quarter disc (Marsaglia and Bray's polar method without
+    the signs, see :func:`_polar_squares`): uniforms from ``SFC64(seed)``,
+    of which the share 1 - pi/4 outside the disc is redrawn.  Every member
+    reads the same draws, made in blocks of ``_MC_BLOCK`` draws, each block
+    filled coordinate-major (every draw's first coordinate, then every
+    draw's second, ...).  Coordinates ``j`` and ``(v + 1) // 2 + j`` come
+    from one point, and an odd v makes one row more than it reads.  Only
+    the rows some member reads are compacted to the kept draws, at most 2
+    of the v for a one-index call.  At 500k draws, one member and rho =
+    0.8 sum(lambda), a call takes about 12 ms at v = 2 and 41 ms at v = 10
+    on a 2-vCPU VM, 1.3-1.4x less in sum over v = 2..10 than ziggurat
+    normals with every row compacted.  The draws, and so the estimates,
+    are reproducible per ``(seed, n_total)`` and depend on ``_MC_BLOCK``.
+    The sampler is one sequential stream, so it needs no counter-based
+    keying (Philox's).
     Returns a dict mapping each multi-index to its :class:`MCEstimate`.
     """
     indices = _checked(indices, spectrum)
@@ -572,22 +617,25 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     # the (dimension, multiplicity) factors of each member's weight
     factors = [[(j, k) for j, k in enumerate(index.multiplicities) if k]
                for index in indices]
+    rows = {j for members in factors for j, _ in members}
     totals = [0.0] * len(indices)
     totals_sq = [0.0] * len(indices)
     n_kept = 0
     v = spectrum.v
-    buffer = np.empty(v * min(_MC_BLOCK, n_total))
+    pairs = (v + 1) // 2
+    buffer = np.empty(2 * pairs * min(_MC_BLOCK, n_total))
     for start in range(0, n_total, _MC_BLOCK):
         size = min(_MC_BLOCK, n_total - start)
         # coordinate-major: zz[j] holds the z_j^2 = x_j^2 / lambda_j of
-        # every draw, in place, so a member reads contiguous rows
-        zz = buffer[:v * size].reshape(v, size)
-        rng.standard_normal(out=zz)
-        np.square(zz, out=zz)
-        kept = np.compress(lams @ zz < rho, zz, axis=1)
-        n_kept += kept.shape[1]
+        # every draw, so a member reads contiguous rows; rows j and
+        # pairs + j come from one point, and an odd v leaves the last unused
+        zz = buffer[:2 * pairs * size].reshape(2 * pairs, size)
+        _polar_squares(rng, zz.reshape(2, pairs * size))
+        inside = np.flatnonzero(lams @ zz[:v] < rho)
+        n_kept += inside.size
+        kept = {j: zz[j].take(inside) for j in rows}
         for i, members in enumerate(factors):
-            y = np.ones(kept.shape[1])
+            y = np.ones(inside.size)
             for j, k in members:
                 y *= kept[j] ** k
             totals[i] += float(y.sum())

@@ -792,21 +792,104 @@ class TestMonteCarlo:
         assert c.mean != a.mean
 
     def test_stream_is_sfc64_coordinate_major(self):
-        # pins the draws: each block takes v * size normals of SFC64(seed),
-        # all of coordinate 0 first, then coordinate 1, ...; a full block
-        # and a partial one
+        # pins the draws, written out point by point: a block of `size`
+        # draws at v = 3 fills 2 * 2 coordinate-major rows of z^2 from
+        # m = 2 * size quarter-disc points of SFC64(seed).  Slot i takes the
+        # i-th of m values of u and the i-th of the m values of w after
+        # them; every slot with s = u^2 + w^2 outside (0, 1) is redrawn from
+        # rounds of ceil(4 r / 3) values of u, then of w, for the r slots
+        # open, whose points inside fill the open slots in order.  Slot i
+        # gives u^2 (-2 ln s) / s to row i // size and w^2 (-2 ln s) / s to
+        # row 2 + i // size; row 3 goes unused.  A full block and a partial
+        # one.
         lams, rho, seed = (0.5, 1.0, 2.0), 3.0, 91
         n_total = 2 * ball._MC_BLOCK - 1234
-        est = ball_integral_mc(MultiIndex((0, 1, 0)), rho, Spectrum(lams),
-                               n_total, seed)
+        family = [MultiIndex((1, 0, 0)), MultiIndex((0, 1, 1)),
+                  MultiIndex((0, 0, 2))]
+        est = ball_integrals_mc(family, rho, Spectrum(lams), n_total, seed)
         rng = np.random.Generator(np.random.SFC64(seed))
-        n_kept, total = 0, 0.0
+        n_kept, totals = 0, [0.0] * len(family)
         for size in (ball._MC_BLOCK, n_total - ball._MC_BLOCK):
-            zz = rng.standard_normal(len(lams) * size).reshape(len(lams), size) ** 2
-            inside = sum(lam * row for lam, row in zip(lams, zz)) < rho
-            n_kept += int(inside.sum())
-            total += float(zz[1][inside].sum())
-        assert (est.n_kept, est.mean) == (n_kept, total / n_total)
+            m = 2 * size
+            points = list(zip(rng.random(m), rng.random(m)))
+            open_slots = [i for i, (u, w) in enumerate(points)
+                          if not 0.0 < u * u + w * w < 1.0]
+            while open_slots:
+                n = math.ceil(4 * len(open_slots) / 3)
+                drawn = list(zip(rng.random(n), rng.random(n)))
+                inside = [(u, w) for u, w in drawn if 0.0 < u * u + w * w < 1.0]
+                for i, point in zip(open_slots, inside):
+                    points[i] = point
+                open_slots = open_slots[len(inside):]
+            rows = [[], []]
+            for u, w in points:
+                s = u * u + w * w
+                f = -2.0 * math.log(s) / s
+                rows[0].append(u * u * f)
+                rows[1].append(w * w * f)
+            z = rows[0] + rows[1]
+            for d in range(size):
+                z0, z1, z2 = z[d], z[size + d], z[2 * size + d]
+                if lams[0] * z0 + lams[1] * z1 + lams[2] * z2 < rho:
+                    n_kept += 1
+                    for i, y in enumerate((z0, z1 * z2, z2 * z2)):
+                        totals[i] += y
+        assert [est[index].n_kept for index in family] == [n_kept] * 3
+        assert [est[index].mean for index in family] == pytest.approx(
+            [total / n_total for total in totals], rel=1e-12)
+
+    @pytest.mark.parametrize("v", [4, 5])
+    def test_all_kept_draws_follow_the_normal_law(self, v):
+        # every draw kept, so each member estimates E[prod z_j^(2 k_j)]:
+        # E[z^2] = 1, E[z^4] = 3 and E[z_n^2 z_m^2] = 1, among them the
+        # coordinates drawn from one point, (j, (v + 1) // 2 + j)
+        family = list(_index_family(v).values())
+        estimates = ball_integrals_mc(family, 1e6, Spectrum((1.0,) * v),
+                                      200_000, seed=3 + v)
+        for index in family:
+            est = estimates[index]
+            assert est.n_kept == est.n_total
+            assert abs(est.mean - index.factorized_bound()) <= 4.0 * est.std_error
+
+    def test_error_bars_cover_at_the_normal_rate(self):
+        # 200 seeded 10k-draw estimates of a member that reads both
+        # coordinates of one point, at rho = v lambda (so rho / 2 lambda =
+        # v / 2): P(|z| <= 2) = 0.9545, and under
+        # Binomial(200, 0.9545) a count below 181 or of 200 has
+        # probability 4.4e-4
+        v, lam = 3, 1.3
+        spec, index = Spectrum((lam,) * v), MultiIndex((1, 0, 1))
+        exact = gammainc(v / 2 + 2, v / 2)
+        covered = 0
+        for seed in range(200):
+            est = ball_integral_mc(index, lam * v, spec, 10_000, seed)
+            covered += abs(est.mean - exact) <= 2.0 * est.std_error
+        assert 181 <= covered <= 199
+
+    def test_point_at_the_origin_is_redrawn(self):
+        # u = w = 0 gives s = 0, where -2 ln s / s is inf and u^2 times it
+        # NaN: the slot is redrawn, and the first point inside of the
+        # redraw round fills it
+        class OriginFirst:
+            def __init__(self):
+                self.rng = np.random.Generator(np.random.SFC64(5))
+                self.drawn = []
+
+            def random(self, size=None, out=None):
+                x = self.rng.random(size, out=out)
+                if not self.drawn:
+                    x[:, 0] = 0.0
+                self.drawn.append(x.copy())
+                return x
+
+        rng, out = OriginFirst(), np.empty((2, 1000))
+        with np.errstate(divide="raise", invalid="raise"):
+            ball._polar_squares(rng, out)
+        assert len(rng.drawn) >= 2 and np.isfinite(out).all()
+        u, w = next((u, w) for u, w in rng.drawn[1].T if 0.0 < u * u + w * w < 1.0)
+        s = u * u + w * w
+        assert out[:, 0] == pytest.approx([u * u * -2 * math.log(s) / s,
+                                           w * w * -2 * math.log(s) / s], rel=1e-14)
 
     def test_degenerate_acceptance(self):
         spec = Spectrum((1.0, 1.0, 1.0))

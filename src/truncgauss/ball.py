@@ -595,15 +595,17 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     the signs, see :func:`_polar_squares`): uniforms from ``SFC64(seed)``,
     of which the share 1 - pi/4 outside the disc is redrawn.  Every member
     reads the same draws, made in blocks of ``_MC_BLOCK`` draws, each block
-    filled coordinate-major (every draw's first coordinate, then every
-    draw's second, ...).  Coordinates ``j`` and ``(v + 1) // 2 + j`` come
-    from one point, and an odd v makes one row more than it reads.  Only
-    the rows some member reads are compacted to the kept draws, at most 2
-    of the v for a one-index call.  At 500k draws, one member and rho =
-    0.8 sum(lambda), a call takes about 12 ms at v = 2 and 41 ms at v = 10
-    on a 2-vCPU VM, 1.3-1.4x less in sum over v = 2..10 than ziggurat
-    normals with every row compacted.  The draws, and so the estimates,
-    are reproducible per ``(seed, n_total)`` and depend on ``_MC_BLOCK``.
+    one flat run of ``v * size`` values read coordinate-major (every draw's
+    first coordinate, then every draw's second, ...).  Flat values ``i``
+    and ``(v * size + 1) // 2 + i`` come from one point (at odd v, from two
+    draws), so a block whose ``v * size`` is odd draws one spare value and
+    does not read it.  Only the rows some member reads are compacted to the
+    kept draws, at most 2 of the v for a one-index call.  At 500k draws,
+    one member and rho = 0.8 sum(lambda), a call takes about 8 ms at v = 1,
+    12 ms at v = 2, 15 ms at v = 3 and 41 ms at v = 10 on a 2-vCPU VM,
+    1.3-1.4x less in sum over v = 2..10 than ziggurat normals with every
+    row compacted.  The draws, and so the estimates, are reproducible per
+    ``(seed, n_total)`` and depend on ``_MC_BLOCK``.
     The sampler is one sequential stream, so it needs no counter-based
     keying (Philox's).
     Returns a dict mapping each multi-index to its :class:`MCEstimate`.
@@ -622,16 +624,15 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
     totals_sq = [0.0] * len(indices)
     n_kept = 0
     v = spectrum.v
-    pairs = (v + 1) // 2
-    buffer = np.empty(2 * pairs * min(_MC_BLOCK, n_total))
+    buffer = np.empty(v * min(_MC_BLOCK, n_total) + 1)
     for start in range(0, n_total, _MC_BLOCK):
         size = min(_MC_BLOCK, n_total - start)
+        half = (v * size + 1) // 2
+        _polar_squares(rng, buffer[:2 * half].reshape(2, half))
         # coordinate-major: zz[j] holds the z_j^2 = x_j^2 / lambda_j of
-        # every draw, so a member reads contiguous rows; rows j and
-        # pairs + j come from one point, and an odd v leaves the last unused
-        zz = buffer[:2 * pairs * size].reshape(2 * pairs, size)
-        _polar_squares(rng, zz.reshape(2, pairs * size))
-        inside = np.flatnonzero(lams @ zz[:v] < rho)
+        # every draw, so a member reads contiguous rows
+        zz = buffer[:v * size].reshape(v, size)
+        inside = np.flatnonzero(lams @ zz < rho)
         n_kept += inside.size
         kept = {j: zz[j].take(inside) for j in rows}
         for i, members in enumerate(factors):

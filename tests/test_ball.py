@@ -530,14 +530,22 @@ class TestMixture:
         assert built == {(j, size): 1 for j in range(1, 8) for size in sizes}
 
     @pytest.mark.xfail(strict=True, raises=NumericError, reason=(
-        "ROADMAP 4(l): the v = 2 quadrature overshoots the exact bound of "
-        "index (40, 40) at rho = 1e4; stage B is the fix"))
-    def test_high_order_within_its_bar_of_the_mixture(self):
-        # the quadrature reads 6.367298e117 against the bound 6.364520e117;
-        # the mixture reads 6.364520e117 with a 2.6e104 bar
-        index, spec = MultiIndex((40, 40)), Spectrum((1.0, 1.0))
-        got = ball_integral(index, 1e4, spec)
-        (value,), _ = ball._alpha_mixture((index.multiplicities,), spec.lambdas, 1e4)
+        "ROADMAP 4(l): the v = 2..4 quadrature overshoots the exact bound of "
+        "a member of multiplicity k >= 4 on a sliced coordinate at large "
+        "rho / lambda; stage B is the fix"))
+    @pytest.mark.parametrize("ks, rho", [
+        # reads 6.367298e117 against the bound 6.364520e117; the mixture
+        # reads 6.364520e117 with a 2.6e104 bar
+        ((40, 40), 1e4),
+        # each reads 105.0000013 against the bound 105; the mixture reads
+        # 105 with a bar near 1e-11
+        ((0, 4), 1e3),
+        ((0, 0, 0, 4), 1e3),
+    ])
+    def test_high_order_within_its_bar_of_the_mixture(self, ks, rho):
+        index, spec = MultiIndex(ks), Spectrum((1.0,) * len(ks))
+        got = ball_integral(index, rho, spec)
+        (value,), _ = ball._alpha_mixture((index.multiplicities,), spec.lambdas, rho)
         assert abs(got.value - value) <= got.est_abs_error
 
     def test_capability_error_beyond_term_budget(self):
@@ -793,24 +801,26 @@ class TestMonteCarlo:
 
     def test_stream_is_sfc64_coordinate_major(self):
         # pins the draws, written out point by point: a block of `size`
-        # draws at v = 3 fills 2 * 2 coordinate-major rows of z^2 from
-        # m = 2 * size quarter-disc points of SFC64(seed).  Slot i takes the
-        # i-th of m values of u and the i-th of the m values of w after
-        # them; every slot with s = u^2 + w^2 outside (0, 1) is redrawn from
-        # rounds of ceil(4 r / 3) values of u, then of w, for the r slots
-        # open, whose points inside fill the open slots in order.  Slot i
-        # gives u^2 (-2 ln s) / s to row i // size and w^2 (-2 ln s) / s to
-        # row 2 + i // size; row 3 goes unused.  A full block and a partial
-        # one.
+        # draws at v = 3 is one flat run of 3 * size values of z^2, read
+        # coordinate-major (every draw's first coordinate, then every
+        # draw's second, ...), from m = (3 * size + 1) // 2 quarter-disc
+        # points of SFC64(seed).  Slot i takes the i-th of m values of u and
+        # the i-th of the m values of w after them; every slot with s = u^2
+        # + w^2 outside (0, 1) is redrawn from rounds of ceil(4 r / 3)
+        # values of u, then of w, for the r slots open, whose points inside
+        # fill the open slots in order.  Slot i gives u^2 (-2 ln s) / s to
+        # flat value i and w^2 (-2 ln s) / s to flat value m + i.  A full
+        # block, and a partial one of odd size, whose last value is drawn
+        # and not read.
         lams, rho, seed = (0.5, 1.0, 2.0), 3.0, 91
-        n_total = 2 * ball._MC_BLOCK - 1234
+        n_total = 2 * ball._MC_BLOCK - 1233
         family = [MultiIndex((1, 0, 0)), MultiIndex((0, 1, 1)),
                   MultiIndex((0, 0, 2))]
         est = ball_integrals_mc(family, rho, Spectrum(lams), n_total, seed)
         rng = np.random.Generator(np.random.SFC64(seed))
         n_kept, totals = 0, [0.0] * len(family)
         for size in (ball._MC_BLOCK, n_total - ball._MC_BLOCK):
-            m = 2 * size
+            m = (3 * size + 1) // 2
             points = list(zip(rng.random(m), rng.random(m)))
             open_slots = [i for i, (u, w) in enumerate(points)
                           if not 0.0 < u * u + w * w < 1.0]
@@ -838,11 +848,31 @@ class TestMonteCarlo:
         assert [est[index].mean for index in family] == pytest.approx(
             [total / n_total for total in totals], rel=1e-12)
 
-    @pytest.mark.parametrize("v", [4, 5])
+    @pytest.mark.parametrize("v", [1, 3, 5, 7])
+    def test_blocks_draw_at_most_one_value_they_do_not_read(self, monkeypatch, v):
+        # a block of `size` draws fills 2 * ((v * size + 1) // 2) values:
+        # one spare when v * size is odd, none when it is even.  A full
+        # block and a partial one of odd size.
+        sizes, calls = (ball._MC_BLOCK, 4321), []
+        polar = ball._polar_squares
+
+        def recorded(rng, out):
+            calls.append(out.size)
+            polar(rng, out)
+
+        monkeypatch.setattr(ball, "_polar_squares", recorded)
+        ball_integral_mc(MultiIndex.zero(v), 1e6, Spectrum((1.0,) * v),
+                         sum(sizes), seed=v)
+        assert [filled - v * size
+                for filled, size in zip(calls, sizes, strict=True)] == [0, 1]
+
+    @pytest.mark.parametrize("v", [3, 4, 5])
     def test_all_kept_draws_follow_the_normal_law(self, v):
         # every draw kept, so each member estimates E[prod z_j^(2 k_j)]:
-        # E[z^2] = 1, E[z^4] = 3 and E[z_n^2 z_m^2] = 1, among them the
-        # coordinates drawn from one point, (j, (v + 1) // 2 + j)
+        # E[z^2] = 1, E[z^4] = 3 and E[z_n^2 z_m^2] = 1.  A block's flat
+        # values i and (v * size + 1) // 2 + i come from one point: at even
+        # v they are coordinates j and v / 2 + j of one draw, at odd v they
+        # fall in different draws
         family = list(_index_family(v).values())
         estimates = ball_integrals_mc(family, 1e6, Spectrum((1.0,) * v),
                                       200_000, seed=3 + v)

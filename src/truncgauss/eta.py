@@ -226,19 +226,17 @@ def asymptotic_checks(spectrum: Spectrum, k_max: int,
     for k in range(1, k_max + 1):
         values = [reads[r][1][k] for r in schedule]
         tail = values[-3:] if len(values) >= 3 else values
-        decreasing = all(abs(b) < abs(a) for a, b in zip(tail, tail[1:]))
-        report.add(f"vanishing[k={k}]", decreasing,
+        report.add(f"vanishing[k={k}]",
                    min((abs(a) - abs(b) for a, b in zip(tail, tail[1:])), default=0.0),
                    detail=f"|eta_{k}| along tail: "
                           + ", ".join(f"{abs(x):.3e}" for x in tail))
         want = (-1.0) ** (k - 1)
-        sign_ok = all(math.copysign(1.0, x) == want for x in values[-2:])
-        report.add(f"limit-sign[k={k}]", sign_ok, min(want * x for x in values[-2:]),
+        report.add(f"limit-sign[k={k}]", min(want * x for x in values[-2:]),
                    detail=f"expected sign {int(want)}")
         for rho in schedule[-2:]:
             alpha, etas = reads[rho]
             lhs = abs(etas[k]) * alpha
             env = radial_derivative_envelope(k, rho, spectrum)
-            report.add(f"envelope[k={k},rho={rho:g}]", lhs < env, env - lhs,
+            report.add(f"envelope[k={k},rho={rho:g}]", env - lhs,
                        detail=f"|rho^k d^k alpha| {lhs:.3e} < bound {env:.3e}")
     return report

@@ -3,8 +3,8 @@
 All moments are ratios of ball integrals, formed as arithmetic on
 :class:`ball.IntegralValue`, which carries each integral's error bar through
 every operation.  So every moment, and every inequality check's margin,
-comes with its own bar, which ``report.Report.add_margin`` scales into the
-noise threshold (``report`` holds the factor): a genuine violation is
+comes with its own bar, which ``report.holds`` scales into the noise
+threshold (``report`` holds the factor): a genuine violation is
 distinguishable from roundoff at points where the quantity being tested is
 itself tiny.
 """
@@ -16,10 +16,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .ball import (_BOUND_SLACK, IntegralValue, MultiIndex, Spectrum, _check_rho,
+from .ball import (_BOUND_FACTOR, IntegralValue, MultiIndex, Spectrum, _check_rho,
                    _check_spectrum, _dimension, _index_family, ball_integral, ball_integrals)
 from .errors import DomainError, NumericError
-from .report import SLACK, Report
+from .report import Report, holds
 from .special import _finite, _nonzero, _positive, _real
 
 __all__ = [
@@ -188,12 +188,12 @@ def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
     fourth = tuple(cross[n][n] for n in range(v))
     for n in range(v):
         lam = lams[n]
-        if not (0.0 < second[n] <= lam * _BOUND_SLACK and second[n] < rho):
+        if not (0.0 < second[n] <= lam * _BOUND_FACTOR and second[n] < rho):
             raise NumericError(
                 f"second moment {second[n]} outside (0, min(lambda, rho)] "
                 f"at n={n}, rho={rho}"
             )
-        if not (0.0 < fourth[n] <= 3.0 * lam * lam * _BOUND_SLACK
+        if not (0.0 < fourth[n] <= 3.0 * lam * lam * _BOUND_FACTOR
                 and fourth[n] < rho * rho):
             raise NumericError(
                 f"fourth moment {fourth[n]} outside its bounds at n={n}, rho={rho}"
@@ -258,7 +258,8 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
         region = REGION_WEAK
     else:
         region = REGION_CROSSOVER
-    bound_holds = batch.cov(n, n)[0] <= 2.0 * h * e2 * (1.0 + SLACK)
+    bound = 2.0 * h * e2
+    bound_holds = holds(bound - batch.cov(n, n)[0], size=bound)
     return HolderReport(h, h1, h2, region, bound_holds)
 
 
@@ -267,7 +268,8 @@ def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
     n = _dimension(n, _check_spectrum(spectrum).v)
     moments = conditional_moments(rho, spectrum)
     lam = spectrum.lambdas[n]
-    return moments.fourth[n] <= lam * (2.0 * lam + moments.second[n]) * (1.0 + SLACK)
+    bound = lam * (2.0 * lam + moments.second[n])
+    return holds(bound - moments.fourth[n], size=bound)
 
 
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:
@@ -339,23 +341,23 @@ def inequality_battery(rho: float, spectrum: Spectrum) -> Report:
     combo = sum(cov[n][n] / lams[n] / lams[n] for n in range(v)) - 2.0 * v
     combo += sum(cov[n][m] / lams[n] / lams[m]
                  for n in range(v) for m in range(v) if m != n)
-    report.add_margin("log-concavity-combination", -combo,
-                      detail=f"value {combo.value:.6e}, noise {combo.est_abs_error:.1e}")
+    report.add("log-concavity-combination", -combo,
+               detail=f"value {combo.value:.6e}, noise {combo.est_abs_error:.1e}")
 
     for n in range(v):
         lam = lams[n]
-        report.add_margin(f"second-vs-variance[{n}]", lam - second[n])
-        report.add_margin(f"fourth-vs-loose[{n}]", lam * (2.0 * lam + second[n]) - fourth[n])
+        report.add(f"second-vs-variance[{n}]", lam - second[n])
+        report.add(f"fourth-vs-loose[{n}]", lam * (2.0 * lam + second[n]) - fourth[n])
 
         gap = batch.gap(n)
-        report.add_margin(f"variance-gap[{n}]", -gap, claim=True,
-                          detail=f"gap {gap.value:.6e}, noise {gap.est_abs_error:.1e}")
+        report.add(f"variance-gap[{n}]", -gap, claim=True,
+                   detail=f"gap {gap.value:.6e}, noise {gap.est_abs_error:.1e}")
 
         row = sum(abs(cov[n][m]) for m in range(v) if m != n)
-        report.add_margin(f"diagonal-dominance[{n}]", cov[n][n] - row, claim=True)
+        report.add(f"diagonal-dominance[{n}]", cov[n][n] - row, claim=True)
 
         for m in range(n + 1, v):
-            report.add_margin(f"negative-covariance[{n},{m}]", -cov[n][m], claim=True,
-                              detail="cov {:.6e}, noise {:.1e}".format(*cov[n][m]))
+            report.add(f"negative-covariance[{n},{m}]", -cov[n][m], claim=True,
+                       detail="cov {:.6e}, noise {:.1e}".format(*cov[n][m]))
 
     return report

@@ -926,6 +926,16 @@ class TestMonteCarlo:
         with pytest.raises(DegenerateAcceptanceError):
             ball_integral_mc(MultiIndex.zero(3), 1e-12, spec, 10_000, seed=5)
 
+    def test_empty_family_draws_nothing(self, monkeypatch):
+        # no member reads a draw, so none is made, and a radius no draw
+        # reaches does not raise; the result is empty, as ball_integrals([])'s
+        def no_draw(rng, out):
+            raise AssertionError("an empty family drew")
+
+        monkeypatch.setattr(ball, "_polar_squares", no_draw)
+        assert ball_integrals_mc([], 1e-300, Spectrum((1.0, 1.0)), 10_000, 1) == {}
+        assert len(ball_integrals([], 1e-300, Spectrum((1.0, 1.0)))) == 0
+
     def test_budget_floor(self):
         with pytest.raises(DomainError):
             ball_integral_mc(MultiIndex((0,)), 1.0, Spectrum((1.0,)), 100, seed=0)

@@ -11,6 +11,7 @@ import pytest
 
 from truncgauss import ball, xi
 from truncgauss.cli import _build_parser, main
+from truncgauss.report import Report, holds
 
 
 def run(argv, capsys):
@@ -401,6 +402,33 @@ class TestVerify:
         code, out, err = run(shlex.split(argv), capsys)
         assert code == 0, (code, err)
         json.loads(out, parse_constant=non_finite)
+
+    @pytest.mark.parametrize("argv", [
+        "verify all", "verify xi --qmax 12", "verify structural --rho 1e200",
+        "verify asymptotic --lambda 0.3,0.4,0.5"])
+    def test_status_is_the_rule_on_the_margin(self, argv, capsys, monkeypatch):
+        # every printed check has the status report.holds gives the margin
+        # and size it was added with, and prints that margin's value; so one
+        # without a bar passes iff its printed margin is >= 0
+        added, add = [], Report.add
+
+        def spy(report, name, margin, size=0.0, claim=False, detail=""):
+            added.append((name, margin, size, claim))
+            return add(report, name, margin, size, claim, detail)
+
+        monkeypatch.setattr(Report, "add", spy)
+        _, out, _ = run(shlex.split(argv), capsys)
+        checks = json.loads(out)["checks"]
+        assert len(checks) == len(added) > 0
+        for check, (name, margin, size, claim) in zip(checks, added):
+            value, error = margin if isinstance(margin, tuple) else (margin, 0.0)
+            assert check["name"].endswith(name)
+            assert repr(check["margin"]) == repr(float(value))
+            status = "pass" if holds(margin, size) else \
+                "violated-claim" if claim else "fail"
+            assert check["status"] == status, check
+            if check["margin"] >= 0.0 or not (error or size):
+                assert (check["status"] == "pass") == (check["margin"] >= 0.0), check
 
     def test_all_quick_within_budget(self, capsys):
         import time

@@ -765,11 +765,10 @@ class TestInequalityBattery:
         edge = -(NOISE_FACTOR * noise + SLACK * size)
         below = math.nextafter(edge, -math.inf)
         report = Report("edge")
-        assert report.add_margin("at", IntegralValue(edge, noise), size=size).status == PASS
-        assert report.add_margin("below", IntegralValue(below, noise),
-                                 size=size).status == FAIL
-        assert report.add_margin("claim", IntegralValue(below, noise), size=size,
-                                 claim=True).status == VIOLATED_CLAIM
+        assert report.add("at", IntegralValue(edge, noise), size=size).status == PASS
+        assert report.add("below", IntegralValue(below, noise), size=size).status == FAIL
+        assert report.add("claim", IntegralValue(below, noise), size=size,
+                          claim=True).status == VIOLATED_CLAIM
         assert [c.margin for c in report.checks] == [edge, below, below]
 
     def test_statuses_match_the_explicit_conditions(self):
@@ -892,14 +891,14 @@ class TestBarsBoundEveryCorner:
     @pytest.mark.parametrize("rho, lams", CELLS)
     def test_battery_margins(self, monkeypatch, rho, lams):
         spec, center, corners = self._families(rho, lams)
-        family, margins, add_margin = [center], {}, Report.add_margin
+        family, margins, add = [center], {}, Report.add
 
         def spy(report, name, margin, *args, **kwargs):
             margins[name] = margin
-            return add_margin(report, name, margin, *args, **kwargs)
+            return add(report, name, margin, *args, **kwargs)
 
         monkeypatch.setattr(moments, "ball_integrals", lambda *args: family[0])
-        monkeypatch.setattr(Report, "add_margin", spy)
+        monkeypatch.setattr(Report, "add", spy)
 
         def read(at):
             family[0] = at

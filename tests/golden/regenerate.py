@@ -39,6 +39,10 @@ COMMANDS = (
     "moments --lambda 1,2,3 --rho 5",
     "moments --lambda 1,1.5,2,3 --rho-range 1:30:8:log",
     "moments --lambda 1,2 --rho 5 --format json",
+    "moments --lambda 1,2,3,4,5 --rho 7",
+    "moments --lambda 1,1.5,2,2.5,3,3.5,4,4.5 --rho 9",
+    "moments --lambda 1,2,3,4,5,6 --rho-range 2:200:6:log",
+    "moments --lambda 1,2,3,4,5 --rho 1000",
     "eta --lambda 1,2 --rho 5 --order 4",
     "figure delta-grid",
     "figure delta-grid --quick",

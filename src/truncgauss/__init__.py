@@ -26,15 +26,19 @@ from .errors import (
     NumericError,
     TruncGaussError,
 )
-from .eta import asymptotic_checks, coefficient_table, eta_combinatorial, eta_fd_oracle
+from .eta import (
+    asymptotic_checks,
+    coefficient_table,
+    eta_combinatorial,
+    eta_fd_oracle,
+    q_polynomial,
+)
 from .expansion import (
     ConvergenceEstimate,
     ExpansionPartialSum,
     convergence_estimate,
     expand_alpha,
-    gamma_nm_cancellation_check,
     gamma_nn_expansion_coeff,
-    q_polynomial,
 )
 from .moments import (
     CorrelationSet,
@@ -45,10 +49,8 @@ from .moments import (
     correlation_set,
     holder_report,
     inequality_battery,
-    loose_bound_check,
     marginal_density,
     rho_star,
-    variance_gap,
 )
 from .special import (
     double_factorial,

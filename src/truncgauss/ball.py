@@ -538,12 +538,14 @@ def ball_integrals(indices, rho: float, spectrum: Spectrum) -> BallIntegrals:
 
 
 def ball_integral(index: MultiIndex, rho: float, spectrum: Spectrum) -> IntegralValue:
-    """Evaluation of one multi-index: the one-member family, any v."""
+    """Evaluation of one multi-index: the one-member family, any v.
+    A view of :func:`ball_integrals`, kept because PAPER.md names it."""
     return ball_integrals((index,), rho, spectrum)[index]
 
 
 def ball_integral_1d(k: int, rho: float, lam: float) -> IntegralValue:
-    """One-dimensional integral: the one-member family at v = 1."""
+    """One-dimensional integral: the one-member family at v = 1.
+    A view of :func:`ball_integral`, kept because PAPER.md names it."""
     return ball_integral(MultiIndex((k,)), rho, Spectrum((lam,)))
 
 
@@ -660,7 +662,8 @@ def ball_integrals_mc(indices, rho: float, spectrum: Spectrum, n_total: int,
 
 def ball_integral_mc(index: MultiIndex, rho: float, spectrum: Spectrum,
                      n_total: int, seed: int) -> MCEstimate:
-    """Rejection-sampling Monte Carlo oracle: the one-member family."""
+    """Rejection-sampling Monte Carlo oracle: the one-member family.
+    A view of :func:`ball_integrals_mc`, kept because ``bench/`` calls it."""
     return ball_integrals_mc((index,), rho, spectrum, n_total, seed)[index]
 
 

@@ -136,7 +136,8 @@ def _etas(k_max: int, rho: float,
 
 
 def eta_combinatorial(k: int, rho: float, spectrum: Spectrum) -> float:
-    """The k-th coefficient function through the exact reduction."""
+    """The k-th coefficient function through the exact reduction.
+    A view of one ``_etas`` read, kept because PAPER.md names it."""
     k, rho = _order(k), _check_rho(rho)
     _check_spectrum(spectrum)
     if k == 0:

@@ -21,18 +21,14 @@ import numpy as np
 from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _dimension,
                    ball_integrals)
 from .errors import DomainError, NumericError
-from .eta import _etas, _order, q_polynomial
-from .moments import MomentBatch
-from .report import Report
+from .eta import _etas, _order
 from .special import _compositions, _integer, _multinomial
 
 __all__ = [
     "ExpansionPartialSum",
     "ConvergenceEstimate",
-    "q_polynomial",
     "expand_alpha",
     "gamma_nn_expansion_coeff",
-    "gamma_nm_cancellation_check",
     "convergence_estimate",
 ]
 
@@ -120,32 +116,6 @@ def gamma_nn_expansion_coeff(n: int, rho: float, spectrum: Spectrum) -> float:
     alpha = _alphas_1d(range(4), rho, spectrum.lambdas[n])
     r1, r2, r3 = (alpha[k] / alpha[0] for k in (1, 2, 3))
     return r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3
-
-
-def gamma_nm_cancellation_check(n: int, m: int, rho: float,
-                                spectrum: Spectrum) -> Report:
-    """Term-by-term cancellation in the scaled-covariance expansion.
-
-    The two ratio expansions entering the covariance share their zeroth-
-    and first-order terms exactly, so the covariance itself is smaller than
-    either series' first-order term by at least one more power of
-    lambda / rho (with an exponentially small remainder on top).  The
-    shared terms agree by algebra, so the check reads the cancellation's
-    outcome: the scaled covariance against that envelope.
-    """
-    v = _check_spectrum(spectrum).v
-    n, m = _dimension(n, v), _dimension(m, v)
-    if n == m:
-        raise DomainError("cancellation check needs two distinct dimensions, "
-                          f"got {n} and {m}")
-    report = Report("covariance-cancellation")
-    lam_n, lam_m = spectrum.lambdas[n], spectrum.lambdas[m]
-    batch = MomentBatch(rho, spectrum)
-    gamma_nm = batch.cov(n, m)[0] / batch.rho2
-    envelope = (lam_n * lam_m / batch.rho2) * (spectrum.lambda_max / rho)
-    report.add("covariance-below-first-order", envelope - abs(gamma_nm),
-               detail=f"|cov|/rho^2 = {abs(gamma_nm):.3e} vs envelope {envelope:.3e}")
-    return report
 
 
 # ---------------------------------------------------------------------------

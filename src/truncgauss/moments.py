@@ -28,12 +28,10 @@ __all__ = [
     "CorrelationSet",
     "HolderReport",
     "conditional_moments",
-    "variance_gap",
     "variance_gap_with_error",
     "correlation_set",
     "marginal_density",
     "holder_report",
-    "loose_bound_check",
     "rho_star",
     "inequality_battery",
 ]
@@ -203,12 +201,9 @@ def conditional_moments(rho: float, spectrum: Spectrum) -> MomentSet:
 
 def variance_gap_with_error(n: int, rho: float, spectrum: Spectrum) -> IntegralValue:
     """The scaled gap (var(X_n^2) - 2 lambda_n E[X_n^2]) / rho^2 and its
-    error bar, carried from the ball integrals' bars."""
+    error bar, carried from the ball integrals' bars.  A view of
+    ``MomentBatch(rho, spectrum).gap(n)``, kept because ``bench/`` calls it."""
     return MomentBatch(rho, spectrum).gap(n)
-
-
-def variance_gap(n: int, rho: float, spectrum: Spectrum) -> float:
-    return variance_gap_with_error(n, rho, spectrum)[0]
 
 
 def correlation_set(rho: float, spectrum: Spectrum) -> CorrelationSet:
@@ -261,15 +256,6 @@ def holder_report(n: int, rho: float, spectrum: Spectrum) -> HolderReport:
     bound = 2.0 * h * e2
     bound_holds = holds(bound - batch.cov(n, n)[0], size=bound)
     return HolderReport(h, h1, h2, region, bound_holds)
-
-
-def loose_bound_check(n: int, rho: float, spectrum: Spectrum) -> bool:
-    """E[X_n^4] <= lambda_n (2 lambda_n + E[X_n^2]), valid at every radius."""
-    n = _dimension(n, _check_spectrum(spectrum).v)
-    moments = conditional_moments(rho, spectrum)
-    lam = spectrum.lambdas[n]
-    bound = lam * (2.0 * lam + moments.second[n])
-    return holds(bound - moments.fourth[n], size=bound)
 
 
 def _second_moment(n: int, rho: float, spectrum: Spectrum) -> float:

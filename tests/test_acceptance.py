@@ -22,10 +22,11 @@ from truncgauss.eta import eta_combinatorial, eta_fd_oracle
 from truncgauss.moments import (
     _second_moment,
     correlation_set,
-    loose_bound_check,
+    inequality_battery,
     rho_star,
     variance_gap_with_error,
 )
+from truncgauss.report import PASS
 from truncgauss.special import stirling_first_unsigned, stirling_second
 from truncgauss.xi import (
     enumerate_exponents,
@@ -259,11 +260,11 @@ def test_criterion_9_expansion_order():
 def test_criterion_10_strong_truncation_analytics():
     ok = True
     spec3 = Spectrum((1.0, 2.0, 3.0))
-    for n in range(3):
-        for rho in np.geomspace(0.1, 50.0, 25):
-            ok &= loose_bound_check(n, float(rho), spec3)
-    for rho in np.geomspace(0.05, 20.0, 15):
-        ok &= loose_bound_check(0, float(rho), Spectrum((1.0,)))
+    for spec, rhos in [(spec3, np.geomspace(0.1, 50.0, 25)),
+                       (Spectrum((1.0,)), np.geomspace(0.05, 20.0, 15))]:
+        for rho in rhos:
+            statuses = {c.name: c.status for c in inequality_battery(float(rho), spec).checks}
+            ok &= all(statuses[f"fourth-vs-loose[{n}]"] == PASS for n in range(spec.v))
 
     details = []
     for spec, n in [(Spectrum((1.0,)), 0), (spec3, 0), (spec3, 2),

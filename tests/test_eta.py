@@ -255,6 +255,18 @@ class TestAsymptoticReport:
         assert any(name.startswith("limit-sign[k=1]") for name in names)
         assert any(name.startswith("envelope[k=4") for name in names)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP 4(h): on an isotropic spectrum the envelope is the exact "
+        "|rho^k d^k alpha|, while |eta_k| alpha is formed from O(1) ratios with "
+        "no bar, so rounding alone fails it; item 6(b) is the fix"))
+    @pytest.mark.parametrize("lams", [(1.0,), (1.0, 1.0), (1.0, 1.0, 1.0),
+                                      (1.0, 1.0, 1.0, 1.0), (1.0,) * 5],
+                             ids=["v1", "v2", "v3", "v4", "v5"])
+    def test_isotropic_schedule_passes(self, lams):
+        # at (1, 1), envelope[k=1,rho=80] reads |eta_1| alpha = 1.11e-14 against
+        # the bound 1.70e-16, which is the true 40 e^-40: 65 times too large
+        assert asymptotic_checks(Spectrum(lams), 4, (20.0, 40.0, 80.0)).passed
+
     @pytest.mark.parametrize("eta1, name, margin", [
         ((3e-3, 4e-3, 1e-3), "vanishing[k=1]", -1e-3),
         ((3e-3, -2e-3, 1e-3), "limit-sign[k=1]", -2e-3),

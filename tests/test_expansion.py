@@ -15,20 +15,17 @@ from truncgauss.expansion import (
     _term_profile_log,
     convergence_estimate,
     expand_alpha,
-    gamma_nm_cancellation_check,
     gamma_nn_expansion_coeff,
-    q_polynomial,
 )
-from truncgauss.eta import eta_combinatorial
-from truncgauss.moments import MomentBatch, correlation_set
+from truncgauss.eta import eta_combinatorial, q_polynomial
+from truncgauss.moments import correlation_set
 
 
 class TestQPolynomial:
     def test_one_definition_under_every_name(self):
         import truncgauss
-        from truncgauss import eta
 
-        assert q_polynomial is eta.q_polynomial is truncgauss.q_polynomial
+        assert q_polynomial is truncgauss.q_polynomial
 
     def test_degree_zero(self):
         assert q_polynomial(0, 3.7, -1.2) == 1.0
@@ -253,37 +250,6 @@ class TestGammaNNCoefficient:
             one = correlation_set(rho, Spectrum((1.0,))).gamma[0][0]
             gaps.append(abs(full - one))
         assert gaps[2] < gaps[1] < gaps[0]
-
-
-class TestCancellationCheck:
-    def test_reference_point(self):
-        spec = Spectrum((1.0, 2.0, 3.0))
-        report = gamma_nm_cancellation_check(0, 1, 30.0, spec)
-        assert report.all_ok
-        names = [c.name for c in report.checks]
-        assert "covariance-below-first-order" in names
-
-    def test_fails_on_an_inflated_covariance(self, monkeypatch):
-        # |cov|/rho^2 is 1.2e-5 against an envelope of 2.2e-4 here, so a
-        # covariance 1e3 times too large must fail the check
-        real = MomentBatch.cov
-        monkeypatch.setattr(MomentBatch, "cov", lambda self, n, m: tuple(
-            1e3 * x for x in real(self, n, m)))
-        report = gamma_nm_cancellation_check(0, 1, 30.0,
-                                             Spectrum((1.0, 2.0, 3.0)))
-        assert [c.name for c in report.failures] == [
-            "covariance-below-first-order"]
-
-    def test_needs_distinct_dimensions(self):
-        with pytest.raises(DomainError):
-            gamma_nm_cancellation_check(1, 1, 5.0, Spectrum((1.0, 2.0)))
-
-    @pytest.mark.parametrize("n,m", [(-1, 0), (0, 3), (0, 1.5)])
-    def test_dimensions_in_range(self, n, m):
-        # a negative dimension would index from the end of the spectrum, and
-        # a non-integral one leaked TypeError
-        with pytest.raises(DomainError):
-            gamma_nm_cancellation_check(n, m, 5.0, Spectrum((1.0, 2.0, 3.0)))
 
 
 class TestConvergenceEstimate:

@@ -219,6 +219,16 @@ class TestCorrelationSet:
             slope = np.polyfit(np.log(rhos), np.log(vals), 1)[0]
             assert slope < -4.0
 
+    @pytest.mark.parametrize("n, m", [(0, 1), (0, 2), (1, 2)])
+    def test_offdiagonal_below_first_order(self, n, m):
+        # the two ratio series share their zeroth- and first-order terms, so
+        # the scaled covariance sits a power of lambda_max / rho below the
+        # first order: at rho = 30 the margin is 3.2x for (1, 2), 18x for (0, 1)
+        rho = 30.0
+        lam_n, lam_m = SPEC3.lambdas[n], SPEC3.lambdas[m]
+        envelope = lam_n * lam_m / rho ** 2 * (SPEC3.lambda_max / rho)
+        assert abs(correlation_set(rho, SPEC3).gamma[n][m]) < envelope
+
     def test_scaled_variance_window_beyond_twenty(self):
         # the rescaled diagonal sits in [0, 2.05] once the radius clears
         # twenty times the largest variance
@@ -490,19 +500,36 @@ class TestRhoStar:
             rho_star(1, SPEC3)
 
 
+# every public route that takes a dimension of SPEC3, called with the dimension
+# under test; the pair moments are called once per argument
+DIMENSION_ROUTES = {
+    "variance_gap_with_error": lambda n: variance_gap_with_error(n, 2.0, SPEC3),
+    "holder_report": lambda n: holder_report(n, 2.0, SPEC3),
+    "rho_star": lambda n: rho_star(n, SPEC3),
+    "marginal_density": lambda n: marginal_density(n, 0.3, 2.0, SPEC3),
+    "MomentBatch.second": lambda n: MomentBatch(2.0, SPEC3).second(n),
+    "MomentBatch.product-n": lambda n: MomentBatch(2.0, SPEC3).product(n, 0),
+    "MomentBatch.product-m": lambda n: MomentBatch(2.0, SPEC3).product(0, n),
+    "MomentBatch.cov-n": lambda n: MomentBatch(2.0, SPEC3).cov(n, 0),
+    "MomentBatch.cov-m": lambda n: MomentBatch(2.0, SPEC3).cov(0, n),
+    "MomentBatch.gap": lambda n: MomentBatch(2.0, SPEC3).gap(n),
+}
+
+
 class TestDimensionArgument:
-    @pytest.mark.parametrize("call", [
-        lambda n: variance_gap_with_error(n, 2.0, SPEC3),
-        lambda n: holder_report(n, 2.0, SPEC3),
-        lambda n: rho_star(n, SPEC3),
-        lambda n: marginal_density(n, 0.3, 2.0, SPEC3),
-    ], ids=["variance_gap_with_error", "holder_report", "rho_star",
-            "marginal_density"])
+    @pytest.mark.parametrize("call", DIMENSION_ROUTES.values(), ids=DIMENSION_ROUTES.keys())
     def test_non_integral_is_domain_error_and_integral_float_works(self, call):
         # each leaked TypeError from a list index, even for 1.0
         with pytest.raises(DomainError):
             call(1.5)
         assert call(1.0) == call(1)
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    @pytest.mark.parametrize("call", DIMENSION_ROUTES.values(), ids=DIMENSION_ROUTES.keys())
+    def test_out_of_range_is_domain_error(self, call, n):
+        # n = -1 would read the last dimension, n = 3 index past it
+        with pytest.raises(DomainError):
+            call(n)
 
 
 SPEC2 = Spectrum((1.0, 2.0))
@@ -554,7 +581,9 @@ class TestRadiusArgument:
 TINY_SPEC = Spectrum((1e-200, 1e-200))
 RHO_SQUARE_ROUTES = {
     "MomentBatch.gap": lambda: MomentBatch(1e-170, TINY_SPEC).gap(0),
+    "variance_gap_with_error": lambda: variance_gap_with_error(1, 1e-170, TINY_SPEC),
     "correlation_set": lambda: correlation_set(1e-170, TINY_SPEC),
+    "inequality_battery": lambda: inequality_battery(1e-170, TINY_SPEC),
 }
 
 

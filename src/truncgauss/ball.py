@@ -383,6 +383,7 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a scale past float range raises when read
 def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     """Ruben's (1962) chi-square mixture for each multi-index in ``family``.
 
@@ -398,24 +399,34 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     One pass per family: at each term count (32, 64, ..., doubling until
     every member has stopped) the zero index's weights, prod_j (beta /
     lambda_j)^(1/2) (1 - c_j z)^(-1/2), are convolved once from the
-    coordinate series, and each member still open takes them through one
-    bump per unit of k_j, in coordinate order: a convolution with (beta /
-    lambda_j) c_j^i, the series of (beta / lambda_j) (1 - c_j z)^(-1).
-    Coordinates of lambda_min (c_j = 0) take no row and no bump, and a chain
-    prefix that members share (e_n within e_n + e_m) is built once.  A
-    member keeps the first count at which its truncation bound is below
-    ``_MIXTURE_STOP`` times its rounding term.  Its weights depend on
-    (lambda, count, k) alone, so it gets the bits of its one-member family.
+    coordinate series, and every open member takes them through its chain
+    of bumps, one per unit of k_j in coordinate order, padded to the
+    family's order T with the identity (c = 0, ratio 1).  A bump is the
+    series of (beta / lambda_j) (1 - c_j z)^(-1), so stage t of a chain holds
+    b_t[m] = b_(t-1)[m] + c_t b_t[m-1], from b_0 = the base, and a member's
+    weights are b_T times its product of beta / lambda_j.  The stages run
+    as a wavefront: after wave s, stage t holds term s - t of every open
+    member, so one vector step per wave advances them all, and the base
+    runs T terms ahead of the weights.  Convolution prefixes do not depend
+    on the length, so at a doubling the waves and each member's partial
+    sums carry on from the last term made.  A member keeps the first count
+    at which its truncation bound is below ``_MIXTURE_STOP`` times its
+    rounding term, read on its own row with no reduction across members:
+    its bits depend on (lambda, k) alone, as in its one-member family.
 
-    Rounding: term i of a member with b bumps counts first + 5v + (v + 4) i
-    + 3b (i + 1) roundings, first = floor(v/2) + |k| >= b.  The base's rows
-    take 2 for sqrt(beta / lambda_j) and 5 a series step, and each of its
-    convolutions 1 + i (one product, i additions): (v + 4) i + 3v.  A bump's
-    row entry m takes 2m + 3 (c_j rounds twice) and its convolution 1 + i,
-    at most 3i + 4; the product with the ladder takes 1.  The constants
-    first + 5v + 3b cover 3v + 4b + 1.  The partial sums of the terms add
-    i + 1 for term i.  The error is the truncation bound plus the rounding
-    term (twice: the weights' sum rounds too), plus the ladder's.
+    Rounding: term i of a member with b bumps off lambda_min counts first +
+    5v + 3b + (v + 4 + 4 [b > 0]) i roundings, first = floor(v/2) + |k|.
+    The base's rows take 2 for sqrt(beta / lambda_j) and 5 a series step,
+    and each of its convolutions 1 + i (one product, i additions): (v + 4) i
+    + 3v.  A stage's product c_t b_t[m-1] takes 3 (c_t rounds twice) and its
+    sum 1; its terms are positive, so by induction on (t, m) entry m of
+    stage t is off by the base's count plus t + 4m, where t counts the
+    stages off lambda_min (the others add 0 exactly).  The b ratios, their
+    product and its product with the last stage take 2b, the ladder's
+    product 1, and the double-factorial scale at most |k|, so first + 5v +
+    3b covers 3v + 3b + 1 + |k|.  The partial sums of the terms add i + 1
+    for term i.  The error is the truncation bound plus the rounding term
+    (twice: the weights' sum rounds too), plus the ladder's.
 
     The ladder holds P(s0 + m, x) for m = 0..top, s0 = v/2 - floor(v/2), and
     a bound on each entry's rounding.  P(s, x) is the sum of the positive
@@ -452,36 +463,41 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
         tail, bound = np.cumsum(np.stack([terms, terms * steps])[:, ::-1], 1)[:, ::-1]
         ladder[:, lo:] = total / tail[0] * np.stack([tail, bound + tail * (
             bound[0] / tail[0] + 3.0 * _EPS)])[:, :top + 1 - lo]
-    ratio, c = beta / lam, (lam - beta) / lam
-    out = np.empty((2, len(family)))
-    pending = dict(enumerate(family))
+    ks, width = np.array(family, dtype=int).reshape(-1, v), max(order, 1)
+    # bump t of a member is a unit of coordinate chains[t], in coordinate
+    # order; past the member's order it is coordinate v, the identity
+    chains = (ks.cumsum(1) <= np.arange(width)[:, None, None]).sum(2)
+    ratio, c = np.append(beta / lam, 1.0), np.append((lam - beta) / lam, 0.0)
+    first, b = v // 2 + ks.sum(1), (c[chains] > 0).sum(0)  # P(n/2, x)'s entry, bumps
+    out, rows = np.empty((2, len(family))), np.arange(len(family))  # rows: the open members
+    # sums carries each open member's partial sums of count * term, term,
+    # weight and weight times the ladder's rounding
+    stages, sums, made = np.zeros((width + 1, len(family))), np.zeros((4, len(family))), 0
     for size in (1 << n for n in range(5, _MIXTURE_MAX_TERMS.bit_length())):
-        i, base = np.arange(size), np.eye(1, size)[0]
+        i, base = np.arange(size + width), np.eye(1, size + width)[0]
         step = c[c > 0, None] * (i[1:] - 0.5) / i[1:]  # term m / term m-1
         for row in np.cumprod(np.c_[np.sqrt(ratio[c > 0]), step], axis=1):
-            base = np.convolve(base, row)[:size]  # lambda_min rows are 1, 0, 0, ...
-        bump = ratio[:, None] * c[:, None] ** i  # (beta / lambda_j) / (1 - c_j z)
-        weights = {(): base}
-        for col, ks in list(pending.items()):
-            first = v // 2 + sum(ks)  # P(n/2, x)'s entry
-            bumps = tuple(j for j, k in enumerate(ks) if c[j] > 0 for _ in range(k))
-            for n in range(len(bumps)):  # each chain prefix once per family and count
-                if bumps[:n + 1] not in weights:
-                    weights[bumps[:n + 1]] = np.convolve(weights[bumps[:n]], bump[bumps[n]])[:size]
-            w = weights[bumps]
-            terms = w * ladder[0, first:first + size]
-            count = first + 5 * v + (v + 4) * i + 3 * len(bumps) * (i + 1)  # per term
-            rounding = _EPS * (np.cumsum(terms * count) + (i + 1) * np.cumsum(terms))
-            tails = (1.0 - np.cumsum(w)) * ladder[0, first + 1:first + size + 1]
-            done = tails <= _MIXTURE_STOP * rounding
-            if done.any():
-                K = int(np.argmax(done)) + 1
-                scale = math.prod(float(j) for k in ks for j in range(1, 2 * k, 2))
-                out[:, col] = scale * float(terms[:K].sum()), scale * float(abs(
-                    tails[K - 1]) + 2.0 * rounding[K - 1] + w[:K] @ ladder[1, first:first + K])
-                del pending[col]
-        if not pending:
-            return out
+            base = np.convolve(base, row)[:size + width]
+        bumps, block = c[chains[:, rows]], np.empty((rows.size, size + width - made))
+        for wave in range(made, size + width):
+            stages[1:], stages[0] = stages[:-1] + bumps * stages[1:], base[wave]
+            block[:, wave - made] = stages[-1]
+        # the terms new at this count (the first T waves' outputs precede term 0)
+        i, made = i[max(made - width, 0):size], size + width
+        w = block[:, -i.size:] * np.cumprod(ratio[chains[:, rows]], 0)[-1, :, None]
+        # each open member's ladder entries P(n/2 + m, x), m = i[0]..size, with bounds
+        lad = ladder[:, first[rows, None] + np.arange(i[0], size + 1)]
+        terms = w * lad[0, :, :-1]
+        count = (first + 5 * v + 3 * b)[rows, None] + (v + 4 + 4 * (b > 0))[rows, None] * i
+        sums = [np.cumsum(np.c_[carry, x], 1)[:, 1:]
+                for carry, x in zip(sums, (terms * count, terms, w, w * lad[1, :, :-1]))]
+        rounding, tails = _EPS * (sums[0] + (i + 1) * sums[1]), (1.0 - sums[2]) * lad[0, :, 1:]
+        done = tails <= _MIXTURE_STOP * rounding
+        last = (stop := done.any(1)), done.argmax(1)[stop]  # each stopping member's last term
+        out[:, rows[stop]] = sums[1][last], abs(tails[last]) + 2.0 * rounding[last] + sums[3][last]
+        rows, stages, sums = rows[~stop], stages[:, ~stop], [x[~stop, -1] for x in sums]
+        if not rows.size:  # each value and error times its prod_j (2k_j - 1)!!
+            return out * np.cumprod(np.cumprod(np.r_[1, 1:2 * order:2.0])[ks], 1)[:, -1]
     raise over_budget
 
 
@@ -504,7 +520,7 @@ class BallIntegrals(Mapping):
                 f"ball integral evaluated to {value} for index "
                 f"{index.multiplicities} (underflow, overflow or route breakdown)"
             )
-        if value > bound * _BOUND_FACTOR:
+        if value / _BOUND_FACTOR > bound:  # exact: the bound may lie past float range
             raise NumericError(
                 f"ball integral {value} exceeds its factorized bound {bound} "
                 f"for index {index.multiplicities}"

@@ -108,12 +108,6 @@ def _index_sum_ratios(ells, rho: float,
                   for ell, pairs in terms.items()}
 
 
-def index_sum_ratio(ell: int, rho: float, spectrum: Spectrum) -> float:
-    """Sum over all ell-fold index insertions of the integral ratio."""
-    ell = _integer(ell, "insertion count", 0)
-    return _index_sum_ratios((ell,), rho, spectrum)[1][ell]
-
-
 def _order(k) -> int:
     """``k`` as an order of the combinatorial route: a non-integral or
     negative order is a DomainError, one past the route's cap a

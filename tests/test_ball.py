@@ -79,56 +79,56 @@ PINNED_ORDER_TWO = {
         ((2, 0, 0, 0), '0x1.17966dbd2acfap+1', '0x1.3eb2691fdaf3ap-47'),
     ]),
     5: (4.0, (1.0, 1.5, 2.0, 2.5, 3.0), [
-        ((0, 0, 0, 0, 0), '0x1.507a65bc67369p-3', '0x1.22b6cd6b6a0aep-48'),
-        ((0, 0, 0, 0, 1), '0x1.0549d447ee519p-5', '0x1.06debe2b6cd85p-50'),
-        ((0, 0, 0, 0, 2), '0x1.d6eb4f2bed6aap-7', '0x1.0fd94eed6eec4p-51'),
-        ((0, 0, 0, 1, 0), '0x1.305a8b8a2840ap-5', '0x1.2e4ea84f63101p-50'),
-        ((0, 0, 0, 1, 1), '0x1.6fb1ffe66535dp-8', '0x1.a255344a047aap-53'),
-        ((0, 0, 0, 2, 0), '0x1.42f499dd71637p-6', '0x1.6b2f613cb2ddcp-51'),
-        ((0, 0, 1, 0, 0), '0x1.6c3696236f25ap-5', '0x1.657807d917a7bp-50'),
-        ((0, 0, 1, 0, 1), '0x1.bb828487654c3p-8', '0x1.f1e3288695a78p-53'),
-        ((0, 0, 1, 1, 0), '0x1.03a9849432b16p-7', '0x1.20b88e61936a3p-52'),
-        ((0, 0, 2, 0, 0), '0x1.d5a602dbc59a8p-6', '0x1.053732d47abfbp-50'),
-        ((0, 1, 0, 0, 0), '0x1.c4ca721e6734ap-5', '0x1.b53be3665b364p-50'),
-        ((0, 1, 0, 0, 1), '0x1.1724d9c5d5b9cp-7', '0x1.34789769a4232p-52'),
-        ((0, 1, 0, 1, 0), '0x1.46cac6af27491p-7', '0x1.661f960bf515fp-52'),
-        ((0, 1, 1, 0, 0), '0x1.89ec08ca1be0dp-7', '0x1.aae8cd0328d89p-52'),
-        ((0, 2, 0, 0, 0), '0x1.73860c79c2726p-5', '0x1.8a6263d4dd94cp-50'),
-        ((1, 0, 0, 0, 0), '0x1.29fee420c964ap-4', '0x1.0184d4e399d38p-49'),
-        ((1, 0, 0, 0, 1), '0x1.77bf692c7056dp-7', '0x1.78271fbe0f7e2p-52'),
-        ((1, 0, 0, 1, 0), '0x1.b7b6e194da403p-7', '0x1.b5dfdce4a1590p-52'),
-        ((1, 0, 1, 0, 0), '0x1.08dec80a9703cp-6', '0x1.02eaadb9dab0ep-51'),
-        ((1, 1, 0, 0, 0), '0x1.4cc78bb020172p-6', '0x1.3fdb14fa6c32cp-51'),
+        ((0, 0, 0, 0, 0), '0x1.507a65bc67368p-3', '0x1.22b6cd6b6a0afp-48'),
+        ((0, 0, 0, 0, 1), '0x1.0549d447ee51bp-5', '0x1.09f43612227aap-50'),
+        ((0, 0, 0, 0, 2), '0x1.d6eb4f2bed6aap-7', '0x1.097f9c69b0462p-51'),
+        ((0, 0, 0, 1, 0), '0x1.305a8b8a2840ap-5', '0x1.31be77aa184ffp-50'),
+        ((0, 0, 0, 1, 1), '0x1.6fb1ffe66535cp-8', '0x1.98b69a1dbeccap-53'),
+        ((0, 0, 0, 2, 0), '0x1.42f499dd71637p-6', '0x1.62ffc8c413a3ap-51'),
+        ((0, 0, 1, 0, 0), '0x1.6c3696236f25cp-5', '0x1.6950a943d8cd0p-50'),
+        ((0, 0, 1, 0, 1), '0x1.bb828487654c3p-8', '0x1.e6cceec0e7139p-53'),
+        ((0, 0, 1, 1, 0), '0x1.03a9849432b16p-7', '0x1.1a71a1b207ad6p-52'),
+        ((0, 0, 2, 0, 0), '0x1.d5a602dbc59acp-6', '0x1.ffa29690417c2p-51'),
+        ((0, 1, 0, 0, 0), '0x1.c4ca721e67348p-5', '0x1.b9809c66033a6p-50'),
+        ((0, 1, 0, 0, 1), '0x1.1724d9c5d5b9bp-7', '0x1.2e0007c9b8cb8p-52'),
+        ((0, 1, 0, 1, 0), '0x1.46cac6af27492p-7', '0x1.5ed26527257e0p-52'),
+        ((0, 1, 1, 0, 0), '0x1.89ec08ca1be0cp-7', '0x1.a29557e91565ap-52'),
+        ((0, 2, 0, 0, 0), '0x1.73860c79c2725p-5', '0x1.833b47b4cc4d4p-50'),
+        ((1, 0, 0, 0, 0), '0x1.29fee420c9649p-4', '0x1.0184d4e399d38p-49'),
+        ((1, 0, 0, 0, 1), '0x1.77bf692c7056ep-7', '0x1.7be75b4122136p-52'),
+        ((1, 0, 0, 1, 0), '0x1.b7b6e194da402p-7', '0x1.ba12f4ba5efc2p-52'),
+        ((1, 0, 1, 0, 0), '0x1.08dec80a9703dp-6', '0x1.0548220437739p-51'),
+        ((1, 1, 0, 0, 0), '0x1.4cc78bb020173p-6', '0x1.42812048a0dbap-51'),
         ((2, 0, 0, 0, 0), '0x1.4ec8413e96846p-4', '0x1.23e6a3c4e684ep-49'),
     ]),
     6: (2.0, (0.6, 0.9, 1.2, 1.5, 1.8, 2.1), [
-        ((0, 0, 0, 0, 0, 0), '0x1.78965355c97b8p-5', '0x1.6c0327a1b83a5p-50'),
-        ((0, 0, 0, 0, 0, 1), '0x1.713d1fe26c3f4p-8', '0x1.970664bfeee03p-53'),
-        ((0, 0, 0, 0, 0, 2), '0x1.ae8b67c655604p-10', '0x1.096459e6a8589p-54'),
-        ((0, 0, 0, 0, 1, 0), '0x1.a7e50d2bdcab8p-8', '0x1.d291d6d8f7a5bp-53'),
-        ((0, 0, 0, 0, 1, 1), '0x1.4a6c814e4da72p-11', '0x1.95af9825b873fp-56'),
-        ((0, 0, 0, 0, 2, 0), '0x1.1d46c5dda5981p-9', '0x1.5ce9663aeb15cp-54'),
-        ((0, 0, 0, 1, 0, 0), '0x1.f178dbeb0e365p-8', '0x1.0e5f97544ec8ep-52'),
-        ((0, 0, 0, 1, 0, 1), '0x1.853e4e66baac6p-11', '0x1.db8ecaa002bb3p-56'),
-        ((0, 0, 0, 1, 1, 0), '0x1.c0101b7f27b1ap-11', '0x1.12060706f6a12p-55'),
-        ((0, 0, 0, 2, 0, 0), '0x1.8bd5887b52ce2p-9', '0x1.deb2976451034p-54'),
-        ((0, 0, 1, 0, 0, 0), '0x1.2ce3feb598ed7p-7', '0x1.436a1dabefb0fp-52'),
-        ((0, 0, 1, 0, 0, 1), '0x1.d97519607b7ddp-11', '0x1.20d36fc63b98ap-55'),
-        ((0, 0, 1, 0, 1, 0), '0x1.107cb2b4c9349p-10', '0x1.4900a1a8c9c82p-55'),
-        ((0, 0, 1, 1, 0, 0), '0x1.40f157a9fe906p-10', '0x1.7ffb3c4a9cef6p-55'),
-        ((0, 0, 2, 0, 0, 0), '0x1.24b7a59efce69p-8', '0x1.5b00d92f298d6p-53'),
-        ((0, 1, 0, 0, 0, 0), '0x1.7c73bb7cd837bp-7', '0x1.938eb8d73e93ep-52'),
-        ((0, 1, 0, 0, 0, 1), '0x1.2df57a43e46cbp-10', '0x1.6a63993b3c7abp-55'),
-        ((0, 1, 0, 0, 1, 0), '0x1.5b8a8d78239fdp-10', '0x1.9db1c84e9b906p-55'),
-        ((0, 1, 0, 1, 0, 0), '0x1.994bcd546b834p-10', '0x1.e387a8f26e081p-55'),
-        ((0, 1, 1, 0, 0, 0), '0x1.f1a642fed8762p-10', '0x1.238a0acd1f907p-54'),
-        ((0, 2, 0, 0, 0, 0), '0x1.dbc6b64d128c6p-8', '0x1.16e89d2277c6ep-52'),
+        ((0, 0, 0, 0, 0, 0), '0x1.78965355c97bap-5', '0x1.6c0327a1b83a5p-50'),
+        ((0, 0, 0, 0, 0, 1), '0x1.713d1fe26c3f4p-8', '0x1.9b199b449d8fbp-53'),
+        ((0, 0, 0, 0, 0, 2), '0x1.ae8b67c655602p-10', '0x1.0416488aa40b9p-54'),
+        ((0, 0, 0, 0, 1, 0), '0x1.a7e50d2bdcabap-8', '0x1.d7220f3c8bfdep-53'),
+        ((0, 0, 0, 0, 1, 1), '0x1.4a6c814e4da70p-11', '0x1.8db0477b5f213p-56'),
+        ((0, 0, 0, 0, 2, 0), '0x1.1d46c5dda5982p-9', '0x1.56221071487f0p-54'),
+        ((0, 0, 0, 1, 0, 0), '0x1.f178dbeb0e366p-8', '0x1.10f584c9a0386p-52'),
+        ((0, 0, 0, 1, 0, 1), '0x1.853e4e66baac6p-11', '0x1.d25f04b674fe8p-56'),
+        ((0, 0, 0, 1, 1, 0), '0x1.c0101b7f27b19p-11', '0x1.0cd5e972958dbp-55'),
+        ((0, 0, 0, 2, 0, 0), '0x1.8bd5887b52ce3p-9', '0x1.d5c592eea6288p-54'),
+        ((0, 0, 1, 0, 0, 0), '0x1.2ce3feb598ed8p-7', '0x1.4661978c16d38p-52'),
+        ((0, 0, 1, 0, 0, 1), '0x1.d97519607b7dbp-11', '0x1.1b721d2cee472p-55'),
+        ((0, 0, 1, 0, 1, 0), '0x1.107cb2b4c9348p-10', '0x1.42ee79ed6c22ap-55'),
+        ((0, 0, 1, 1, 0, 0), '0x1.40f157a9fe904p-10', '0x1.79070a6842b7bp-55'),
+        ((0, 0, 2, 0, 0, 0), '0x1.24b7a59efce6bp-8', '0x1.54ebdc46d848dp-53'),
+        ((0, 1, 0, 0, 0, 0), '0x1.7c73bb7cd837ap-7', '0x1.96fd00e34afc4p-52'),
+        ((0, 1, 0, 0, 0, 1), '0x1.2df57a43e46cep-10', '0x1.63f1aa5c62e82p-55'),
+        ((0, 1, 0, 0, 1, 0), '0x1.5b8a8d78239fdp-10', '0x1.966f1741ddb04p-55'),
+        ((0, 1, 0, 1, 0, 0), '0x1.994bcd546b835p-10', '0x1.db3bae2981c15p-55'),
+        ((0, 1, 1, 0, 0, 0), '0x1.f1a642fed8762p-10', '0x1.1eb828f560658p-54'),
+        ((0, 2, 0, 0, 0, 0), '0x1.dbc6b64d128cap-8', '0x1.12a3b8557b59ap-52'),
         ((1, 0, 0, 0, 0, 0), '0x1.020b47191d26ep-6', '0x1.f427c7cf570eep-52'),
-        ((1, 0, 0, 0, 0, 1), '0x1.a04151ecd6cfap-10', '0x1.c920840f5461ep-55'),
-        ((1, 0, 0, 0, 1, 0), '0x1.df04163e42cecp-10', '0x1.055cf1fa63effp-54'),
-        ((1, 0, 0, 1, 0, 0), '0x1.1a0161dee93b0p-9', '0x1.31dc58f7f3916p-54'),
-        ((1, 0, 1, 0, 0, 0), '0x1.56c5bce3de348p-9', '0x1.712a1d1d25ef1p-54'),
-        ((1, 1, 0, 0, 0, 0), '0x1.b4b85848502dbp-9', '0x1.d23acfb4d7e91p-54'),
+        ((1, 0, 0, 0, 0, 1), '0x1.a04151ecd6cfcp-10', '0x1.cd0bed544557ep-55'),
+        ((1, 0, 0, 0, 1, 0), '0x1.df04163e42ceap-10', '0x1.0790194027bf2p-54'),
+        ((1, 0, 0, 1, 0, 0), '0x1.1a0161dee93afp-9', '0x1.345c8addf08efp-54'),
+        ((1, 0, 1, 0, 0, 0), '0x1.56c5bce3de346p-9', '0x1.740be1b9d6244p-54'),
+        ((1, 1, 0, 0, 0, 0), '0x1.b4b85848502dcp-9', '0x1.d595680258bdap-54'),
         ((2, 0, 0, 0, 0, 0), '0x1.c28d69a3ed3cbp-7', '0x1.b7ae3ace96683p-52'),
     ]),
 }
@@ -410,6 +410,17 @@ def _ruben_mp(family, lams, rho, dps=40):
         return out
 
 
+def _within_bars_of_40_digits(family, lams, rho):
+    """Assert that every member of ``family`` lies within its error bar of
+    :func:`_ruben_mp`."""
+    mpmath = pytest.importorskip("mpmath")
+    got = ball_integrals(family, rho, Spectrum(lams))
+    exact = _ruben_mp([index.multiplicities for index in family], lams, rho)
+    for index in family:
+        miss = abs(mpmath.mpf(got[index].value) - exact[index.multiplicities])
+        assert miss <= got[index].est_abs_error, index
+
+
 # A v = 5 geometry where the 24/16-node rule overshot the bound of
 # (0, 0, 0, 0, 2): the narrow last variance carries k = 2.
 NARROW5 = Spectrum((1.9636184801131922, 2.687901997421187, 0.19853898423447447,
@@ -474,6 +485,20 @@ class TestMixture:
                 worst = max(worst, float(miss / want))
         assert worst <= 2e-14, worst
 
+    @pytest.mark.parametrize("lams, rho", [
+        ((0.4, 0.9, 1.3, 2.2, 2.8), 12.0),
+        ((0.3, 0.3, 0.8, 1.7, 2.5, 3.0), 40.0),
+        ((1.1, 0.6, 2.4, 0.9, 1.8, 0.5, 2.9), 3.0),
+    ])
+    def test_higher_orders_within_error_bars_of_40_digits(self, lams, rho):
+        # chains of three to six bumps, on one coordinate and spread over
+        # several, some on lambda_min: each member within its bar
+        v = len(lams)
+        _within_bars_of_40_digits([
+            MultiIndex.single(v, 0, 3), MultiIndex.single(v, v - 1, 4),
+            MultiIndex((1, 2) + (0,) * (v - 3) + (3,)),
+            MultiIndex((2,) * 3 + (0,) * (v - 3)), MultiIndex((1,) * v)], lams, rho)
+
     def test_agrees_with_monte_carlo_above_six(self):
         # v = 7..20, three members each, under criterion 8's Bonferroni rule
         # (suite false-alarm rate 1e-3 over the 42 z scores)
@@ -507,6 +532,17 @@ class TestMixture:
                     v / 2 + index.order, rho / (2 * lam))
                 assert abs(got[index].value - exact) <= got[index].est_abs_error, (
                     rho, index)
+
+    @pytest.mark.parametrize("lams, rho", [
+        ((0.5, 0.5, 1.0, 2.0, 3.0), 1.0),
+        ((0.5, 0.5, 1.0, 2.0, 3.0), 10.0),
+        ((0.5, 0.5, 1.0, 2.0, 3.0), 100.0),
+        ((0.7, 0.7, 0.7, 1.3, 2.9, 2.9), 20.0),
+    ])
+    def test_ties_at_lambda_min_within_error_bars_of_40_digits(self, lams, rho):
+        # coordinates tied at lambda_min take identity bumps (c = 0) beside
+        # bumps off it, in the singles, the pairs and the pairs that mix them
+        _within_bars_of_40_digits(list(_index_family(len(lams)).values()), lams, rho)
 
     def test_zero_index_series_built_once_per_term_count(self, monkeypatch):
         # an order-2 family at v = 8 (45 members) convolves each coordinate
@@ -560,6 +596,14 @@ class TestMixture:
         with pytest.raises(CapabilityError, match="ball_integrals_mc"):
             ball_integral(index, 5.0, Spectrum(tuple(range(1, v + 1))))
 
+    @pytest.mark.parametrize("v", [1, 5])
+    def test_scale_past_float_range_is_numeric_error(self, v):
+        # (399)!! lies past the route's float scale: a typed error, never a
+        # RuntimeWarning from the array product
+        index = MultiIndex.single(v, v - 1, 200)
+        with pytest.raises(NumericError, match="evaluated to"):
+            ball_integral(index, 1.0, Spectrum(tuple(range(1, v + 1))))
+
 
 class TestFamily:
     @pytest.mark.parametrize("v", range(1, 9))
@@ -577,6 +621,19 @@ class TestFamily:
                     assert together[index] == alone
                     assert alone == ball_integral(index, rho, spec)
 
+    def test_a_high_order_member_moves_no_other_bits(self):
+        # every chain is padded to the family's order with identity bumps,
+        # so an order-12 member beside the order-2 family changes no bit
+        spec = Spectrum((0.7, 1.9, 0.4, 2.6, 1.2, 3.1))
+        family = list(_index_family(spec.v).values())
+        alone = ball_integrals(family, 25.0, spec)
+        beside = ball_integrals(family + [MultiIndex((0, 5, 0, 7, 0, 0))], 25.0, spec)
+        assert all(beside[index] == alone[index] for index in family)
+
+    @pytest.mark.parametrize("v", [1, 3, 5])
+    def test_empty_family(self, v):
+        assert len(ball_integrals([], 5.0, Spectrum(tuple(range(1, v + 1))))) == 0
+
     def test_member_past_its_factorized_bound_is_numeric_error(self):
         # checked when the member is read; the error names the index
         index = MultiIndex((1, 2))
@@ -584,6 +641,18 @@ class TestFamily:
         with pytest.raises(NumericError, match=r"exceeds its factorized bound 3 "
                                                r"for index \(1, 2\)$"):
             family[index]
+
+    @pytest.mark.parametrize("k, rho", [(200, 1.0), (170, 50.0)])
+    def test_factorized_bound_past_float_range(self, k, rho):
+        # from k = 151, (2k - 1)!! lies past float range: the bound check
+        # compares the value with the exact integer, where it overflowed
+        mpmath = pytest.importorskip("mpmath")
+        index = MultiIndex((k, 0))
+        got = ball_integral(index, rho, Spectrum((1.0, 1.0)))
+        with mpmath.workdps(30):  # equal variances: (2k - 1)!! P(1 + k, rho / 2)
+            exact = index.factorized_bound() * mpmath.gammainc(
+                1 + k, 0, mpmath.mpf(rho) / 2, regularized=True)
+        assert abs(got.value - exact) <= got.est_abs_error
 
     def test_one_dimensional_family(self):
         spec = Spectrum((1.7,))

@@ -57,6 +57,13 @@ class TestIntegral:
         assert code == 3
         assert "numeric" in err
 
+    def test_bound_past_float_range(self, capsys):
+        # (399)!! lies past float range; the member is 6.03e-5 and prints
+        code, out, err = run(
+            ["integral", "--lambda", "1,1", "--rho", "1", "--index", "1:200"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2  # the header and one row
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             ["integral", "--v", "1", "--lambda", "2", "--rho", "3",

@@ -556,7 +556,6 @@ RADIUS_ROUTES = {
     "eta_combinatorial": lambda rho: eta.eta_combinatorial(1, rho, SPEC2),
     "eta_combinatorial-order-0": lambda rho: eta.eta_combinatorial(0, rho, SPEC2),
     "eta_fd_oracle": lambda rho: eta.eta_fd_oracle(1, rho, SPEC2),
-    "index_sum_ratio": lambda rho: eta.index_sum_ratio(1, rho, SPEC2),
     "radial_derivative_envelope": lambda rho: eta.radial_derivative_envelope(1, rho, SPEC2),
     "asymptotic_checks": lambda rho: eta.asymptotic_checks(SPEC2, 1, (rho, 40.0, 80.0)),
     "asymptotic_checks-schedule": lambda rho: eta.asymptotic_checks(SPEC2, 1, rho),
@@ -614,7 +613,6 @@ SPECTRUM_ROUTES = {
     "eta_combinatorial": lambda spec: eta.eta_combinatorial(1, 5.0, spec),
     "eta_combinatorial-order-0": lambda spec: eta.eta_combinatorial(0, 5.0, spec),
     "eta_fd_oracle": lambda spec: eta.eta_fd_oracle(1, 5.0, spec),
-    "index_sum_ratio": lambda spec: eta.index_sum_ratio(1, 5.0, spec),
     "radial_derivative_envelope": lambda spec: eta.radial_derivative_envelope(1, 5.0, spec),
     "asymptotic_checks": lambda spec: eta.asymptotic_checks(spec, 1, (20.0, 40.0, 80.0)),
     "expand_alpha": lambda spec: expansion.expand_alpha({0: 0}, 1, 5.0, spec),

@@ -15,8 +15,8 @@ from truncgauss import special
 from truncgauss.ball import MultiIndex, Spectrum, ball_integral_mc, ball_integrals
 from truncgauss.errors import DomainError, NumericError
 from truncgauss.eta import (asymptotic_checks, coefficient_table,
-                            eta_combinatorial, eta_fd_oracle, index_sum_ratio,
-                            q_polynomial, radial_derivative_envelope)
+                            eta_combinatorial, eta_fd_oracle, q_polynomial,
+                            radial_derivative_envelope)
 from truncgauss.expansion import convergence_estimate, expand_alpha
 from truncgauss.xi import enumerate_exponents, omega_inequality_scan, xi_product
 from truncgauss.special import (
@@ -345,8 +345,6 @@ class TestIntegerArguments:
         lambda: lower_incomplete_gamma(1.5, "a"),
         lambda: lower_incomplete_gamma(1.5, None),
         lambda: eta_fd_oracle(2, 1e-200, Spectrum((1.0, 2.0))),
-        lambda: index_sum_ratio(-1, 5.0, Spectrum((1.0, 2.0))),
-        lambda: index_sum_ratio(1.5, 5.0, Spectrum((1.0, 2.0))),
         lambda: q_polynomial(2, "a", 1.0),
         lambda: q_polynomial(2, math.nan, 1.0),
         lambda: q_polynomial(2, 1.0, None),
@@ -373,7 +371,6 @@ class TestIntegerArguments:
             "coefficient_table_list", "enumerate_exponents_list",
             "igamma_string_s", "igamma_none_s", "igamma_string_x",
             "igamma_none_x", "eta_fd_oracle_step_underflow",
-            "index_sum_ratio_negative", "index_sum_ratio_fraction",
             "q_polynomial_string_x", "q_polynomial_nan_x", "q_polynomial_none_a",
             "xi_product_string_q_max", "xi_product_negative_q_max",
             "xi_product_bare_key", "xi_product_scalar_vector",

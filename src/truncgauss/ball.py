@@ -48,7 +48,8 @@ __all__ = [
 _NODES_LOW_DIM = (48, 32)
 # Leaf lanes per quadrature block: 128 KB of float64, so the incomplete-gamma
 # series and every member's fold run in a 2 MB L2 cache.  Of 8k, 16k, 32k
-# and 64k lanes, 16k was fastest on moments-v4.
+# and 64k lanes, 16k was fastest on moments-v4.  The mixture's blocks of
+# (stage, member, term) lanes take the same bound.
 _LEAF_BLOCK = 1 << 14
 
 # Monte Carlo draws (points of R^v) per block: 640 KB of float64 at v = 10,
@@ -383,7 +384,6 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a scale past float range raises when read
 def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     """Ruben's (1962) chi-square mixture for each multi-index in ``family``.
 
@@ -400,19 +400,22 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     every member has stopped) the zero index's weights, prod_j (beta /
     lambda_j)^(1/2) (1 - c_j z)^(-1/2), are convolved once from the
     coordinate series, and every open member takes them through its chain
-    of bumps, one per unit of k_j in coordinate order, padded to the
-    family's order T with the identity (c = 0, ratio 1).  A bump is the
-    series of (beta / lambda_j) (1 - c_j z)^(-1), so stage t of a chain holds
-    b_t[m] = b_(t-1)[m] + c_t b_t[m-1], from b_0 = the base, and a member's
-    weights are b_T times its product of beta / lambda_j.  The stages run
-    as a wavefront: after wave s, stage t holds term s - t of every open
-    member, so one vector step per wave advances them all, and the base
-    runs T terms ahead of the weights.  Convolution prefixes do not depend
-    on the length, so at a doubling the waves and each member's partial
-    sums carry on from the last term made.  A member keeps the first count
-    at which its truncation bound is below ``_MIXTURE_STOP`` times its
-    rounding term, read on its own row with no reduction across members:
-    its bits depend on (lambda, k) alone, as in its one-member family.
+    of bumps, one per unit of k_j off lambda_min in coordinate order,
+    padded with the identity (c = 0, ratio 1) to the family's most such
+    bumps, T.  A bump is the series of (beta / lambda_j) (1 - c_j z)^(-1),
+    so stage t of a chain holds b_t[m] = b_(t-1)[m] + c_t b_t[m-1], from
+    b_0 = the base, and a member's weights are b_T times its product of
+    beta / lambda_j (with T = 0, the base).  The stages run as a wavefront:
+    after wave s, stage t holds term s - t of every open member, so one
+    vector step per wave advances them all, and the base runs T terms
+    ahead of the weights.  The new terms go in blocks of at most
+    ``_LEAF_BLOCK`` (stage, member, term) lanes.  Convolution prefixes do
+    not depend on the length, so the waves and each member's partial sums
+    carry on from block to block and across doublings.  A member keeps the
+    first count at which its truncation bound is below ``_MIXTURE_STOP``
+    times its rounding term, read on its own row with no reduction across
+    members: its bits depend on (lambda, k) alone, as in its one-member
+    family, and not on the blocks.
 
     Rounding: term i of a member with b bumps off lambda_min counts first +
     5v + 3b + (v + 4 + 4 [b > 0]) i roundings, first = floor(v/2) + |k|.
@@ -435,12 +438,13 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     at the mode, and normalised by their whole sum, P(s0, x): 1, or erf(sqrt
     x).  Terms more than 40 sqrt(x) below the mode, or 40 sqrt(x) + 760
     above it, lie below exp(-745) and underflow, so entries below that
-    window equal P(s0, x), and those above it are 0.  So ending the ladder
-    at the last entry the family reads (P(n/2 + K, x) at the term budget K;
-    a higher order raises first) moves no bits: every entry depends on (v,
-    x) alone.  Returns a (2, members) array: the values, then their errors.
+    window equal P(s0, x), and those above it are 0.  So the terms are
+    summed over the window alone, and ending the ladder at the last entry
+    the family reads (P(n/2 + K, x) at the term budget K; a higher order
+    raises first) moves no bits: every entry depends on (v, x) alone.
+    Returns a (2, members) array: the values, then their errors.
     """
-    v, beta, lam = len(lams), min(lams), np.asarray(lams)
+    v, beta = len(lams), min(lams)
     order = max(map(sum, family), default=0)
     over_budget = CapabilityError(f"mixture route needs over {_MIXTURE_MAX_TERMS} terms at "
                                   f"rho = {rho}, lambda = {lams}; use ball_integrals_mc")
@@ -451,9 +455,10 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     total = math.erf(math.sqrt(x)) if s0 else 1.0
     top = v // 2 + order + _MIXTURE_MAX_TERMS
     lo = max(0, math.ceil(x - s0 - half_width))
-    ladder = np.outer([total, _EPS * total], np.ones(top + 1))
+    ladder = np.zeros((2, top + 1))
+    ladder[:, :lo] = [[total], [_EPS * total]]
     if lo <= top:
-        s = s0 + np.arange(lo, max(top + 1, math.ceil(x + half_width + 760.0)))
+        s = s0 + np.arange(lo, math.ceil(x + half_width + 760.0))
         mode = int(x - s0) - lo
         terms = np.concatenate([np.cumprod(s[mode:0:-1] / x)[::-1], [1.0],
                                 np.cumprod(x / s[mode + 1:])])
@@ -461,43 +466,65 @@ def _alpha_mixture(family: tuple, lams: tuple, rho: float) -> np.ndarray:
         # it enters; erf, the normalisation and its product take 3 eps more
         steps = _EPS * (np.abs(np.arange(s.size) - mode) + np.arange(1, s.size + 1) / 2)
         tail, bound = np.cumsum(np.stack([terms, terms * steps])[:, ::-1], 1)[:, ::-1]
-        ladder[:, lo:] = total / tail[0] * np.stack([tail, bound + tail * (
+        ladder[:, lo:lo + s.size] = total / tail[0] * np.stack([tail, bound + tail * (
             bound[0] / tail[0] + 3.0 * _EPS)])[:, :top + 1 - lo]
-    ks, width = np.array(family, dtype=int).reshape(-1, v), max(order, 1)
+    ks = np.array(family, dtype=int).reshape(-1, v)
+    lam = np.array((*lams, beta))  # coordinate v, a copy of lambda_min, is the identity
+    ratio, c = beta / lam, (lam - beta) / lam
+    bumped = ks * (c[:v] > 0)  # the units of k_j off lambda_min
+    first, b = v // 2 + ks.sum(1), bumped.sum(1)  # P(n/2, x)'s entry, bumps
+    width = int(b.max(initial=0))
     # bump t of a member is a unit of coordinate chains[t], in coordinate
-    # order; past the member's order it is coordinate v, the identity
-    chains = (ks.cumsum(1) <= np.arange(width)[:, None, None]).sum(2)
-    ratio, c = np.append(beta / lam, 1.0), np.append((lam - beta) / lam, 0.0)
-    first, b = v // 2 + ks.sum(1), (c[chains] > 0).sum(0)  # P(n/2, x)'s entry, bumps
+    # order; past the member's b bumps it is coordinate v
+    chains = (bumped.cumsum(1) <= np.arange(width)[:, None, None]).sum(2)
+    # each member's product of beta / lambda_j over its chain
+    lead = functools.reduce(np.multiply, ratio[chains], np.ones(len(family)))
+    counts = np.array([first + 5 * v + 3 * b, v + 4 + 4 * (b > 0)])  # term i's: c0 + c1 i
     out, rows = np.empty((2, len(family))), np.arange(len(family))  # rows: the open members
     # sums carries each open member's partial sums of count * term, term,
-    # weight and weight times the ladder's rounding
+    # weight and weight times the ladder's rounding; made counts the terms
     stages, sums, made = np.zeros((width + 1, len(family))), np.zeros((4, len(family))), 0
     for size in (1 << n for n in range(5, _MIXTURE_MAX_TERMS.bit_length())):
         i, base = np.arange(size + width), np.eye(1, size + width)[0]
         step = c[c > 0, None] * (i[1:] - 0.5) / i[1:]  # term m / term m-1
-        for row in np.cumprod(np.c_[np.sqrt(ratio[c > 0]), step], axis=1):
+        for row in np.cumprod(np.concatenate([np.sqrt(ratio[c > 0, None]), step], 1), 1):
             base = np.convolve(base, row)[:size + width]
-        bumps, block = c[chains[:, rows]], np.empty((rows.size, size + width - made))
-        for wave in range(made, size + width):
-            stages[1:], stages[0] = stages[:-1] + bumps * stages[1:], base[wave]
-            block[:, wave - made] = stages[-1]
-        # the terms new at this count (the first T waves' outputs precede term 0)
-        i, made = i[max(made - width, 0):size], size + width
-        w = block[:, -i.size:] * np.cumprod(ratio[chains[:, rows]], 0)[-1, :, None]
-        # each open member's ladder entries P(n/2 + m, x), m = i[0]..size, with bounds
-        lad = ladder[:, first[rows, None] + np.arange(i[0], size + 1)]
-        terms = w * lad[0, :, :-1]
-        count = (first + 5 * v + 3 * b)[rows, None] + (v + 4 + 4 * (b > 0))[rows, None] * i
-        sums = [np.cumsum(np.c_[carry, x], 1)[:, 1:]
-                for carry, x in zip(sums, (terms * count, terms, w, w * lad[1, :, :-1]))]
-        rounding, tails = _EPS * (sums[0] + (i + 1) * sums[1]), (1.0 - sums[2]) * lad[0, :, 1:]
-        done = tails <= _MIXTURE_STOP * rounding
-        last = (stop := done.any(1)), done.argmax(1)[stop]  # each stopping member's last term
-        out[:, rows[stop]] = sums[1][last], abs(tails[last]) + 2.0 * rounding[last] + sums[3][last]
-        rows, stages, sums = rows[~stop], stages[:, ~stop], [x[~stop, -1] for x in sums]
-        if not rows.size:  # each value and error times its prod_j (2k_j - 1)!!
-            return out * np.cumprod(np.cumprod(np.r_[1, 1:2 * order:2.0])[ks], 1)[:, -1]
+        while rows.size and made < size:
+            # the next block's terms: at most _LEAF_BLOCK (stage, member, term) lanes
+            m = np.arange(made, min(size, made + max(1, _LEAF_BLOCK // stages.size)))
+            # wave s leaves term s - t on stage t, stage 0 the base's, so the
+            # family's first block runs T more waves to fill the last stage
+            waves = range(made + width if made else 0, m[-1] + width + 1)
+            hist, bumps = np.empty((len(waves) + 1, width + 1, rows.size)), c[chains[:, rows]]
+            hist[0], hist[1:, 0] = stages, base[waves.start:waves.stop, None]
+            if width:  # else the weights are the base
+                for prior, own, new in zip(hist[:-1, :-1], hist[:-1, 1:], hist[1:, 1:]):
+                    np.add(prior, bumps * own, out=new)  # b_t[m] = b_(t-1)[m] + c_t b_t[m-1]
+            stages, w = hist[-1], hist[-m.size:, -1].T * lead[rows, None]
+            # each open member's ladder entries P(n/2 + m, x) to one past the
+            # block's last term, with their rounding bounds
+            lad = ladder[:, first[rows, None] + np.arange(made, m[-1] + 2)]
+            terms = w * lad[0, :, :-1]
+            count = counts[0, rows, None] + counts[1, rows, None] * m
+            parts = np.array([terms * count, terms, w, w * lad[1, :, :-1]])
+            parts[:, :, 0] += sums  # the carried sums come first, as if prepended
+            sums = np.cumsum(parts, 2)
+            rounding = _EPS * (sums[0] + (m + 1) * sums[1])
+            tails = (1.0 - sums[2]) * lad[0, :, 1:]
+            done = tails <= _MIXTURE_STOP * rounding
+            stop = done.any(1)
+            last = stop.nonzero()[0], done[stop].argmax(1)  # each stopping member's last term
+            out[0, rows[stop]] = sums[1][last]
+            out[1, rows[stop]] = abs(tails[last]) + 2.0 * rounding[last] + sums[3][last]
+            rows, stages, sums = rows[~stop], stages[:, ~stop], sums[:, ~stop, -1]
+            made = m[-1] + 1
+        if not rows.size:
+            # each value and error times its prod_j (2k_j - 1)!!, from the
+            # table of (2k - 1)!! at k = 0..order; past float range the member
+            # reads as a NumericError
+            with np.errstate(over="ignore", invalid="ignore"):
+                odd = np.cumprod(np.arange(-1.0, 2 * order, 2).clip(1.0))
+                return out * np.cumprod(odd[ks], 1)[:, -1]
     raise over_budget
 
 

@@ -597,12 +597,30 @@ class TestMixture:
             ball_integral(index, 5.0, Spectrum(tuple(range(1, v + 1))))
 
     @pytest.mark.parametrize("v", [1, 5])
-    def test_scale_past_float_range_is_numeric_error(self, v):
-        # (399)!! lies past the route's float scale: a typed error, never a
-        # RuntimeWarning from the array product
+    def test_scale_past_float_range_raises_no_warning(self, v):
+        # (399)!! lies past the route's float scale: its array product raises
+        # no RuntimeWarning (an error in this suite), whatever the member
+        # then reads as
         index = MultiIndex.single(v, v - 1, 200)
-        with pytest.raises(NumericError, match="evaluated to"):
+        try:
             ball_integral(index, 1.0, Spectrum(tuple(range(1, v + 1))))
+        except NumericError:
+            pass
+
+    @pytest.mark.xfail(strict=True, raises=NumericError, reason=(
+        "ROADMAP 18: the mixture scales by (2k - 1)!! as a float, past float "
+        "range from k = 151, so a finite member reads as nan (0 x inf)"))
+    @pytest.mark.parametrize("v", [1, 5])
+    def test_scale_past_float_range_within_its_bar(self, v):
+        # equal variances: (2k - 1)!! P(v/2 + k, rho / 2), at v = 1 (399)!!
+        # P(200.5, 1/2) = 1.2098385752e-03
+        mpmath = pytest.importorskip("mpmath")
+        index = MultiIndex.single(v, v - 1, 200)
+        got = ball_integral(index, 1.0, Spectrum((1.0,) * v))
+        with mpmath.workdps(30):
+            exact = index.factorized_bound() * mpmath.gammainc(
+                mpmath.mpf(v) / 2 + 200, 0, mpmath.mpf(1) / 2, regularized=True)
+        assert abs(got.value - exact) <= got.est_abs_error
 
 
 class TestFamily:
@@ -622,13 +640,29 @@ class TestFamily:
                     assert alone == ball_integral(index, rho, spec)
 
     def test_a_high_order_member_moves_no_other_bits(self):
-        # every chain is padded to the family's order with identity bumps,
-        # so an order-12 member beside the order-2 family changes no bit
+        # every chain is padded with identity bumps to the family's most
+        # bumps, and the blocks narrow, yet an order-12 member beside the
+        # order-2 family changes no bit
         spec = Spectrum((0.7, 1.9, 0.4, 2.6, 1.2, 3.1))
         family = list(_index_family(spec.v).values())
         alone = ball_integrals(family, 25.0, spec)
         beside = ball_integrals(family + [MultiIndex((0, 5, 0, 7, 0, 0))], 25.0, spec)
         assert all(beside[index] == alone[index] for index in family)
+
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_mixture_blocks_move_no_bits(self, monkeypatch, block):
+        # a block of one lane runs one term at a time, and the first block
+        # its T extra waves alone; two families run past one doubling, and
+        # one has no bumps off lambda_min (T = 0)
+        cases = [(Spectrum((0.7, 1.9, 0.4, 2.6, 1.2, 3.1)), 25.0,
+                  [*_index_family(6).values(), MultiIndex((0, 5, 0, 7, 0, 0))]),
+                 (Spectrum((1.0,) + (100.0,) * 7), 7000.0,
+                  [*_index_family(8).values(), MultiIndex.single(8, 7, 40)]),
+                 (Spectrum((1.3,)), 5.0, [MultiIndex((k,)) for k in range(6)])]
+        whole = [ball_integrals(family, rho, spec) for spec, rho, family in cases]
+        monkeypatch.setattr(ball, "_LEAF_BLOCK", block)
+        for (spec, rho, family), want in zip(cases, whole):
+            assert ball_integrals(family, rho, spec) == want
 
     @pytest.mark.parametrize("v", [1, 3, 5])
     def test_empty_family(self, v):

@@ -270,14 +270,19 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(half_angle), (0.25 * math.pi) * w * np.cos(half_angle)
 
 
-def _alpha_1d_array(k: int, rho: np.ndarray, lam: float) -> np.ndarray:
-    """The v = 1 ball integral of multiplicity k at each lane of ``rho``; past
-    k = 1023, where 2^k leaves float range, a :class:`NumericError`."""
+def _alpha_1d_array(ks: tuple, rho: np.ndarray, lam: float) -> np.ndarray:
+    """The v = 1 ball integrals of multiplicities ``ks`` at each lane of
+    ``rho``, one row per k, from one incomplete-gamma pass; past k = 1023,
+    where 2^k leaves float range, a :class:`NumericError`."""
     try:
-        scale = 2.0 ** k / math.sqrt(math.pi)
+        scales = [2.0 ** k / math.sqrt(math.pi) for k in ks]
     except OverflowError:
+        k = next(k for k in ks if k > 1023)
         raise NumericError(f"quadrature leaf overflows at multiplicity {k}") from None
-    return scale * _lower_incomplete_gamma_vec(k + 0.5, rho / (2.0 * lam))
+    rows = _lower_incomplete_gamma_vec(0.5, rho / (2.0 * lam), ks)
+    for scale, row in zip(scales, rows):
+        row *= scale
+    return rows
 
 
 # Square half-width of the numerical support of the Gaussian factor, in
@@ -339,14 +344,19 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     nodes beside them, so one sweep serves both rules, and only the
     outermost fold splits them into each member's value and the check that
     prices its ``est_abs_error``.  The inner levels, the leaf incomplete
-    gamma of each leaf multiplicity and each member's inner fold run in
-    blocks of whole outer nodes, at most ``_LEAF_BLOCK`` leaf lanes each
-    (at least one node), filling a (members, outer nodes) table that each
-    member then folds through the outer level.  Blocks depend only on the
-    rules and restart at the reduced rule's first node, so a member gets
-    the arithmetic of its one-member family under each rule alone.  At
-    v <= 3 the whole leaf is one block.  Each block sorts its leaf radii
-    once into the ascending lanes that every leaf incomplete gamma requires.
+    gamma and each member's inner fold run in blocks of whole outer nodes,
+    at most ``_LEAF_BLOCK`` leaf lanes each (at least one node), filling a
+    (members, outer nodes) table that each member then folds through the
+    outer level.  Blocks depend only on the rules and restart at the
+    reduced rule's first node, so a member gets the arithmetic of its
+    one-member family under each rule alone.  At v <= 3 the whole leaf is
+    one block.  Each block sorts its leaf radii once into ascending lanes
+    and makes one incomplete-gamma pass over them for every leaf
+    multiplicity k_1 of the family.  Each member's inner fold reads a
+    block's memo of prefixes: the leaf of its k_1 folded through the first
+    inner level with its k_2, so members that share (k_1, k_2) fold it once
+    (6 prefixes for the 15 members of the v = 4 order-2 family), with the
+    operations their own fold would take.
     Returns a (2, members) array: the values, then their errors.
     """
     n_nodes, n_check = _NODES_LOW_DIM
@@ -357,21 +367,26 @@ def _alpha_quad(family: tuple, lams: tuple, rho: float) -> np.ndarray:
     size = rho_heads.size
     table = np.empty((len(family), size))
     step = max(1, _LEAF_BLOCK // n_nodes ** (len(lams) - 2))  # nodes per block
+    leaf_ks = tuple(dict.fromkeys(ks[0] for ks in family))  # one leaf row per k_1
     edges = (0, size) if size <= step else (0, n_nodes, size)
     for first, stop in zip(edges, edges[1:]):
         for start in range(first, stop, step):
             block = slice(start, min(start + step, stop))
             levels, rho_leaf = _levels(lams[1:-1], rho_heads[block], inner)
             # the incomplete gamma takes its lanes in ascending radius: sort
-            # the block once, and scatter each leaf back for the folds
+            # the block once, and scatter each order's row back for the folds
             order = np.argsort(rho_leaf, axis=None)
-            ascending = rho_leaf.reshape(-1)[order]
+            rows = _alpha_1d_array(leaf_ks, rho_leaf.reshape(-1)[order], lams[0])
             leaf = np.empty(rho_leaf.shape)
-            for k in dict.fromkeys(ks[0] for ks in family):  # one leaf per k_1
-                leaf.reshape(-1)[order] = _alpha_1d_array(k, ascending, lams[0])
+            for k, row in zip(leaf_ks, rows):
+                leaf.reshape(-1)[order] = row
+                prefixes = {}  # the leaf folded through the first inner level
                 for i, ks in enumerate(family):
                     if ks[0] == k:
-                        table[i, block] = _fold(ks[1:-1], levels, leaf)
+                        head, rest = ks[1:-1][:1], ks[2:-1]
+                        if head not in prefixes:
+                            prefixes[head] = _fold(head, levels, leaf)
+                        table[i, block] = _fold(rest, levels[:-1], prefixes[head])
     half, scaled_sq, density, weights = top
     rules = [(part, [(half, scaled_sq[part], density[part], weights[part])])
              for part in (slice(None, n_nodes), slice(n_nodes, None))]

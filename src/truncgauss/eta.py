@@ -20,7 +20,7 @@ import numpy as np
 
 from .ball import (MultiIndex, Spectrum, _check_rho, _check_spectrum, _fd_derivative,
                    ball_integral, ball_integrals)
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 from .report import Report
 from .special import (_compositions, _finite, _integer, _integer_cache, _multinomial, _real,
                       raising_factorial, stirling_second)
@@ -164,10 +164,14 @@ def eta_fd_oracle(k: int, rho: float, spectrum: Spectrum) -> float:
         return ball_integral(zero, r, spectrum).value
 
     h = rho * 10.0 ** (-2.0 / k)
+    try:  # the steps are below rho, so their powers stay in range with it
+        scale = rho ** k
+    except OverflowError:
+        raise NumericError(f"rho^{k} at rho={rho} exceeds float range") from None
     # the half step's k-th power divides the differences
     if (h / 2.0) ** k < sys.float_info.min or rho - (k / 2.0) * h <= 0.0:
         raise DomainError(f"step {h} leaves the domain at rho={rho}")
-    return rho ** k * _fd_derivative(alpha, rho, k, h) / alpha(rho)
+    return scale * _fd_derivative(alpha, rho, k, h) / alpha(rho)
 
 
 def q_polynomial(k: int, x: float, a: float) -> float:
@@ -196,10 +200,13 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     Q is an Appell sequence, d/dx Q_j = j Q_{j-1}, so that maximum sits at
     an end of the range or at a real root of Q_{k-2} inside it; those
     points are all that is evaluated.  Exact for k = 1, where Q_0 = 1.
+
+    Where a factor leaves float range (at extreme radii or variances) the
+    same product is taken as a sum of logarithms, so the bound is finite,
+    or 0 where it underflows; a bound past float range is a
+    :class:`NumericError`.
     """
     k, rho, v = _integer(k, "k", 1), _check_rho(rho), _check_spectrum(spectrum).v
-    det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
-    pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
     a = -(v / 2.0 - 1.0)
     lo = rho / (2.0 * spectrum.lambda_max)
     hi = rho / (2.0 * spectrum.lambda_min)
@@ -207,9 +214,34 @@ def radial_derivative_envelope(k: int, rho: float, spectrum: Spectrum) -> float:
     # the range, which keeps the maximum a bound
     roots = np.roots([math.comb(k - 2, ell) * raising_factorial(a, ell)
                       for ell in range(k - 1)]).real if k >= 2 else ()
-    poly_max = max(abs(q_polynomial(k - 1, x, a))
-                   for x in (lo, hi, *(r for r in roots if lo < r < hi)))
-    return pref * poly_max * math.exp(-rho / (2.0 * spectrum.lambda_max))
+    points = (lo, hi, *(r for r in roots if lo < r < hi))
+    decay = -rho / (2.0 * spectrum.lambda_max)
+    try:
+        det_sqrt = math.sqrt(math.prod(spectrum.lambdas))
+        pref = rho ** (v / 2.0) / (2.0 ** (v / 2.0) * math.gamma(v / 2.0) * det_sqrt)
+        bound = pref * max(abs(q_polynomial(k - 1, x, a)) for x in points) * math.exp(decay)
+    except (ArithmeticError, NumericError):
+        pref = bound = math.nan
+    if 0.0 < pref < math.inf and math.isfinite(bound):
+        return bound
+    # a factor overflowed or underflowed: the same product in logarithms
+    log_pref = (v / 2.0) * math.log(rho / 2.0) - math.lgamma(v / 2.0) - 0.5 * sum(
+        map(math.log, spectrum.lambdas))
+    log_bound = log_pref + max(_log_abs_q(k - 1, x, a) for x in points) + decay
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        bound = math.inf
+    return _finite(bound, f"envelope[k={k}, rho={rho}]")
+
+
+def _log_abs_q(j: int, x: float, a: float) -> float:
+    """log |Q_j(x; a)| for x > 0, with x^j factored out once x > 1, so it
+    stays finite where Q_j leaves float range."""
+    scale = max(x, 1.0)
+    total = sum(math.comb(j, ell) * raising_factorial(a, ell) * (x / scale) ** (j - ell)
+                * scale ** -ell for ell in range(j + 1))
+    return j * math.log(scale) + (math.log(abs(total)) if total else -math.inf)
 
 
 def asymptotic_checks(spectrum: Spectrum, k_max: int,

@@ -200,22 +200,28 @@ def lower_incomplete_gamma(s: float, x: float) -> float:
         return float(_lower_incomplete_gamma_vec(s, np.array([x]))[0])
 
 
-def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
+def _lower_incomplete_gamma_vec(s: float, x: np.ndarray, orders=None) -> np.ndarray:
     """Lower incomplete gamma at fixed s over one vector of ascending x >= 0.
 
     The caller passes s > 0: :func:`lower_incomplete_gamma` through
-    :func:`_positive`, ``_alpha_1d_array`` as k + 1/2 with k >= 0.
+    :func:`_positive`, ``_alpha_1d_array`` as 1/2 with its leaf
+    multiplicities as ``orders``.  Given ``orders``, a sequence of integers
+    m >= 0, the call evaluates every order s + m on the same lanes and
+    returns one row per order; without it, the one vector at s.  The lane
+    checks, the zero and infinite cuts and log x run once per call, so one
+    call serves a whole quadrature block.
 
-    Lanes with x < s + 12 sum the Kummer series of x^s e^-x / s; the rest
-    take Gamma(s) minus a modified-Lentz continued fraction for the upper
-    tail, and x = inf gives Gamma(s).  Gamma(s) is computed only when one
-    of those lanes exists, so series lanes stay finite past Gamma's float
-    range.  The caller orders the lanes, so the zero, series,
-    continued-fraction and infinite lanes are contiguous ranges; lanes that
-    are not one ascending vector are a :class:`DomainError`.  Each lane
-    takes the same operations wherever it sits, so its bits do not depend
-    on its neighbours.  Iteration caps and overflow raise
-    :class:`NumericError`.
+    At each order a = s + m, lanes with x < a + 12 sum the Kummer series of
+    x^a e^-x / a; the rest take Gamma(a) minus a modified-Lentz continued
+    fraction for the upper tail, and x = inf gives Gamma(a).  Each order
+    computes Gamma(a) only when one of its lanes needs it, so series lanes
+    stay finite past Gamma's float range.  The caller orders the
+    lanes, so the zero, series, continued-fraction and infinite lanes are
+    contiguous ranges; lanes that are not one ascending vector are a
+    :class:`DomainError`.  Each lane takes the same operations wherever it
+    sits and whichever orders share the call, so its bits do not depend on
+    its neighbours.  Iteration caps and overflow raise :class:`NumericError`,
+    order by order.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(x >= 0.0):
@@ -224,47 +230,58 @@ def _lower_incomplete_gamma_vec(s: float, x: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or np.any(x[1:] < x[:-1]):
         raise DomainError("lower_incomplete_gamma takes one vector of lanes in "
                           f"ascending order, got shape {x.shape}")
-    out = np.zeros_like(x)
-    first = np.searchsorted(x, 0.0, side="right")
-    cut, inf = np.searchsorted(x, (s + _SERIES_CUTOFF_OFFSET, math.inf))
-    if cut > first:
-        xs = x[first:cut]
-        out[first:cut] = np.exp(s * np.log(xs) - xs) / s * _kummer_sum(s, xs)
-    if x.size > cut:  # only continued-fraction and infinite lanes need Gamma(s)
-        try:
-            whole = math.gamma(s)
-        except OverflowError as exc:
-            raise NumericError(f"Gamma({s}) overflows float64") from exc
-        if inf > cut:
-            xc = x[cut:inf]
-            out[cut:inf] = whole - np.exp(s * np.log(xc) - xc) * _upper_fraction(s, xc)
-        out[inf:] = whole
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"vectorized lower_incomplete_gamma overflow at s={s}")
-    return out
+    steps = (0,) if orders is None else orders
+    out = np.zeros((len(steps), x.size))
+    first, inf = np.searchsorted(x, 0.0, side="right"), np.searchsorted(x, math.inf)
+    log_x = np.log(x[first:inf])
+    for row, m in zip(out, steps):
+        a = s + m
+        cut = np.searchsorted(x, a + _SERIES_CUTOFF_OFFSET)
+        if cut > first:
+            xs = x[first:cut]
+            row[first:cut] = (np.exp(a * log_x[:cut - first] - xs) / a
+                              * _kummer_sum(a, xs))
+        if x.size > cut:  # only continued-fraction and infinite lanes need Gamma(a)
+            try:
+                whole = math.gamma(a)
+            except OverflowError as exc:
+                raise NumericError(f"Gamma({a}) overflows float64") from exc
+            if inf > cut:
+                xc = x[cut:inf]
+                row[cut:inf] = (whole - np.exp(a * log_x[cut - first:] - xc)
+                                * _upper_fraction(a, xc))
+            row[inf:] = whole
+        if not np.all(np.isfinite(row)):
+            raise NumericError(f"vectorized lower_incomplete_gamma overflow at s={a}")
+    return out[0] if orders is None else out
 
 
 def _kummer_sum(s: float, x: np.ndarray) -> np.ndarray:
-    """sum_n x^n / ((s + 1) ... (s + n)) over ascending lanes x > 0.
+    """sum_n x^n / ((s + 1) ... (s + n)) over lanes x > 0, fastest ascending.
 
     A lane ends once a term is below 1e-15 of its sum: the first term alone
     may end it, after that two in a row must.  Smaller x needs fewer terms,
     so lanes end in about ascending order.  Each iteration works on the
-    range from the first lane still running, and a mask freezes the sums of
-    the few lanes in it that ended out of order.
+    range from the first lane still running and adds every term there with
+    a plain add; the term of a lane that ended inside the range, out of
+    order, is set to zero, so its later terms are zero and its sum keeps
+    its bits.  So a lane's bits do not depend on the order in which its
+    neighbours end.
     """
     total = np.ones_like(x)
     # The loop allocates nothing: ``tmp`` takes each quotient and threshold,
-    # and the masks "this term is not small" and "the last one was not"
-    # trade buffers.  Every name below is a view of the running range.
+    # the masks "this term is not small" and "the last one was not" trade
+    # buffers, and ``run`` takes their union.  Every name below is a view of
+    # the running range.
     tmp = np.empty_like(x)
     big, was_big = np.empty(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
-    xs, t, tot, run = x, np.ones_like(x), total, np.ones(x.shape, dtype=bool)
+    xs, t, tot, run = x, np.ones_like(x), total, np.empty(x.shape, dtype=bool)
+    running = x.size  # lanes still running in the range
     for n in range(_SERIES_CAP):
         t *= np.divide(xs, 1.0 + s + n, out=tmp)
-        np.add(tot, t, out=tot, where=run)
+        np.add(tot, t, out=tot)
         np.greater(t, np.multiply(_SERIES_TOL, tot, out=tmp), out=big)
-        run &= np.logical_or(big, was_big, out=was_big)
+        np.logical_or(big, was_big, out=run)  # a zeroed term keeps its lane ended
         big, was_big = was_big, big
         skip = run.argmax()  # lanes before the first one still running
         if skip:
@@ -272,6 +289,10 @@ def _kummer_sum(s: float, x: np.ndarray) -> np.ndarray:
                 a[skip:] for a in (xs, t, tot, run, tmp, big, was_big))
         elif not run[0]:
             return total
+        now = np.count_nonzero(run)
+        if now < running and now < run.size:  # a lane ended out of order
+            np.copyto(t, 0.0, where=~run)
+        running = now
     raise NumericError(
         f"vectorized incomplete-gamma series hit the {_SERIES_CAP}-term cap at s={s}"
     )

@@ -795,26 +795,29 @@ class TestFamily:
 
     def test_leaf_lanes_arrive_ascending(self, monkeypatch):
         # the quadrature orders each leaf block once, so every incomplete
-        # gamma it calls gets one ascending vector; at v = 4 the leaf spans
-        # several blocks, and each block is its own call.  v = 1 runs the
+        # gamma it calls gets one ascending vector and every leaf
+        # multiplicity k_1 as an order; at v = 4 the leaf spans several
+        # blocks, and each block is its own call.  v = 1 runs the
         # chi-square mixture, which calls none
         calls = []
         real = ball._lower_incomplete_gamma_vec
 
-        def recorded(s, x):
-            calls.append(x.ndim == 1 and bool(np.all(x[1:] >= x[:-1])))
-            return real(s, x)
+        def recorded(s, x, orders):
+            calls.append((s, x.ndim == 1 and bool(np.all(x[1:] >= x[:-1])), orders))
+            return real(s, x, orders)
 
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", recorded)
         ball._alpha_quad.cache_clear()
         lams = (1.0, 2.0, 0.3, 1.4)
         for v in range(1, 5):
             family = [*_index_family(v).values(), MultiIndex.single(v, 0, 3)]
+            leaf_ks = tuple(dict.fromkeys(index.multiplicities[0] for index in family))
             calls.clear()
             ball_integrals(family, 3.0, Spectrum(lams[:v]))
-            assert (calls and all(calls)) if v > 1 else calls == []
-            if v == 4:  # each leaf multiplicity spans several blocks
-                assert len(calls) > len({index.multiplicities[0] for index in family})
+            if v == 1:
+                assert calls == []
+            else:  # 12 blocks at v = 4: 7 of the value's 48 outer nodes, 5 of the check's 32
+                assert calls == [(0.5, True, leaf_ks)] * (12 if v == 4 else 1)
         ball._alpha_quad.cache_clear()
 
     def test_threads_match_serial(self):

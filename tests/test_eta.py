@@ -137,18 +137,19 @@ class TestEtaValues:
 
     def test_one_family_pass(self, monkeypatch):
         # the zero index and the 19 compositions of orders 1..3 share one
-        # pass: one leaf per multiplicity k_1 = 0..3, shared by both outer rules
+        # pass: one leaf block holding every multiplicity k_1 = 0..3, shared
+        # by both outer rules
         gammas = []
         real = ball._lower_incomplete_gamma_vec
 
-        def counted(s, x):
-            gammas.append(s)
-            return real(s, x)
+        def counted(s, x, orders):
+            gammas.append(sorted(s + m for m in orders))
+            return real(s, x, orders)
 
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
         eta_combinatorial(3, 5.0, SPEC3)
-        assert sorted(gammas) == [0.5, 1.5, 2.5, 3.5]
+        assert gammas == [[0.5, 1.5, 2.5, 3.5]]
         # at v = 1 each member is its own chi-square mixture, with no
         # incomplete gamma call
         gammas.clear()
@@ -346,3 +347,52 @@ class TestAsymptoticReport:
         spec = Spectrum((1.0, 2.0))
         with pytest.raises(DomainError):
             asymptotic_checks(spec, 0, (20.0, 40.0))
+
+
+def _envelope_reference(k: int, rho: float, lams) -> float:
+    """The envelope at k = 1 or 2 in 60-digit arithmetic: Q_0 = 1 and
+    Q_1(x; a) = x + a, whose maximum over the range sits at an end."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 60
+    v, rho = len(lams), mp.mpf(rho)
+    a = 1 - mp.mpf(v) / 2
+    pref = rho ** (mp.mpf(v) / 2) / (2 ** (mp.mpf(v) / 2) * mp.gamma(mp.mpf(v) / 2)
+                                     * mp.sqrt(mp.fprod(map(mp.mpf, lams))))
+    ends = (rho / (2 * mp.mpf(max(lams))), rho / (2 * mp.mpf(min(lams))))
+    poly_max = 1 if k == 1 else max(abs(x + a) for x in ends)
+    return float(pref * poly_max * mp.exp(-rho / (2 * mp.mpf(max(lams)))))
+
+
+class TestExtremeRadii:
+    @pytest.mark.parametrize("k, rho, lams", [
+        (2, 1e200, (1.0, 2.0)),          # inf x 0 read NaN
+        (1, 1e300, (1.0, 2.0, 3.0, 4.0)),  # rho^2 leaked OverflowError
+        (2, 1000.0, (1e-300, 1.0)),      # a finite bound read inf
+        (1, 5.0, (1.0,) * 400),          # Gamma(200) leaked OverflowError
+        (2, 1e-300, (1e-300,) * 4),      # det underflow leaked ZeroDivisionError
+    ])
+    def test_envelope_is_finite_past_float_range_factors(self, k, rho, lams):
+        # a factor of the bound leaves float range while the bound does not
+        # (or underflows to 0): the bound is the 60-digit product, rounded
+        got = radial_derivative_envelope(k, rho, Spectrum(lams))
+        assert math.isfinite(got)
+        assert got == pytest.approx(_envelope_reference(k, rho, lams), rel=1e-12, abs=0.0)
+
+    def test_envelope_past_float_range_is_numeric_error(self):
+        # 1.4e749 at k = 2, rho = 1e5, lambda_min = 1e-300
+        with pytest.raises(NumericError):
+            radial_derivative_envelope(2, 1e5, Spectrum((1e-300, 1e3)))
+
+    @pytest.mark.parametrize("k, rho", [(2, 1e300), (3, 1e200), (4, 1e100)])
+    def test_fd_oracle_power_overflow_is_numeric_error(self, k, rho):
+        # rho^k past float range leaked OverflowError
+        with pytest.raises(NumericError, match="float range"):
+            eta_fd_oracle(k, rho, Spectrum((1.0, 2.0)))
+
+    def test_asymptotic_checks_at_extreme_radii(self):
+        # the envelope's rho^(v/2) leaked OverflowError; every check now
+        # has a margin that is a number
+        report = asymptotic_checks(Spectrum((1.0, 2.0, 3.0, 4.0)), 1, (1e299, 1e300))
+        envelopes = [c for c in report.checks if c.name.startswith("envelope")]
+        assert len(envelopes) == 2
+        assert all(math.isfinite(c.margin) for c in report.checks)

@@ -71,20 +71,21 @@ class TestExpandAlpha:
         assert part.terms[2] == pytest.approx(expected_t2, rel=1e-12)
 
     def test_one_family_per_geometry(self, monkeypatch):
-        # the reduced (2, 3) spectrum is one family: 5 leaf multiplicities,
-        # each shared by both outer rules; alpha_0..alpha_4 at lambda = 1
-        # take the chi-square mixture, with no incomplete gamma call
+        # the reduced (2, 3) spectrum is one family: one leaf block holding
+        # its 5 leaf multiplicities, shared by both outer rules;
+        # alpha_0..alpha_4 at lambda = 1 take the chi-square mixture, with
+        # no incomplete gamma call
         gammas = []
         real = ball._lower_incomplete_gamma_vec
 
-        def counted(s, x):
-            gammas.append(s)
-            return real(s, x)
+        def counted(s, x, orders):
+            gammas.append(sorted(s + m for m in orders))
+            return real(s, x, orders)
 
         monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", counted)
         ball._alpha_quad.cache_clear()
         expand_alpha({0: 0}, 4, 30.0, Spectrum((1, 2, 3)))
-        assert sorted(gammas) == [k + 0.5 for k in range(5)]
+        assert gammas == [[k + 0.5 for k in range(5)]]
 
     def test_higher_order_tightens(self):
         rho = 40.0

@@ -247,8 +247,8 @@ class TestCorrelationSet:
 
 def _count_passes(monkeypatch):
     """Record the index family of every ball_integrals call from moments,
-    the s of every incomplete gamma the quadrature evaluates, and the lanes
-    evaluated at each s."""
+    the orders s + m of every incomplete-gamma call the quadrature makes (one
+    sorted list per call), and the lanes evaluated at each order."""
     families, gammas, lanes = [], [], {}
     real_family = moments.ball_integrals
     real_gamma = ball._lower_incomplete_gamma_vec
@@ -257,10 +257,11 @@ def _count_passes(monkeypatch):
         families.append(sorted(index.multiplicities for index in indices))
         return real_family(indices, *args)
 
-    def gamma(s, x):
-        gammas.append(s)
-        lanes[s] = lanes.get(s, 0) + np.size(x)
-        return real_gamma(s, x)
+    def gamma(s, x, orders):
+        gammas.append(sorted(s + m for m in orders))
+        for m in orders:
+            lanes[s + m] = lanes.get(s + m, 0) + np.size(x)
+        return real_gamma(s, x, orders)
 
     monkeypatch.setattr(moments, "ball_integrals", family)
     monkeypatch.setattr(ball, "_lower_incomplete_gamma_vec", gamma)
@@ -278,9 +279,9 @@ class TestIntegralCounts:
         for n in range(3):
             variance_gap_with_error(n, 2.0, SPEC3)
         assert families == [_order_two_family(3)] * 3
-        # one leaf per multiplicity k_1 = 0, 1, 2, shared by both outer
-        # rules; the later calls are cache hits
-        assert sorted(gammas) == [0.5, 1.5, 2.5]
+        # one leaf block holding every multiplicity k_1 = 0, 1, 2, shared
+        # by both outer rules; the later calls are cache hits
+        assert gammas == [[0.5, 1.5, 2.5]]
         assert ball._alpha_quad.cache_info().misses == 1
 
     @pytest.mark.parametrize("lams", [(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0),
@@ -300,29 +301,33 @@ class TestIntegralCounts:
             assert gammas == []
         elif v < 4:
             # one block holds the heads of both outer rules
-            assert sorted(gammas) == [0.5, 1.5, 2.5]
+            assert gammas == [[0.5, 1.5, 2.5]]
         else:
-            # blocks of whole outer nodes: per order, the blocks cover the
-            # leaf of each outer rule once
+            # blocks of whole outer nodes, 7 nodes each, every block one call
+            # for all three orders: per order, the blocks cover the leaf of
+            # each outer rule once
+            assert gammas == [[0.5, 1.5, 2.5]] * 12
             assert lanes == {s: 48 ** 3 + 32 * 48 ** 2 for s in (0.5, 1.5, 2.5)}
         assert ball._alpha_quad.cache_info().misses == (1 if v > 1 else 0)
 
     @pytest.mark.parametrize("n, leaves", [(0, [0.5, 1.5]), (1, [0.5])])
     def test_second_moment_reads_two_indices(self, monkeypatch, n, leaves):
-        # rho_star's fixed point evaluates only {0, e_n}: per step at most
-        # the two incomplete gammas of two one-index evaluations
+        # rho_star's fixed point evaluates only {0, e_n}: per step one
+        # incomplete-gamma call, at the orders of two one-index evaluations
         families, gammas, _ = _count_passes(monkeypatch)
         _second_moment(n, 2.0, SPEC3)
         expected = sorted([(0, 0, 0), MultiIndex.single(3, n).multiplicities])
         assert families == [expected]
-        assert sorted(gammas) == leaves
+        assert gammas == [leaves]
 
     def test_rho_star_steps_cost_no_more_than_two_indices(self, monkeypatch):
         families, gammas, _ = _count_passes(monkeypatch)
         rho_star(1, SPEC3)
         assert families and families == [[(0, 0, 0), (0, 1, 0)]] * len(families)
-        # both indices have k_1 = 0, so one leaf serves both outer rules
-        assert len(gammas) <= 2 * len(families)
+        # both indices have k_1 = 0, so one leaf at one order serves both
+        # outer rules: at most one call per family, none on a cache hit
+        assert len(gammas) <= len(families)
+        assert all(orders == [0.5] for orders in gammas)
 
 
 class TestMomentBatchRead:

@@ -294,6 +294,57 @@ class TestLowerIncompleteGamma:
         alone = [_lower_incomplete_gamma_vec(s, np.array([xi]))[0] for xi in x]
         assert together.tobytes() == np.array(alone).tobytes()
 
+    @pytest.mark.parametrize("s", [0.5, 2.5, 9.5])
+    @pytest.mark.parametrize("arrangement", ["descending", "shuffled"])
+    def test_series_lanes_ending_out_of_order(self, s, arrangement):
+        # lanes passed straight to the series, not ascending, end out of
+        # order inside the running range; the zeroed terms of the lanes that
+        # ended keep every lane's bits alone
+        rng = np.random.default_rng(23)
+        x = np.sort(rng.uniform(0.0, s + 12.0, 400))[::-1]
+        if arrangement == "shuffled":
+            x = rng.permutation(x)
+        together = special._kummer_sum(s, x)
+        alone = [special._kummer_sum(s, np.array([xi]))[0] for xi in x]
+        assert together.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("s, orders", [(0.5, (0, 3)), (0.5, (3, 0)),
+                                           (1.5, (0, 1, 2)), (2.5, (4,))])
+    def test_orders_share_one_call(self, s, orders):
+        # zero, series, continued-fraction and infinite lanes in one block,
+        # each order cut at its own s + m + 12 (the lanes between two cuts
+        # are series lanes of one order and continued-fraction lanes of
+        # another): every row keeps the bits of its own one-order call
+        rng = np.random.default_rng(31)
+        cuts = [s + m + special._SERIES_CUTOFF_OFFSET for m in orders]
+        x = np.sort(np.concatenate([
+            [0.0, 0.0, 1e-300, 1e-9, math.inf, math.inf, 1e4],
+            cuts, [np.nextafter(c, 0.0) for c in cuts],
+            rng.uniform(0.0, max(cuts) + 10.0, 500)]))
+        rows = _lower_incomplete_gamma_vec(s, x, orders)
+        assert rows.shape == (len(orders), x.size)
+        for m, row in zip(orders, rows):
+            assert row.tobytes() == _lower_incomplete_gamma_vec(s + m, x).tobytes()
+
+    @given(_lanes(), st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_set_matches_one_order_calls(self, case, orders):
+        s, x, _, _ = case
+        rows = _lower_incomplete_gamma_vec(s, x, orders)
+        for m, row in zip(orders, rows):
+            assert row.tobytes() == _lower_incomplete_gamma_vec(s + m, x).tobytes()
+
+    def test_each_order_keeps_its_typed_error(self):
+        # order 0 needs no Gamma at a series lane and Gamma(0.5) at the
+        # infinite one; order 200 overflows Gamma(200.5) there
+        x = np.array([0.0, 1.0, math.inf])
+        assert np.all(np.isfinite(_lower_incomplete_gamma_vec(0.5, x, (0,))))
+        with pytest.raises(NumericError, match=r"Gamma\(200.5\)"):
+            _lower_incomplete_gamma_vec(0.5, x, (0, 200))
+        # lanes that are not ascending are refused before any order runs
+        with pytest.raises(DomainError, match="ascending"):
+            _lower_incomplete_gamma_vec(0.5, np.array([2.0, 1.0]), (0, 3))
+
     @pytest.mark.parametrize("cap, x, route", [
         ("_SERIES_CAP", 5.0, "series hit the 2-term cap"),
         ("_CF_CAP", 20.0, "continued fraction hit the 2-iteration cap")])
